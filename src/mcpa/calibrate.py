@@ -15,7 +15,7 @@ those fits report both candidates; phase data breaks the tie.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.typing import NDArray
@@ -29,8 +29,6 @@ from .errors import (
     ParameterError,
 )
 from .model import DeviceParams
-
-TWO_PI = model.TWO_PI
 
 #: Optimizer budget and stopping rule.
 MAX_ITERATIONS = 200
@@ -74,7 +72,7 @@ class MeasuredSpectrum:
             object.__setattr__(self, name, arr)
             if arr.shape != freq.shape:
                 raise ParameterError(f"{name} must match the frequency axis shape")
-            if not np.all(np.isfinite(arr.view(float) if name == "t" else arr)):
+            if not np.all(np.isfinite(arr)):
                 raise ParameterError(f"{name} contains non-finite values")
 
     @property
@@ -263,11 +261,7 @@ def _make_residual(spectrum: MeasuredSpectrum, model_fn):
     return residual
 
 
-def _finish(x, cov, history, n_iter, converged, names, require_converged=True):
-    if require_converged and not converged:
-        raise ConvergenceError(
-            f"optimizer did not meet the gradient tolerance in {n_iter} iterations"
-        )
+def _finish(x, cov, history, n_iter, converged, names):
     sig = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     return FitResult(
         params={k: float(v) for k, v in zip(names, x)},
@@ -279,19 +273,38 @@ def _finish(x, cov, history, n_iter, converged, names, require_converged=True):
     )
 
 
+def _best_converged(results, distinct):
+    """Lowest-residual converged fit, carrying the runner-up as `alternate`
+    when `distinct(primary, runner_up)` says it is another solution.
+
+    A seed that stalls (the mirror seed of amplitude-only data often starts
+    far from any minimum) is dropped; the fit fails only if every seed does.
+    """
+    done = sorted((r for r in results if r.converged), key=lambda r: r.residual_rms)
+    if not done:
+        worst = max(r.n_iterations for r in results)
+        raise ConvergenceError(
+            f"no seed met the gradient tolerance (up to {worst} iterations per seed)"
+        )
+    if len(done) > 1 and distinct(done[0], done[1]):
+        return replace(done[0], alternate=done[1])
+    return done[0]
+
+
 # ---------------------------------------------------------------------------
 # bare cavity
 # ---------------------------------------------------------------------------
 
-def _bare_model_fn(spectrum):
-    freq = spectrum.frequency_hz
-    absolute = spectrum.absolute_frequency
+def _bare_model_fn(detuning_hz):
+    """Pump-off model over (center shift, kappa, eta) on a detuning axis.
+
+    At G = 0 the mechanics decouple, so any positive mechanical linewidth
+    cancels from the kernel; kappa stands in for it.
+    """
 
     def evaluate(x):
-        center, kappa, eta = x
-        # detuning = cavity resonance minus probe frequency
-        delta = (center - freq) if absolute else (freq + center)
-        return 1.0 - eta * kappa / (1j * delta + kappa / 2.0)
+        shift, kappa, eta = x
+        return model._response(kappa, eta, kappa, 0.0, detuning_hz + shift)
 
     return evaluate
 
@@ -348,34 +361,30 @@ def fit_bare_cavity(
         params keys: "cavity_freq_hz" (or "center_offset_hz" when the axis
         is detuning), "kappa_hz", "eta".
     """
-    model_fn = _bare_model_fn(spectrum)
-    residual = _make_residual(spectrum, model_fn)
-    name0 = "cavity_freq_hz" if spectrum.absolute_frequency else "center_offset_hz"
-    names = (name0, "kappa_hz", "eta")
     if init is not None:
-        starts = [tuple(init)]
+        center0, kappa0, eta0 = init
+        eta_candidates = [eta0]
     else:
         center0, kappa0, eta_candidates = _bare_init(spectrum)
-        starts = [(center0, kappa0, eta) for eta in eta_candidates]
-    span = float(spectrum.frequency_hz[-1] - spectrum.frequency_hz[0])
+    # The center is fitted as a shift from its seed: on an absolute axis the
+    # finite-difference step of the center itself would be a sizeable
+    # fraction of kappa.
+    freq = spectrum.frequency_hz
+    detuning = (center0 - freq) if spectrum.absolute_frequency else (freq + center0)
+    residual = _make_residual(spectrum, _bare_model_fn(detuning))
+    name0 = "cavity_freq_hz" if spectrum.absolute_frequency else "center_offset_hz"
+    names = (name0, "kappa_hz", "eta")
+    span = float(freq[-1] - freq[0])
     results = []
-    for x0 in starts:
-        scale = (max(abs(x0[0]), span), abs(x0[1]) or span, 1.0)
+    for eta0 in eta_candidates:
+        x0 = (0.0, kappa0, eta0)
+        scale = (span, abs(kappa0) or span, 1.0)
         x, cov, hist, n_it, conv = _levenberg_marquardt(residual, x0, scale)
+        x[0] += center0
         results.append(_finish(x, cov, hist, n_it, conv, names))
-    results.sort(key=lambda r: r.residual_rms)
-    primary = results[0]
-    if len(results) > 1 and abs(results[1].params["eta"] - primary.params["eta"]) > 1e-6:
-        primary = FitResult(
-            params=primary.params,
-            sigma=primary.sigma,
-            residual_rms=primary.residual_rms,
-            n_iterations=primary.n_iterations,
-            converged=primary.converged,
-            residual_history=primary.residual_history,
-            alternate=results[1],
-        )
-    return primary
+    return _best_converged(
+        results, lambda a, b: abs(b.params["eta"] - a.params["eta"]) > 1e-6
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +392,6 @@ def fit_bare_cavity(
 # ---------------------------------------------------------------------------
 
 def _window_model_fn(spectrum, cavity: DeviceParams):
-    kappa = TWO_PI * cavity.kappa_hz
-    eta = cavity.eta
     if spectrum.absolute_frequency:
         delta_axis = cavity.cavity_freq_hz - spectrum.frequency_hz
     else:
@@ -392,12 +399,7 @@ def _window_model_fn(spectrum, cavity: DeviceParams):
 
     def evaluate(x):
         gamma_hz, g_hz, offset_hz = x
-        gamma = TWO_PI * gamma_hz
-        big_g2 = (TWO_PI * g_hz) ** 2
-        delta = TWO_PI * delta_axis
-        mech = 1j * (delta - TWO_PI * offset_hz) + gamma / 2.0
-        cav = 1j * delta + kappa / 2.0
-        return 1.0 - eta * kappa * mech / (mech * cav + big_g2)
+        return model._response(cavity.kappa_hz, cavity.eta, gamma_hz, g_hz, delta_axis, offset_hz)
 
     return evaluate, delta_axis
 
@@ -471,21 +473,10 @@ def fit_mechanical_window(
         x[0] = abs(x[0])
         x[1] = abs(x[1])
         results.append(_finish(x, cov, hist, n_it, conv, names))
-    results.sort(key=lambda r: r.residual_rms)
-    primary = results[0]
-    if len(results) > 1:
-        g_gap = abs(results[1].params["g_hz"] - primary.params["g_hz"])
-        if g_gap > 1e-9 * max(primary.params["g_hz"], 1.0):
-            primary = FitResult(
-                params=primary.params,
-                sigma=primary.sigma,
-                residual_rms=primary.residual_rms,
-                n_iterations=primary.n_iterations,
-                converged=primary.converged,
-                residual_history=primary.residual_history,
-                alternate=results[1],
-            )
-    return primary
+    return _best_converged(
+        results,
+        lambda a, b: abs(b.params["g_hz"] - a.params["g_hz"]) > 1e-9 * max(a.params["g_hz"], 1.0),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -156,23 +157,59 @@ def _device_meta(device: DeviceParams) -> dict[str, Any]:
     return meta
 
 
-def write_csv(path: str, meta: dict[str, Any], columns: list[str], rows) -> None:
-    """Atomic CSV write: header comment block, column row, data rows."""
+def _atomic_write(path: str, text: str) -> None:
+    """Write `text` to a temp file, then rename it over `path`, so a failed
+    write leaves no partial file behind."""
     tmp = path + ".tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(f"# format={CSV_FORMAT_TAG}\n")
-            for key, value in meta.items():
-                fh.write(f"# {key}={_fmt(value)}\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(columns)
-            for row in rows:
-                writer.writerow([_fmt(float(v)) for v in row])
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_csv(path: str, meta: dict[str, Any], columns: list[str], rows) -> None:
+    """Atomic CSV write: header comment block, column row, data rows."""
+    buf = io.StringIO()
+    buf.write(f"# format={CSV_FORMAT_TAG}\n")
+    for key, value in meta.items():
+        buf.write(f"# {key}={_fmt(value)}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([_fmt(float(v)) for v in row])
+    _atomic_write(path, buf.getvalue())
+
+
+def _read_table(path: str) -> tuple[dict[str, int], np.ndarray]:
+    """Column index by header name and the numeric data rows of a CSV file.
+
+    Lines starting with '#' are comments. An empty file, a header without
+    data rows, a row of the wrong length or a non-numeric cell is a
+    ConfigError naming the file (and the data row, counted from 1).
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        reader = csv.reader(line for line in fh if not line.startswith("#"))
+        header = next(reader, None)
+        if header is None:
+            raise ConfigError(f"{path} is empty")
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            where = f"{path} data row {len(rows) + 1}"
+            if len(row) != len(header):
+                raise ConfigError(f"{where} has {len(row)} cells, the header has {len(header)}")
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise ConfigError(f"{where}: {exc}") from None
+    if not rows:
+        raise ConfigError(f"{path} has a header but no data rows")
+    return {name.strip(): i for i, name in enumerate(header)}, np.array(rows)
 
 
 def read_measured_csv(path: str, *, absolute: bool | None = None) -> calibrate.MeasuredSpectrum:
@@ -181,14 +218,7 @@ def read_measured_csv(path: str, *, absolute: bool | None = None) -> calibrate.M
     Accepts a frequency column named frequency_hz or detuning_hz plus either
     (re, im) or (amp_db [, phase_rad]). Comment lines start with '#'.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        reader = csv.reader(line for line in fh if not line.startswith("#"))
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigError(f"{path} is empty") from None
-        table = [row for row in reader if row]
-    cols = {name.strip(): i for i, name in enumerate(header)}
+    cols, data = _read_table(path)
     if "frequency_hz" in cols:
         freq_col, is_absolute = cols["frequency_hz"], True
     elif "detuning_hz" in cols:
@@ -197,7 +227,6 @@ def read_measured_csv(path: str, *, absolute: bool | None = None) -> calibrate.M
         raise ConfigError(f"{path} has neither a frequency_hz nor a detuning_hz column")
     if absolute is not None:
         is_absolute = absolute
-    data = np.array([[float(v) for v in row] for row in table], dtype=float)
     freq = data[:, freq_col]
     if "re" in cols and "im" in cols:
         values = data[:, cols["re"]] + 1j * data[:, cols["im"]]
@@ -213,6 +242,15 @@ def read_measured_csv(path: str, *, absolute: bool | None = None) -> calibrate.M
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
+
+def _number(options: dict, key: str, default, kind=int):
+    """Option `key` converted by `kind`; an unconvertible value is a ConfigError."""
+    value = options.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+
 
 def _coupling_from(options: dict, key: str = "g", default=None) -> float:
     if key not in options:
@@ -262,7 +300,7 @@ def _spectrum_rows(spec_obj: spectra.Spectrum) -> np.ndarray:
 def cmd_spectrum(cfg: RunConfig) -> int:
     device = cfg.device
     g = _coupling_from(cfg.options)
-    n = cfg.points_override or int(cfg.options.get("points", 2001))
+    n = cfg.points_override or _number(cfg.options, "points", 2001)
     if "start" in cfg.options or "stop" in cfg.options:
         if not ("start" in cfg.options and "stop" in cfg.options):
             raise ConfigError("give both start and stop, or neither")
@@ -296,7 +334,7 @@ def _grid_scale(name: str) -> spectra.GridScale:
 
 def cmd_sweep_g(cfg: RunConfig) -> int:
     device = cfg.device
-    n = cfg.points_override or int(cfg.options.get("points", 2000))
+    n = cfg.points_override or _number(cfg.options, "points", 2000)
     sweep = spectra.SweepSpec(
         axis=spectra.SweepAxis.COUPLING,
         start_hz=parse_frequency(cfg.options.get("start", 5.0)),
@@ -333,8 +371,8 @@ def cmd_pulse(cfg: RunConfig) -> int:
     g = _coupling_from(cfg.options)
     method = cfg.options.get("method", "fft")
     carrier = parse_frequency(cfg.options.get("carrier_detuning", 0.0))
-    n = cfg.points_override or int(cfg.options.get("samples", 4096))
-    fraction = float(cfg.options.get("bandwidth_fraction", pulses.DELAY_BANDWIDTH_FRACTION))
+    n = cfg.points_override or _number(cfg.options, "samples", 4096)
+    fraction = _number(cfg.options, "bandwidth_fraction", pulses.DELAY_BANDWIDTH_FRACTION, float)
     pulse_cfg = pulses.delay_pulse_config(
         device, g, carrier_detuning_hz=carrier, bandwidth_fraction=fraction, n_samples=n
     )
@@ -380,11 +418,7 @@ def cmd_fit(cfg: RunConfig) -> int:
     data_path = options["data"]
     report: dict[str, Any] = {"kind": kind, "data": data_path}
     if kind == "critical_sweep":
-        with open(data_path, "r", encoding="utf-8") as fh:
-            reader = csv.reader(line for line in fh if not line.startswith("#"))
-            header = next(reader)
-            table = np.array([[float(v) for v in row] for row in reader if row])
-        cols = {name.strip(): i for i, name in enumerate(header)}
+        cols, table = _read_table(data_path)
         if "g_hz" not in cols:
             raise ConfigError(f"{data_path} has no g_hz column")
         g = table[:, cols["g_hz"]]
@@ -402,12 +436,12 @@ def cmd_fit(cfg: RunConfig) -> int:
             if absolute is None:
                 raise ConfigError("fit frequency must be 'absolute' or 'detuning'")
         measured = read_measured_csv(data_path, absolute=absolute)
-        snr_db = options.get("add_noise_snr_db")
-        if snr_db is not None:
-            report["add_noise_snr_db"] = float(snr_db)
+        if options.get("add_noise_snr_db") is not None:
+            snr_db = _number(options, "add_noise_snr_db", None, float)
+            report["add_noise_snr_db"] = snr_db
             report["seed"] = cfg.seed
             rng = np.random.default_rng(cfg.seed)
-            level = 10.0 ** (-float(snr_db) / 20.0)
+            level = 10.0 ** (-snr_db / 20.0)
             values = measured.complex_values()
             noise = level / math.sqrt(2.0) * (
                 rng.standard_normal(len(values)) + 1j * rng.standard_normal(len(values))
@@ -428,17 +462,8 @@ def cmd_fit(cfg: RunConfig) -> int:
         if fit.alternate is not None:
             report["alternate_params"] = fit.alternate.params
             report["alternate_residual_rms"] = fit.alternate.residual_rms
-    path = os.path.join(cfg.out_dir, "fit_report.json")
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    report_text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    _atomic_write(os.path.join(cfg.out_dir, "fit_report.json"), report_text)
     for key, value in report.items():
         if isinstance(value, dict):
             for sub, v in value.items():

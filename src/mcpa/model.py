@@ -12,10 +12,23 @@ coupling strengths that organize the physics:
 * the boundary coupling, where the resonant transmission climbs back up to
   the bare-cavity level and the window turns into transparency.
 
+Every public evaluation goes through one kernel, :func:`_response`, which
+writes the transmission as a ratio of two factored polynomials in the
+detuning Delta. With D1 = i*Delta + gamma_m/2 and D2 = i*Delta + kappa/2,
+
+    t = N / den,    N = D1*(D2 - eta*kappa) + G^2,    den = D1*D2 + G^2,
+
+and the group delay is tau = -d(arg t)/d(2*pi*Delta). At zero detuning D1
+and D2 are real, so N reduces to G^2 - (eta - 1/2)*kappa*gamma_m/2 without
+any complex arithmetic: the resonant transmission is an exact real number,
+its phase is exactly 0 or pi, and near the critical coupling the only
+cancellation left is the one in G^2 - G_c^2 that the problem itself has.
+
 Unit convention: every frequency or rate stored in :class:`DeviceParams`,
 passed to a function, or returned from one is an ordinary frequency in Hz
-(cycles per second), i.e. the angular rate divided by 2*pi. Conversion to
-angular units happens inside each evaluation. Group delays are seconds.
+(cycles per second), i.e. the angular rate divided by 2*pi. The
+transmission depends only on rate ratios, so the kernel works in Hz
+throughout. Group delays are seconds.
 """
 
 from __future__ import annotations
@@ -89,29 +102,8 @@ class DeviceParams:
             )
 
 
-@dataclass(frozen=True)
-class Coupling:
-    """Field-enhanced electromechanical coupling rate.
-
-    Parameters
-    ----------
-    g_hz : float
-        (Hz) pump-enhanced coupling rate, proportional to the pump field
-        amplitude inside the cavity. Must be non-negative.
-    """
-
-    g_hz: float
-
-    def __post_init__(self) -> None:
-        if not (isinstance(self.g_hz, (int, float)) and math.isfinite(self.g_hz) and self.g_hz >= 0.0):
-            raise ParameterError(f"coupling rate must be finite and >= 0, got {self.g_hz!r}")
-
-    def __float__(self) -> float:
-        return float(self.g_hz)
-
-
-def _g_hz(coupling: Coupling | float) -> float:
-    """Accept either a Coupling or a bare rate in Hz."""
+def _g_hz(coupling: float) -> float:
+    """Validate a coupling rate in Hz: finite and non-negative."""
     g = float(coupling)
     if not (math.isfinite(g) and g >= 0.0):
         raise ParameterError(f"coupling rate must be finite and >= 0, got {coupling!r}")
@@ -158,45 +150,72 @@ def enhanced_coupling(g0_hz: float, n_photons: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# closed-form kernel
+# ---------------------------------------------------------------------------
+
+def _response(kappa_hz, eta, gamma_m_hz, g_hz, detuning_hz, offset_hz=0.0, *, delay=False):
+    """Probe transmission t = N/den and, with `delay`, its group delay.
+
+    With D1 = i*(Delta - offset) + gamma_m/2 and D2 = i*Delta + kappa/2,
+
+        N   = D1*(D2 - eta*kappa) + G^2
+        den = D1*D2 + G^2
+        tau = -Im(N'/N - den'/den) / 2pi,  N' = i*(D1 + D2 - eta*kappa),
+                                           den' = i*(D1 + D2)
+
+    Every argument is in ordinary Hz; `detuning_hz` and `g_hz` broadcast
+    against each other. `offset_hz` moves the mechanical resonance away from
+    Delta = 0 (the window fit's center parameter). tau is in seconds and is
+    NaN wherever |t| < DEGENERACY_TOL.
+
+    Returns
+    -------
+    t, or (t, tau) when `delay` is true.
+    """
+    i_delta = 1j * np.asarray(detuning_hz, dtype=float)
+    d1 = i_delta + complex(gamma_m_hz / 2.0, -offset_hz)
+    d2 = i_delta + kappa_hz / 2.0
+    g2 = np.square(g_hz)
+    num = d1 * (d2 - eta * kappa_hz) + g2
+    den = d1 * d2 + g2
+    t = num / den
+    if not delay:
+        return t
+    # Im(i*z) = Re(z). N is replaced by 1 where t vanishes; those points
+    # come back as NaN regardless.
+    singular = np.abs(t) < DEGENERACY_TOL
+    s = d1 + d2
+    tau = np.real(s / den - (s - eta * kappa_hz) / np.where(singular, 1.0, num)) / TWO_PI
+    return t, np.where(singular, np.nan, tau)
+
+
+# ---------------------------------------------------------------------------
 # transmission
 # ---------------------------------------------------------------------------
 
 def transmission_curve(
     params: DeviceParams,
-    coupling: Coupling | float,
+    coupling: float,
     detuning_hz: NDArray[np.floating] | float,
 ) -> NDArray[np.complexfloating]:
     """Probe transmission coefficient on a detuning grid.
-
-    Evaluates
-
-        t = 1 - eta*kappa*(i*Delta + gamma_m/2)
-            / [ (i*Delta + gamma_m/2)*(i*Delta + kappa/2) + G^2 ]
-
-    with every rate in angular units, Delta = omega_c - Omega_probe.
 
     Parameters
     ----------
     params : DeviceParams
         Device under test.
-    coupling : Coupling or float
+    coupling : float
         (Hz) field-enhanced coupling rate.
     detuning_hz : array_like
-        (Hz) probe detuning(s) from the cavity resonance.
+        (Hz) probe detuning(s) Delta = omega_c - Omega_probe from the cavity
+        resonance.
 
     Returns
     -------
     ndarray of complex
         Transmission coefficient at each detuning.
     """
-    g = _g_hz(coupling)
-    delta = TWO_PI * np.asarray(detuning_hz, dtype=float)
-    kappa = TWO_PI * params.kappa_hz
-    gamma = TWO_PI * params.gamma_m_hz
-    big_g = TWO_PI * g
-    mech = 1j * delta + gamma / 2.0
-    cav = 1j * delta + kappa / 2.0
-    return 1.0 - params.eta * kappa * mech / (mech * cav + big_g * big_g)
+    return _response(params.kappa_hz, params.eta, params.gamma_m_hz, _g_hz(coupling), detuning_hz)
 
 
 def principal_phase(t: complex) -> float:
@@ -240,15 +259,13 @@ class ComplexResponse:
         return cls(t=t, amplitude_db=amp_db, phase_rad=principal_phase(t), delay_s=delay_s)
 
 
-def transmission(
-    params: DeviceParams, coupling: Coupling | float, detuning_hz: float
-) -> ComplexResponse:
+def transmission(params: DeviceParams, coupling: float, detuning_hz: float) -> ComplexResponse:
     """Single-point probe transmission with phase and group delay attached.
 
     Parameters
     ----------
     params : DeviceParams
-    coupling : Coupling or float
+    coupling : float
         (Hz) field-enhanced coupling rate.
     detuning_hz : float
         (Hz) probe detuning from the cavity resonance.
@@ -258,25 +275,19 @@ def transmission(
     ComplexResponse
         delay_s is NaN when the point sits on a transmission zero.
     """
-    t = complex(transmission_curve(params, coupling, detuning_hz))
-    if abs(t) < DEGENERACY_TOL:
-        delay = math.nan
-    else:
-        delay = float(group_delay_curve(params, coupling, detuning_hz))
-    return ComplexResponse.from_t(t, delay_s=delay)
+    t, tau = _response(
+        params.kappa_hz, params.eta, params.gamma_m_hz, _g_hz(coupling), detuning_hz, delay=True
+    )
+    return ComplexResponse.from_t(complex(t), delay_s=float(tau))
 
 
-def transmission_at_resonance(params: DeviceParams, coupling: Coupling | float) -> float:
-    """Resonant (zero-detuning) transmission, evaluated in its reduced form.
+def transmission_at_resonance(params: DeviceParams, coupling: float) -> float:
+    """Resonant (zero-detuning) transmission as a signed real number.
 
-    At zero detuning the transmission collapses to the real number
-
-        t_z = (G^2 - (eta - 1/2)*kappa*gamma_m/2) / (G^2 + kappa*gamma_m/4),
-
-    which this function evaluates directly. Near the critical coupling the
-    general expression hides a cancellation eight orders of magnitude deep
-    (gamma_m/kappa ~ 2e-8 for the reference device), so the reduced form is
-    the only numerically trustworthy route.
+    At zero detuning the kernel's factors are real, so the result is
+    (G^2 - G_c^2) / (G^2 + kappa*gamma_m/4) with no cancellation beyond
+    G^2 - G_c^2 itself; the unfactored form 1 - eta*kappa*D1/den would
+    subtract two nearly equal terms near the critical coupling.
 
     Returns
     -------
@@ -284,24 +295,18 @@ def transmission_at_resonance(params: DeviceParams, coupling: Coupling | float) 
         () signed resonant transmission; negative below the critical
         coupling, positive above.
     """
-    g = _g_hz(coupling)
-    x = g * g
-    a = (params.eta - 0.5) * params.kappa_hz * params.gamma_m_hz / 2.0
-    b = params.kappa_hz * params.gamma_m_hz / 4.0
-    return (x - a) / (x + b)
+    return float(resonance_curve(params, _g_hz(coupling)))
 
 
 def resonance_curve(
     params: DeviceParams, g_hz: NDArray[np.floating] | float
 ) -> NDArray[np.floating]:
     """Vectorized resonant transmission over an array of coupling rates."""
-    x = np.square(np.asarray(g_hz, dtype=float))
-    a = (params.eta - 0.5) * params.kappa_hz * params.gamma_m_hz / 2.0
-    b = params.kappa_hz * params.gamma_m_hz / 4.0
-    return (x - a) / (x + b)
+    g = np.asarray(g_hz, dtype=float)
+    return _response(params.kappa_hz, params.eta, params.gamma_m_hz, g, 0.0).real
 
 
-def phase_at_resonance(params: DeviceParams, coupling: Coupling | float) -> float:
+def phase_at_resonance(params: DeviceParams, coupling: float) -> float:
     """Resonant transmission phase: pi below the critical coupling, 0 above.
 
     Raises
@@ -383,7 +388,7 @@ class RegimeResult:
     at_boundary: bool
 
 
-def classify_regime(params: DeviceParams, coupling: Coupling | float) -> RegimeResult:
+def classify_regime(params: DeviceParams, coupling: float) -> RegimeResult:
     """Classify a coupling rate against the critical and boundary values.
 
     Below the critical coupling the resonant pulse response is an advance;
@@ -405,7 +410,7 @@ def classify_regime(params: DeviceParams, coupling: Coupling | float) -> RegimeR
     return RegimeResult(regime=regime, at_boundary=at_boundary)
 
 
-def effective_window_hz(params: DeviceParams, coupling: Coupling | float) -> float:
+def effective_window_hz(params: DeviceParams, coupling: float) -> float:
     """Width of the mechanically induced feature: gamma_m + 4 G^2 / kappa (Hz).
 
     This is the effective mechanical linewidth after pump broadening; pulses
@@ -421,17 +426,10 @@ def effective_window_hz(params: DeviceParams, coupling: Coupling | float) -> flo
 
 def group_delay_curve(
     params: DeviceParams,
-    coupling: Coupling | float,
+    coupling: float,
     detuning_hz: NDArray[np.floating] | float,
 ) -> NDArray[np.floating]:
-    """Analytic group delay tau = -d(arg t)/d(Delta) on a detuning grid.
-
-    Uses the closed-form derivative of the transmission. With
-    D1 = i*Delta + gamma_m/2, D2 = i*Delta + kappa/2 and
-    den = D1*D2 + G^2 (all angular),
-
-        dt/dDelta = -i * eta * kappa * (G^2 - D1^2) / den^2
-        tau       = -Im[ (dt/dDelta) / t ]
+    """Analytic group delay tau = -d(arg t)/d(2*pi*Delta) on a detuning grid.
 
     Points where |t| is degenerate with zero return NaN.
 
@@ -440,26 +438,12 @@ def group_delay_curve(
     ndarray of float
         (s) group delay; positive means the envelope is delayed.
     """
-    g = _g_hz(coupling)
-    delta = TWO_PI * np.asarray(detuning_hz, dtype=float)
-    kappa = TWO_PI * params.kappa_hz
-    gamma = TWO_PI * params.gamma_m_hz
-    big_g2 = (TWO_PI * g) ** 2
-    d1 = 1j * delta + gamma / 2.0
-    d2 = 1j * delta + kappa / 2.0
-    den = d1 * d2 + big_g2
-    t = 1.0 - params.eta * kappa * d1 / den
-    dt = -1j * params.eta * kappa * (big_g2 - d1 * d1) / (den * den)
-    # substitute a harmless denominator at transmission zeros: numpy's
-    # complex scalars raise on division by an exact zero rather than
-    # returning inf, and those points come back as NaN regardless
-    singular = np.abs(t) < DEGENERACY_TOL
-    with np.errstate(invalid="ignore", divide="ignore"):
-        tau = -np.imag(dt / np.where(singular, 1.0, t))
-    return np.where(singular, np.nan, tau)
+    return _response(
+        params.kappa_hz, params.eta, params.gamma_m_hz, _g_hz(coupling), detuning_hz, delay=True
+    )[1]
 
 
-def group_delay(params: DeviceParams, coupling: Coupling | float, detuning_hz: float) -> float:
+def group_delay(params: DeviceParams, coupling: float, detuning_hz: float) -> float:
     """Analytic group delay at a single detuning, in seconds.
 
     Raises
@@ -467,12 +451,14 @@ def group_delay(params: DeviceParams, coupling: Coupling | float, detuning_hz: f
     DelaySingularityError
         If the transmission at this point is degenerate with zero.
     """
-    t = complex(transmission_curve(params, coupling, detuning_hz))
+    t, tau = _response(
+        params.kappa_hz, params.eta, params.gamma_m_hz, _g_hz(coupling), detuning_hz, delay=True
+    )
     if abs(t) < DEGENERACY_TOL:
         raise DelaySingularityError(
             f"|t| = {abs(t):.3e} at detuning {detuning_hz} Hz; group delay diverges"
         )
-    return float(group_delay_curve(params, coupling, detuning_hz))
+    return float(tau)
 
 
 def resonance_delay_curve(
@@ -480,28 +466,15 @@ def resonance_delay_curve(
 ) -> NDArray[np.floating]:
     """Vectorized zero-detuning group delay over an array of coupling rates.
 
-    Closed form (angular rates):
-
-        tau_z = eta*kappa*(G^2 - gamma_m^2/4)
-                / [ (gamma_m*kappa/4 + G^2) * (G^2 - (eta-1/2)*kappa*gamma_m/2) ]
-
     Negative below the critical coupling (pulse advance), positive above
     (pulse delay), diverging like 1/(G^2 - G_c^2) at the critical point.
     Singular points return NaN.
     """
-    kappa = TWO_PI * params.kappa_hz
-    gamma = TWO_PI * params.gamma_m_hz
-    x = np.square(TWO_PI * np.asarray(g_hz, dtype=float))
-    num = params.eta * kappa * (x - gamma * gamma / 4.0)
-    den = (gamma * kappa / 4.0 + x) * (x - (params.eta - 0.5) * kappa * gamma / 2.0)
-    tz = resonance_curve(params, np.asarray(g_hz, dtype=float))
-    singular = np.abs(tz) < DEGENERACY_TOL
-    with np.errstate(invalid="ignore", divide="ignore"):
-        tau = num / np.where(singular, 1.0, den)
-    return np.where(singular, np.nan, tau)
+    g = np.asarray(g_hz, dtype=float)
+    return _response(params.kappa_hz, params.eta, params.gamma_m_hz, g, 0.0, delay=True)[1]
 
 
-def resonance_group_delay(params: DeviceParams, coupling: Coupling | float) -> float:
+def resonance_group_delay(params: DeviceParams, coupling: float) -> float:
     """Zero-detuning group delay at one coupling rate, in seconds.
 
     Raises
@@ -510,9 +483,9 @@ def resonance_group_delay(params: DeviceParams, coupling: Coupling | float) -> f
         If the coupling is degenerate with the critical coupling.
     """
     g = _g_hz(coupling)
-    tz = transmission_at_resonance(params, g)
-    if abs(tz) < DEGENERACY_TOL:
+    t, tau = _response(params.kappa_hz, params.eta, params.gamma_m_hz, g, 0.0, delay=True)
+    if abs(t) < DEGENERACY_TOL:
         raise DelaySingularityError(
-            f"resonant transmission {tz:.3e} at g = {g} Hz; delay diverges at the critical coupling"
+            f"resonant transmission {t.real:.3e} at g = {g} Hz; delay diverges at the critical coupling"
         )
-    return float(resonance_delay_curve(params, g))
+    return float(tau)

@@ -37,12 +37,11 @@ from numpy.typing import NDArray
 
 from . import model
 from .errors import (
-    DelaySingularityError,
     ParameterError,
     PulseEstimationError,
     StabilityError,
 )
-from .model import Coupling, DeviceParams
+from .model import DeviceParams
 
 TWO_PI = model.TWO_PI
 
@@ -144,7 +143,7 @@ class PulseWaveform:
         object.__setattr__(self, "samples", samples)
         if samples.ndim != 1 or len(samples) < 16:
             raise ParameterError(f"waveform needs >= 16 samples, got shape {samples.shape}")
-        if not np.all(np.isfinite(samples.view(float))):
+        if not np.all(np.isfinite(samples)):
             raise ParameterError("waveform samples must be finite")
 
     @property
@@ -230,7 +229,7 @@ def _band_checks(
 
 
 def propagate(
-    w: PulseWaveform, params: DeviceParams, coupling: Coupling | float
+    w: PulseWaveform, params: DeviceParams, coupling: float
 ) -> PulseWaveform:
     """Frequency-domain propagation: Y(f) = t(carrier + f) * X(f).
 
@@ -429,7 +428,7 @@ def _integrate_rk4(w, a_mat, b_vec, initial_state, dt_int, max_steps):
 def integrate_langevin(
     w: PulseWaveform,
     params: DeviceParams,
-    coupling: Coupling | float,
+    coupling: float,
     *,
     method: str = "auto",
     dt_int: float | None = None,
@@ -444,7 +443,7 @@ def integrate_langevin(
         Input envelope; the carrier detuning rides along in the state
         matrix, so the envelope itself stays baseband.
     params : DeviceParams
-    coupling : Coupling or float
+    coupling : float
         (Hz) field-enhanced coupling rate.
     method : {"auto", "exact", "rk4"}
         "exact" uses the per-sample matrix-exponential propagator and is
@@ -508,7 +507,7 @@ def integrate_langevin(
 
 def cw_response(
     params: DeviceParams,
-    coupling: Coupling | float,
+    coupling: float,
     detuning_hz: float,
     *,
     method: str = "exact",
@@ -675,7 +674,7 @@ def center_time(w: PulseWaveform) -> float:
 
 def delay_pulse_config(
     params: DeviceParams,
-    coupling: Coupling | float,
+    coupling: float,
     *,
     carrier_detuning_hz: float = 0.0,
     bandwidth_fraction: float = DELAY_BANDWIDTH_FRACTION,
@@ -693,11 +692,8 @@ def delay_pulse_config(
         raise ParameterError("bandwidth_fraction must be in (0, 0.5]")
     window = model.effective_window_hz(params, g)
     sigma_t = 1.0 / (TWO_PI * bandwidth_fraction * window)
-    try:
-        tau = float(model.group_delay_curve(params, g, carrier_detuning_hz))
-        if not math.isfinite(tau):
-            tau = 0.0
-    except DelaySingularityError:
+    tau = float(model.group_delay_curve(params, g, carrier_detuning_hz))
+    if not math.isfinite(tau):
         tau = 0.0
     margin = min(abs(tau) * 1.5, 20.0 * sigma_t)
     lead = 8.0 * sigma_t + (margin if tau < 0.0 else 0.0)
@@ -714,7 +710,7 @@ def delay_pulse_config(
 
 def extract_delay(
     params: DeviceParams,
-    coupling: Coupling | float,
+    coupling: float,
     config: PulseConfig,
     *,
     method: str = "fft",

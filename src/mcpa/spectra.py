@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.typing import NDArray
 
 from . import model
 from .errors import ParameterError
-from .model import Coupling, DeviceParams
+from .model import DeviceParams
 
 TWO_PI = model.TWO_PI
 
@@ -79,7 +79,7 @@ class SweepSpec:
         return np.linspace(self.start_hz, self.stop_hz, self.n_points)
 
 
-def detuning_span(params: DeviceParams, coupling: Coupling | float, n_points: int = 2001,
+def detuning_span(params: DeviceParams, coupling: float, n_points: int = 2001,
                   widths: float = 5.0) -> SweepSpec:
     """Symmetric detuning sweep covering the mechanically induced feature.
 
@@ -130,28 +130,9 @@ class Spectrum:
     axis: SweepAxis
     device: DeviceParams
     spec: SweepSpec
-    warnings: tuple[str, ...] = field(default_factory=tuple)
 
     def __len__(self) -> int:
         return len(self.x_hz)
-
-    def points(self) -> list[tuple[float, model.ComplexResponse]]:
-        """Grid as (x, ComplexResponse) pairs, mostly for interactive poking."""
-        out = []
-        for i in range(len(self.x_hz)):
-            delay = float(self.delay_s[i]) if self.delay_s is not None else None
-            out.append(
-                (
-                    float(self.x_hz[i]),
-                    model.ComplexResponse(
-                        t=complex(self.t[i]),
-                        amplitude_db=float(self.amplitude_db[i]),
-                        phase_rad=float(self.phase_rad[i]),
-                        delay_s=delay,
-                    ),
-                )
-            )
-        return out
 
 
 def _amplitude_db(t_abs: NDArray[np.floating]) -> NDArray[np.floating]:
@@ -169,14 +150,14 @@ def _phase_with_branch(t: NDArray[np.complexfloating]) -> NDArray[np.floating]:
 
 
 def sweep_detuning(
-    params: DeviceParams, coupling: Coupling | float, spec: SweepSpec
+    params: DeviceParams, coupling: float, spec: SweepSpec
 ) -> Spectrum:
     """Evaluate the transmission across a detuning grid at fixed coupling.
 
     Parameters
     ----------
     params : DeviceParams
-    coupling : Coupling or float
+    coupling : float
         (Hz) field-enhanced coupling rate; recorded in the returned
         spectrum's spec as fixed_g_hz.
     spec : SweepSpec
@@ -216,9 +197,9 @@ def sweep_coupling_resonance(params: DeviceParams, spec: SweepSpec) -> Spectrum:
     """Resonant response across a coupling grid: t_z, phase, and delay at
     zero detuning.
 
-    Uses the reduced real-valued resonance expressions throughout, so the
-    phase channel is exactly pi below the critical coupling and exactly 0
-    above it. Grid points whose transmission is degenerate with zero are
+    At zero detuning the closed-form transmission is an exact real number,
+    so the phase channel is exactly pi below the critical coupling and
+    exactly 0 above it. Grid points whose transmission is degenerate with zero are
     flagged singular and carry NaN phase and delay.
     """
     if spec.axis is not SweepAxis.COUPLING:

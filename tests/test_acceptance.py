@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from mcpa import calibrate, model, pulses, spectra
+from reduced_forms import tz_reduced
 
 DEVICE = model.reference_device()
 
@@ -296,7 +297,7 @@ def test_response_invariants():
         )
         t0c = model.transmission_curve(dev, g, np.array([0.0]))[0]
         imag_res = max(imag_res, abs(t0c.imag))
-        dual = max(dual, abs(t0c.real - model.transmission_at_resonance(dev, g)))
+        dual = max(dual, abs(t0c.real - tz_reduced(dev, g)))
     if over_unity > 1e-12:
         problems.append(f"|t| exceeds unity by {over_unity:.2e}")
     if herm > 1e-15:
@@ -307,18 +308,30 @@ def test_response_invariants():
         problems.append(f"full vs reduced resonance formula differ by {dual:.2e}")
 
     mono_ok = True
+    sign_ok = True
     for _ in range(100):
         eta = rng.uniform(0.51, 0.99)
         kappa = 10.0 ** rng.uniform(0.0, 9.0)
         gamma = 10.0 ** rng.uniform(-4.0, 3.0)
         dev = model.DeviceParams(1e9, 1e6, kappa, eta, gamma)
         gc = model.critical_coupling(dev)
-        below = np.abs(model.resonance_curve(dev, np.geomspace(gc * 1e-3, gc * 0.999, 50)))
-        above = np.abs(model.resonance_curve(dev, np.geomspace(gc * 1.001, gc * 1e3, 50)))
+        g_below = np.geomspace(gc * 1e-3, gc * 0.999, 50)
+        g_above = np.geomspace(gc * 1.001, gc * 1e3, 50)
+        below = np.abs(model.resonance_curve(dev, g_below))
+        above = np.abs(model.resonance_curve(dev, g_above))
         if not (np.all(np.diff(below) < 0.0) and np.all(np.diff(above) > 0.0)):
             mono_ok = False
+        # advance below G_c, delay above; under gamma_m/2 the mechanical
+        # window is not resolved and tau_z has a second sign change
+        g = np.concatenate([g_below, g_above])
+        resolved = g > gamma / 2.0
+        tau = model.resonance_delay_curve(dev, g[resolved])
+        if not np.all(np.sign(tau) == np.sign(g[resolved] - gc)):
+            sign_ok = False
     if not mono_ok:
         problems.append("resonance dip is not monotone around the critical coupling")
+    if not sign_ok:
+        problems.append("sign of tau(0) differs from sign(G - G_c)")
 
     elapsed = time.monotonic() - t0
     if elapsed > 10.0:
@@ -327,6 +340,7 @@ def test_response_invariants():
         "response invariants on random devices",
         not problems,
         problems
-        or "passivity, conjugate symmetry, real resonance response, dual-route "
-        f"agreement and dip monotonicity hold on 10^4 random draws ({elapsed:.1f} s)",
+        or "passivity, conjugate symmetry, real resonance response, agreement "
+        "with the reduced form, dip monotonicity and sign tau(0) = sign(G - G_c) "
+        f"hold on 10^4 random draws ({elapsed:.1f} s)",
     )

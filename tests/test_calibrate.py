@@ -66,6 +66,18 @@ def test_measured_spectrum_validation():
         MeasuredSpectrum(frequency_hz=freq, t=bad)
 
 
+def test_measured_spectrum_accepts_strided_complex():
+    freq = np.linspace(0.0, 1.0, 30)
+    t = np.exp(1j * np.linspace(0.0, 2.0, 60))
+    for values in (t[:30][::-1], t[::2]):
+        spec = MeasuredSpectrum.from_complex(freq, values)
+        np.testing.assert_array_equal(spec.t, values)
+    bad = t[::2].copy()
+    bad[7] = complex(np.nan, 0.0)
+    with pytest.raises(ParameterError):
+        MeasuredSpectrum.from_complex(freq, bad[::-1])
+
+
 def test_measured_spectrum_representations():
     freq = np.linspace(-1.0, 1.0, 25)
     t = 0.5 * np.exp(1j * np.linspace(0.0, 1.0, 25))
@@ -108,6 +120,21 @@ def test_fit_bare_cavity_absolute_axis(device):
     fit = calibrate.fit_bare_cavity(MeasuredSpectrum.from_complex(freq, t))
     assert fit.params["cavity_freq_hz"] == pytest.approx(device.cavity_freq_hz, abs=1e-2)
     assert fit.params["kappa_hz"] == pytest.approx(device.kappa_hz, rel=1e-9)
+
+
+def test_fit_bare_cavity_absolute_axis_noisy(device):
+    # at 5.3 GHz a finite-difference step scaled to the center frequency
+    # itself would be several percent of kappa; every trace must converge
+    half = 5.0 * device.kappa_hz
+    freq = np.linspace(device.cavity_freq_hz - half, device.cavity_freq_hz + half, 2001)
+    clean = model.transmission_curve(device, 0.0, device.cavity_freq_hz - freq)
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        fit = calibrate.fit_bare_cavity(MeasuredSpectrum.from_complex(freq, add_noise(clean, rng)))
+        assert fit.converged
+        assert fit.params["kappa_hz"] == pytest.approx(device.kappa_hz, rel=0.01)
+        center_error = fit.params["cavity_freq_hz"] - device.cavity_freq_hz
+        assert abs(center_error) < 5.0 * fit.sigma["cavity_freq_hz"]
 
 
 def test_fit_bare_cavity_amplitude_only_degeneracy(device):
@@ -231,6 +258,24 @@ def test_fit_mechanical_window_amplitude_only_candidates(device):
     assert fit.params["g_hz"] == pytest.approx(17.24, rel=1e-6)
     assert fit.alternate.params["g_hz"] > gc
     assert fit.residual_rms < fit.alternate.residual_rms
+
+
+def test_fit_mechanical_window_amplitude_only_above_boundary(device):
+    # above the boundary coupling the mirror seed of amplitude-only data can
+    # stall; the seed that converges must still give the fit
+    g_true = 2.5 * model.critical_coupling(device)
+    delta, t = window_trace(device, g_true, n=2001)
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        noisy = add_noise(t, rng, level=10.0 ** (-40.0 / 20.0))
+        spec = MeasuredSpectrum.from_polar(
+            delta, 20.0 * np.log10(np.abs(noisy)), absolute_frequency=False
+        )
+        fit = calibrate.fit_mechanical_window(spec, device)
+        assert fit.converged
+        candidates = [fit] + ([fit.alternate] if fit.alternate is not None else [])
+        assert all(c.converged for c in candidates)
+        assert min(abs(c.params["g_hz"] / g_true - 1.0) for c in candidates) < 0.01
 
 
 def test_fit_mechanical_window_rejects_featureless(device):

@@ -370,3 +370,37 @@ def test_spectrum_rejects_half_range(tmp_path):
         tmp_path / "c.json", reference_doc(spectrum={"g": 23.93, "start": -1.0})
     )
     assert cli.main(["--config", path, "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize(
+    "kind,data,where",
+    [
+        ("critical_sweep", "", "is empty"),
+        ("bare", "# format=mcpa-csv/1\ndetuning_hz,re,im\n", "no data rows"),
+        ("critical_sweep", "g_hz,t_z\n", "no data rows"),
+        ("bare", "detuning_hz,re,im\n1,0.5,0\n2,0.5,0\n3,abc,0\n", "data row 3"),
+    ],
+    ids=["empty", "measured-header-only", "sweep-header-only", "non-numeric-cell"],
+)
+def test_fit_malformed_csv_is_config_error(tmp_path, capsys, kind, data, where):
+    csv_path = tmp_path / "data.csv"
+    csv_path.write_text(data)
+    path = write_config(
+        tmp_path / "c.json", reference_doc(fit={"kind": kind, "data": str(csv_path)})
+    )
+    assert cli.main(["--config", path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error")
+    assert str(csv_path) in err and where in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [{"spectrum": {"g": 23.93, "points": "many"}}, {"pulse": {"g": 155.1, "samples": "many"}}],
+    ids=["points", "samples"],
+)
+def test_non_numeric_count_is_config_error(tmp_path, capsys, command):
+    path = write_config(tmp_path / "c.json", reference_doc(**command))
+    assert cli.main(["--config", path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "'many'" in err

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from mcpa import (
-    Coupling,
     DelaySingularityError,
     DeviceParams,
     NoCriticalCouplingError,
@@ -20,6 +19,7 @@ from mcpa import (
     UndefinedPhaseError,
     model,
 )
+from reduced_forms import tauz_reduced, tz_reduced
 
 GC_HZ = 17.53815839818993082
 GB_HZ = 29.687339201796470361
@@ -82,12 +82,19 @@ def test_device_params_frozen(device):
         device.kappa_hz = 1.0
 
 
-def test_coupling_validation():
-    assert float(Coupling(3.5)) == 3.5
-    with pytest.raises(ParameterError):
-        Coupling(-1.0)
-    with pytest.raises(ParameterError):
-        Coupling(math.nan)
+def test_coupling_validation(device):
+    for bad in (-1.0, math.nan):
+        for fn in (
+            model.transmission_at_resonance,
+            model.phase_at_resonance,
+            model.resonance_group_delay,
+            model.classify_regime,
+            model.effective_window_hz,
+        ):
+            with pytest.raises(ParameterError):
+                fn(device, bad)
+        with pytest.raises(ParameterError):
+            model.transmission_curve(device, bad, 0.0)
 
 
 def test_enhanced_coupling_sqrt_scaling():
@@ -169,6 +176,8 @@ def test_resonance_curve_matches_scalar(device):
     curve = model.resonance_curve(device, g)
     for i, gi in enumerate(g):
         assert curve[i] == model.transmission_at_resonance(device, float(gi))
+    # the kernel against the separately derived reduced form
+    np.testing.assert_allclose(curve, tz_reduced(device, g), rtol=1e-12)
 
 
 def test_transmission_far_detuned_is_unity(device):
@@ -200,12 +209,6 @@ def test_transmission_scale_invariance(device):
     a = model.transmission_curve(device, 17.66, delta)
     b = model.transmission_curve(scaled, 17.66 * scale, delta * scale)
     np.testing.assert_allclose(a, b, rtol=1e-13)
-
-
-def test_transmission_accepts_coupling_object(device):
-    a = model.transmission_at_resonance(device, 23.93)
-    b = model.transmission_at_resonance(device, Coupling(23.93))
-    assert a == b
 
 
 # ---------------------------------------------------------------------------
@@ -262,12 +265,12 @@ def test_delay_curve_nan_at_singularity(device):
 
 
 def test_group_delay_curve_matches_resonance_form(device):
-    # the generic detuning-domain formula must agree with the reduced
-    # zero-detuning form (two separately derived expressions)
+    # the detuning-domain kernel must agree with the reduced zero-detuning
+    # form (two separately derived expressions)
     for g in (11.87, 23.93, 155.1, 176.8):
         generic = float(model.group_delay_curve(device, g, 0.0))
-        reduced = model.resonance_group_delay(device, g)
-        assert generic == pytest.approx(reduced, rel=1e-9)
+        assert generic == pytest.approx(float(tauz_reduced(device, g)), rel=1e-9)
+        assert model.resonance_group_delay(device, g) == generic
 
 
 def test_group_delay_scales_inversely_with_rates(device):

@@ -78,6 +78,17 @@ def test_waveform_validation():
         PulseWaveform(t0_s=0.0, dt_s=-0.1, samples=np.ones(32, dtype=complex))
 
 
+def test_waveform_accepts_strided_samples():
+    samples = np.exp(1j * np.linspace(0.0, 3.0, 64))
+    for view in (samples[::-1], samples[::2]):
+        w = PulseWaveform(t0_s=0.0, dt_s=0.1, samples=view)
+        np.testing.assert_array_equal(w.samples, view)
+    bad = samples.copy()
+    bad[5] = complex(0.0, np.inf)
+    with pytest.raises(ParameterError):
+        PulseWaveform(t0_s=0.0, dt_s=0.1, samples=bad[::-1])
+
+
 def test_waveform_energy_and_warning_dedup():
     w = PulseWaveform(t0_s=0.0, dt_s=0.5, samples=2.0 * np.ones(20, dtype=complex))
     assert w.energy == pytest.approx(4.0 * 20 * 0.5, rel=1e-15)

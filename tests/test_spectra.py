@@ -102,17 +102,6 @@ def test_phase_branch_on_detuning_sweep(device):
     assert s.phase_rad[mid] > 0.0
 
 
-def test_spectrum_points_accessor(device):
-    spec = spectra.detuning_span(device, 23.93, n_points=21)
-    s = spectra.sweep_detuning(device, 23.93, spec)
-    pts = s.points()
-    assert len(pts) == 21
-    x0, r0 = pts[0]
-    assert x0 == s.x_hz[0]
-    assert r0.t == complex(s.t[0])
-    assert r0.delay_s is None
-
-
 # ---------------------------------------------------------------------------
 # resonance sweeps
 # ---------------------------------------------------------------------------
