@@ -120,12 +120,19 @@ def load_config(path: str, *, out_dir: str | None = None, seed: int | None = Non
     unknown = set(doc) - set(COMMANDS) - {"version", "device", "out", "seed"}
     if unknown:
         raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
+    out_dir = out_dir or doc.get("out") or "."
+    if not isinstance(out_dir, str):
+        raise ConfigError(f"out must be a directory path string, got {out_dir!r}")
+    if seed is None:
+        seed = doc.get("seed")
+    if seed is not None and (type(seed) is not int or seed < 0):
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
     return RunConfig(
         device=_build_device(doc["device"]),
         command=command,
         options=dict(options),
-        out_dir=out_dir or doc.get("out") or ".",
-        seed=seed if seed is not None else doc.get("seed"),
+        out_dir=out_dir,
+        seed=seed,
         points_override=points,
     )
 
@@ -376,16 +383,7 @@ def cmd_pulse(cfg: RunConfig) -> int:
     pulse_cfg = pulses.delay_pulse_config(
         device, g, carrier_detuning_hz=carrier, bandwidth_fraction=fraction, n_samples=n
     )
-    window = model.effective_window_hz(device, g)
-    pulse = pulses.gaussian_pulse(pulse_cfg, window_hz=window)
-    if method == "fft":
-        out = pulses.propagate(pulse, device, g)
-        ref = pulses.propagate(pulse, device, 0.0)
-    elif method == "ode":
-        out = pulses.integrate_langevin(pulse, device, g, method="exact")
-        ref = pulses.integrate_langevin(pulse, device, 0.0, method="exact")
-    else:
-        raise ConfigError(f"pulse method must be 'fft' or 'ode', got {method!r}")
+    pulse, out, ref = pulses._route_waveforms(device, g, pulse_cfg, method)
     tau = pulses.center_time(out) - pulses.center_time(ref)
     meta = {"command": "pulse", **_device_meta(device), "g_hz": g,
             "carrier_detuning_hz": carrier, "method": method,
@@ -416,6 +414,8 @@ def cmd_fit(cfg: RunConfig) -> int:
     if "data" not in options:
         raise ConfigError("fit block needs a 'data' path")
     data_path = options["data"]
+    if not isinstance(data_path, str):
+        raise ConfigError(f"fit data must be a path string, got {data_path!r}")
     report: dict[str, Any] = {"kind": kind, "data": data_path}
     if kind == "critical_sweep":
         cols, table = _read_table(data_path)
@@ -432,9 +432,11 @@ def cmd_fit(cfg: RunConfig) -> int:
     else:
         absolute = None
         if "frequency" in options:
-            absolute = {"absolute": True, "detuning": False}.get(options["frequency"])
-            if absolute is None:
-                raise ConfigError("fit frequency must be 'absolute' or 'detuning'")
+            if options["frequency"] not in ("absolute", "detuning"):
+                raise ConfigError(
+                    f"fit frequency must be 'absolute' or 'detuning', got {options['frequency']!r}"
+                )
+            absolute = options["frequency"] == "absolute"
         measured = read_measured_csv(data_path, absolute=absolute)
         if options.get("add_noise_snr_db") is not None:
             snr_db = _number(options, "add_noise_snr_db", None, float)

@@ -24,11 +24,6 @@ class DelaySingularityError(McpaError):
     phase derivative diverges."""
 
 
-class StabilityError(McpaError):
-    """The requested integrator step does not resolve the fastest rate of
-    the system."""
-
-
 class PulseEstimationError(McpaError):
     """A pulse arrival-time estimate is not meaningful for this waveform
     (multiple lobes, vanishing energy, or similar)."""

@@ -88,18 +88,20 @@ class DeviceParams:
     vacuum_coupling_hz: float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("cavity_freq_hz", "mech_freq_hz", "kappa_hz", "gamma_m_hz"):
+        rates = ["cavity_freq_hz", "mech_freq_hz", "kappa_hz", "gamma_m_hz"]
+        if self.vacuum_coupling_hz is not None:
+            rates.append("vacuum_coupling_hz")
+        for name in rates:
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0.0):
+            if not (
+                isinstance(value, (int, float))
+                and not isinstance(value, bool)
+                and math.isfinite(value)
+                and value > 0.0
+            ):
                 raise ParameterError(f"{name} must be a positive finite number, got {value!r}")
         if not (0.0 < self.eta < 1.0):
             raise ParameterError(f"eta must lie strictly inside (0, 1), got {self.eta!r}")
-        if self.vacuum_coupling_hz is not None and not (
-            math.isfinite(self.vacuum_coupling_hz) and self.vacuum_coupling_hz > 0.0
-        ):
-            raise ParameterError(
-                f"vacuum_coupling_hz must be positive when given, got {self.vacuum_coupling_hz!r}"
-            )
 
 
 def _g_hz(coupling: float) -> float:

@@ -8,16 +8,17 @@ for the intracavity field and the mechanical amplitude,
     db/dt = -(i*Delta + gamma_m/2) b - i G a
     s_out = s_in - sqrt(eta*kappa) a
 
-either with a classic fixed-step RK4 or with an exact per-sample propagator
-built from the 2x2 matrix exponential (the input is the piecewise-linear
-interpolation of the samples, integrated in closed form). The exact
-propagator is the default: the rate spread kappa/gamma_m reaches ~4e7 for
-the reference device, so second-scale records are far outside any explicit
-integrator's budget. The hold order matters: since the output is the small
-difference s_in - sqrt(eta*kappa) a, holding the input constant across each
-interval would misalign the two terms by a sample and the error would be
-amplified by 1/|t| near the absorption dip; the linear hold keeps them
-aligned at every sample time.
+with one exact propagator: the input is the piecewise-linear interpolation
+of the samples, and the step across each sample interval is integrated in
+closed form from one matrix exponential, so it holds for any rate spread
+(kappa/gamma_m reaches ~4e7 for the reference device, far outside any
+explicit integrator's budget) and at the exceptional point, where the two
+modes' eigenvalues coincide. Per record the step reduces to one
+second-order IIR filter. The hold order matters: since the output is the
+small difference s_in - sqrt(eta*kappa) a, holding the input constant
+across each interval would misalign the two terms by a sample and the error
+would be amplified by 1/|t| near the absorption dip; the linear hold keeps
+them aligned at every sample time.
 
 The steady-state response of the integrator reproduces the closed-form
 transmission; that equivalence is this module's core self-check and is
@@ -36,11 +37,7 @@ import scipy.signal
 from numpy.typing import NDArray
 
 from . import model
-from .errors import (
-    ParameterError,
-    PulseEstimationError,
-    StabilityError,
-)
+from .errors import ParameterError, PulseEstimationError
 from .model import DeviceParams
 
 TWO_PI = model.TWO_PI
@@ -285,143 +282,64 @@ def _system_matrix(params: DeviceParams, g: float, carrier_detuning_hz: float):
     return a_mat, b_vec
 
 
-def _phi12(x: complex) -> tuple[complex, complex]:
-    """phi1 = (e^x - 1)/x and phi2 = (e^x - 1 - x)/x^2, cancellation-safe.
-
-    Near zero both expressions lose digits to subtraction, so a short Taylor
-    series takes over there (16 terms reach machine precision for |x| < 0.5).
-    Re(x) <= 0 for any dissipative system, so exp never overflows.
-    """
-    if abs(x) < 0.5:
-        phi1 = 0.0 + 0.0j
-        phi2 = 0.0 + 0.0j
-        term = 1.0 + 0.0j  # x^n / n!
-        for n in range(16):
-            phi1 += term / (n + 1)
-            phi2 += term / ((n + 1) * (n + 2))
-            term *= x / (n + 1)
-        return phi1, phi2
-    ex = np.exp(x)
-    return (ex - 1.0) / x, (ex - 1.0 - x) / (x * x)
-
-
-def _eigen_propagator(a_mat, b_vec, h):
-    """Exact first-order-hold update pieces in the eigenbasis of A.
-
-    For a drive that is linear across each interval (s_k at the left edge,
-    s_{k+1} at the right), each eigenmode advances as
-
-        z' = mu z + alpha s_k + beta s_{k+1}
-
-    with mu = e^(lambda h), alpha = c h (phi1 - phi2), beta = c h phi2 and
-    c the mode's drive projection. Returns (mu, alpha, beta, v) with
-    a = (V z)[0], or None when A is too close to defective for the
-    eigenroute to be trusted.
-    """
-    lam, v = np.linalg.eig(a_mat)
-    if abs(lam[0] - lam[1]) < 1e-9 * max(1.0, abs(lam[0])) or np.linalg.cond(v) > 1e7:
-        return None
-    c = np.linalg.solve(v, b_vec)
-    mu = np.exp(lam * h)
-    alpha = np.empty(2, dtype=complex)
-    beta = np.empty(2, dtype=complex)
-    for i in (0, 1):
-        phi1, phi2 = _phi12(lam[i] * h)
-        alpha[i] = c[i] * h * (phi1 - phi2)
-        beta[i] = c[i] * h * phi2
-    return mu, alpha, beta, v
-
-
 def _foh_propagator(a_mat, b_vec, h):
-    """Fallback via the augmented matrix exponential (handles defective A).
+    """Exact one-sample step x_k = E x_{k-1} + P s_{k-1} + Q s_k for a drive
+    that is linear across the interval; returns (E, P, Q).
 
-    exp([[A, B, 0], [0, 0, 1], [0, 0, 0]] h) carries e^(Ah) in its top-left
-    block and the two hold integrals int e^(A(h-s)) B ds and
-    int e^(A(h-s)) B s ds in the two right-hand columns.
+    exp([[A, B, 0], [0, 0, 1], [0, 0, 0]] h) carries E = e^(Ah) in its
+    top-left block and the two hold integrals int e^(A(h-s)) B ds and
+    int e^(A(h-s)) B s ds in the two right-hand columns. The exponential of
+    the augmented matrix needs no eigenbasis, so the step stays exact where
+    the two modes' eigenvalues coincide (the exceptional point).
+
+    The exponential is formed as F = e^(Mh) - I: a Taylor series on
+    Mh / 2^n, then n doublings F -> 2F + F^2. Squaring e^(Mh/2^n) itself
+    would hold the slow mechanical decay per sub-step as 1 - tiny and lose
+    about kappa/gamma_m ulps of it (5 digits for the reference device,
+    amplified by 1/|t| in the output near the critical coupling); F keeps
+    that small part to full relative precision.
     """
-    from scipy.linalg import expm
-
     m = np.zeros((4, 4), dtype=complex)
-    m[:2, :2] = a_mat
-    m[:2, 2] = b_vec
-    m[2, 3] = 1.0
-    e4 = expm(m * h)
-    j0 = e4[:2, 2]
-    j1 = e4[:2, 3]
-    return e4[:2, :2], j0 - j1 / h, j1 / h
+    m[:2, :2] = a_mat * h
+    m[:2, 2] = b_vec * h
+    m[2, 3] = h
+    n = max(0, math.ceil(math.log2(2.0 * np.abs(m).sum(axis=0).max())))
+    x = m / 2.0**n
+    f = x.copy()
+    term = x
+    for k in range(2, 20):  # ||x|| <= 1/2: the tail is below 1e-24
+        term = term @ x / k
+        f += term
+    for _ in range(n):
+        f = 2.0 * f + f @ f
+    j0 = f[:2, 2]
+    j1 = f[:2, 3]
+    return f[:2, :2] + np.eye(2), j0 - j1 / h, j1 / h
 
 
-def _integrate_exact(w, a_mat, b_vec, initial_state):
-    """Per-sample exact propagation of the linearly interpolated envelope.
-    Returns the intracavity field a at every sample time."""
-    s = w.samples
-    n = len(s)
-    pieces = _eigen_propagator(a_mat, b_vec, w.dt_s)
-    if pieces is not None:
-        mu, alpha, beta, v = pieces
-        z0 = np.linalg.solve(v, np.asarray(initial_state, dtype=complex))
-        a_out = np.zeros(n, dtype=complex)
-        for i in (0, 1):
-            # z_k = beta s_k + alpha s_{k-1} + mu z_{k-1}: an order-(1,1)
-            # IIR filter, plus the homogeneous decay of the initial offset.
-            z_i = scipy.signal.lfilter([beta[i], alpha[i]], [1.0, -mu[i]], s)
-            offset = z0[i] - beta[i] * s[0]
-            if offset != 0.0:
-                powers = np.empty(n, dtype=complex)
-                powers[0] = 1.0
-                np.cumprod(np.full(n - 1, mu[i]), out=powers[1:])
-                z_i = z_i + offset * powers
-            a_out += v[0, i] * z_i
-        return a_out
-    e_mat, av, bv = _foh_propagator(a_mat, b_vec, w.dt_s)
-    e00, e01, e10, e11 = e_mat[0, 0], e_mat[0, 1], e_mat[1, 0], e_mat[1, 1]
-    va, vb = complex(initial_state[0]), complex(initial_state[1])
-    a_out = np.empty(n, dtype=complex)
-    a_out[0] = va
-    for k in range(1, n):
-        s0, s1 = s[k - 1], s[k]
-        va, vb = (
-            e00 * va + e01 * vb + av[0] * s0 + bv[0] * s1,
-            e10 * va + e11 * vb + av[1] * s0 + bv[1] * s1,
-        )
-        a_out[k] = va
-    return a_out
+def _integrate(a_mat, b_vec, h, s, initial_state):
+    """Intracavity field a at every sample of the drive `s` (spacing h),
+    from the exact step of `_foh_propagator`.
 
+    By Cayley-Hamilton, E^2 = tr(E) E - det(E) I, so the first component of
+    the step obeys one second-order recurrence,
 
-def _integrate_rk4(w, a_mat, b_vec, initial_state, dt_int, max_steps):
-    """Classic fixed-step RK4 with the envelope linearly interpolated
-    between samples. Only viable for short records."""
-    s = w.samples
-    n = len(s)
-    substeps = max(1, int(math.ceil(w.dt_s / dt_int)))
-    if substeps * (n - 1) > max_steps:
-        raise ParameterError(
-            f"rk4 would need {substeps * (n - 1)} steps; use the exact propagator "
-            "for records this long"
-        )
-    h = w.dt_s / substeps
-    v = np.asarray(initial_state, dtype=complex)
-    a_out = np.empty(n, dtype=complex)
-    a_out[0] = v[0]
+        a_k - tr(E) a_{k-1} + det(E) a_{k-2}
+            = Q0 s_k + (P0 - e11 Q0 + e01 Q1) s_{k-1} + (e01 P1 - e11 P0) s_{k-2},
 
-    def rhs(vec, drive):
-        return a_mat @ vec + b_vec * drive
-
-    for k in range(n - 1):
-        s0, s1 = s[k], s[k + 1]
-        for j in range(substeps):
-            th0 = j / substeps
-            th1 = (j + 0.5) / substeps
-            th2 = (j + 1) / substeps
-            d0 = s0 + (s1 - s0) * th0
-            d1 = s0 + (s1 - s0) * th1
-            d2 = s0 + (s1 - s0) * th2
-            k1 = rhs(v, d0)
-            k2 = rhs(v + 0.5 * h * k1, d1)
-            k3 = rhs(v + 0.5 * h * k2, d1)
-            k4 = rhs(v + h * k3, d2)
-            v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        a_out[k + 1] = v[0]
+    valid from k = 2 on: a single IIR filter, seeded with a_0 (the initial
+    state) and a_1 (one explicit step).
+    """
+    e, p, q = _foh_propagator(a_mat, b_vec, h)
+    x0 = np.asarray(initial_state, dtype=complex)
+    a0 = x0[0]
+    a1 = (e @ x0 + p * s[0] + q * s[1])[0]
+    num = [q[0], p[0] - e[1, 1] * q[0] + e[0, 1] * q[1], e[0, 1] * p[1] - e[1, 1] * p[0]]
+    den = [1.0, -(e[0, 0] + e[1, 1]), e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0]]
+    a_out = np.empty(len(s), dtype=complex)
+    a_out[0], a_out[1] = a0, a1
+    zi = scipy.signal.lfiltic(num, den, [a1, a0], [s[1], s[0]])
+    a_out[2:] = scipy.signal.lfilter(num, den, s[2:], zi=zi)[0]
     return a_out
 
 
@@ -430,12 +348,12 @@ def integrate_langevin(
     params: DeviceParams,
     coupling: float,
     *,
-    method: str = "auto",
-    dt_int: float | None = None,
     initial_state: tuple[complex, complex] = (0.0 + 0.0j, 0.0 + 0.0j),
-    max_rk4_steps: int = 5_000_000,
 ) -> PulseWaveform:
     """Propagate a waveform by integrating the two-mode equations of motion.
+
+    The step between samples is exact for the linearly interpolated
+    envelope, whatever the rate spread, including at the exceptional point.
 
     Parameters
     ----------
@@ -445,14 +363,6 @@ def integrate_langevin(
     params : DeviceParams
     coupling : float
         (Hz) field-enhanced coupling rate.
-    method : {"auto", "exact", "rk4"}
-        "exact" uses the per-sample matrix-exponential propagator and is
-        what "auto" resolves to; "rk4" opts into the explicit integrator,
-        which must resolve the fastest rate and is therefore only usable
-        for short records.
-    dt_int : float, optional
-        (s) RK4 step, default 0.05 / kappa_angular. Must satisfy
-        dt_int <= 0.1 / (fastest angular rate).
     initial_state : (complex, complex)
         Intracavity field and mechanical amplitude at the first sample.
 
@@ -460,34 +370,10 @@ def integrate_langevin(
     -------
     PulseWaveform
         Output envelope s_in - sqrt(eta*kappa) a on the input grid.
-
-    Raises
-    ------
-    StabilityError
-        If the requested RK4 step is too large for the fastest rate.
     """
     g = model._g_hz(coupling)
     a_mat, b_vec = _system_matrix(params, g, w.carrier_detuning_hz)
-    if method not in ("auto", "exact", "rk4"):
-        raise ParameterError(f"unknown method {method!r}")
-    if method == "rk4":
-        kappa_ang = TWO_PI * params.kappa_hz
-        fastest = max(
-            kappa_ang,
-            TWO_PI * params.gamma_m_hz,
-            TWO_PI * g,
-            abs(TWO_PI * w.carrier_detuning_hz),
-        )
-        if dt_int is None:
-            dt_int = 0.05 / kappa_ang
-        if dt_int > 0.1 / fastest:
-            raise StabilityError(
-                f"dt_int = {dt_int:.3e} s does not resolve the fastest rate "
-                f"({fastest / TWO_PI:.3e} Hz); need <= {0.1 / fastest:.3e} s"
-            )
-        a_out = _integrate_rk4(w, a_mat, b_vec, initial_state, dt_int, max_rk4_steps)
-    else:
-        a_out = _integrate_exact(w, a_mat, b_vec, initial_state)
+    a_out = _integrate(a_mat, b_vec, w.dt_s, w.samples, initial_state)
     root = math.sqrt(params.eta * TWO_PI * params.kappa_hz)
     out = PulseWaveform(
         t0_s=w.t0_s,
@@ -505,73 +391,32 @@ def integrate_langevin(
     return out
 
 
-def cw_response(
-    params: DeviceParams,
-    coupling: float,
-    detuning_hz: float,
-    *,
-    method: str = "exact",
-    settle: float = 8.0,
-    n_steps: int = 40,
-) -> complex:
+# cw_response steps the exact propagator with a stride of _CW_SETTLE slow
+# time constants, _CW_STEPS times, so every transient decays by e^-320.
+_CW_SETTLE = 8.0
+_CW_STEPS = 40
+
+
+def cw_response(params: DeviceParams, coupling: float, detuning_hz: float) -> complex:
     """Steady-state output/input ratio under constant drive, by integration.
 
     Drives the two-mode system with a constant unit input at the given
-    carrier detuning, steps it until every transient has decayed, and
-    returns s_out / s_in. Up to integration error this equals the
+    carrier detuning, steps the exact propagator until every transient has
+    decayed, and returns s_out / s_in. Up to rounding this equals the
     closed-form transmission; the agreement is the module's core oracle.
-
-    Parameters
-    ----------
-    method : {"exact", "rk4"}
-        "exact" steps the matrix-exponential propagator with a stride of
-        `settle` slow time constants, so convergence is immediate. "rk4"
-        must resolve the fastest rate and is only tractable when the rate
-        spread is mild (toy parameters).
     """
     g = model._g_hz(coupling)
     a_mat, b_vec = _system_matrix(params, g, detuning_hz)
     slow = float(np.min(-np.real(np.linalg.eigvals(a_mat))))
     if slow <= 0.0:
         raise ParameterError("system is not dissipative; no steady state")
+    e, p, q = _foh_propagator(a_mat, b_vec, _CW_SETTLE / slow)
+    drive = p + q  # constant drive: the hold order is irrelevant
+    x = np.zeros(2, dtype=complex)
+    for _ in range(_CW_STEPS):
+        x = e @ x + drive
     root = math.sqrt(params.eta * TWO_PI * params.kappa_hz)
-    if method == "exact":
-        h = settle / slow
-        pieces = _eigen_propagator(a_mat, b_vec, h)
-        if pieces is not None:
-            mu, alpha, beta, v = pieces
-            c = alpha + beta  # constant drive: hold order is irrelevant
-            z = np.zeros(2, dtype=complex)
-            for _ in range(n_steps):
-                z = mu * z + c
-            a_ss = (v @ z)[0]
-        else:
-            e_mat, av, bv = _foh_propagator(a_mat, b_vec, h)
-            pb = av + bv
-            vec = np.zeros(2, dtype=complex)
-            for _ in range(n_steps):
-                vec = e_mat @ vec + pb
-            a_ss = vec[0]
-        return complex(1.0 - root * a_ss)
-    if method == "rk4":
-        fastest = float(np.max(np.abs(np.linalg.eigvals(a_mat))))
-        dt_int = 0.05 / max(fastest, TWO_PI * params.kappa_hz)
-        total = settle * n_steps / slow
-        n = int(math.ceil(total / dt_int))
-        if n > 2_000_000:
-            raise ParameterError(
-                f"rk4 settling needs {n} steps at this rate spread; use method='exact'"
-            )
-        t_grid = np.linspace(0.0, total, max(n, 32))
-        w = PulseWaveform(
-            t0_s=0.0,
-            dt_s=float(t_grid[1] - t_grid[0]),
-            samples=np.ones(len(t_grid), dtype=complex),
-            carrier_detuning_hz=detuning_hz,
-        )
-        out = integrate_langevin(w, params, g, method="rk4", dt_int=dt_int)
-        return complex(out.samples[-1])
-    raise ParameterError(f"unknown method {method!r}")
+    return complex(1.0 - root * x[0])
 
 
 # ---------------------------------------------------------------------------
@@ -708,6 +553,19 @@ def delay_pulse_config(
     )
 
 
+def _route_waveforms(
+    params: DeviceParams, g: float, config: PulseConfig, method: str
+) -> tuple[PulseWaveform, PulseWaveform, PulseWaveform]:
+    """Input, output and pump-off reference waveforms of one delay
+    measurement by the named route: "fft" (`propagate`) or "ode"
+    (`integrate_langevin`)."""
+    if method not in ("fft", "ode"):
+        raise ParameterError(f"pulse method must be 'fft' or 'ode', got {method!r}")
+    run = propagate if method == "fft" else integrate_langevin
+    pulse = gaussian_pulse(config, window_hz=model.effective_window_hz(params, g))
+    return pulse, run(pulse, params, g), run(pulse, params, 0.0)
+
+
 def extract_delay(
     params: DeviceParams,
     coupling: float,
@@ -727,22 +585,12 @@ def extract_delay(
     Parameters
     ----------
     method : {"fft", "ode"}
-        Propagation route; "ode" uses the exact per-sample propagator.
+        Propagation route; "ode" integrates the equations of motion.
 
     Returns
     -------
     float
         (s) extracted delay; negative means the pulse arrived early.
     """
-    g = model._g_hz(coupling)
-    window = model.effective_window_hz(params, g)
-    pulse = gaussian_pulse(config, window_hz=window)
-    if method == "fft":
-        with_pump = propagate(pulse, params, g)
-        without = propagate(pulse, params, 0.0)
-    elif method == "ode":
-        with_pump = integrate_langevin(pulse, params, g, method="exact")
-        without = integrate_langevin(pulse, params, 0.0, method="exact")
-    else:
-        raise ParameterError(f"unknown method {method!r}")
+    _, with_pump, without = _route_waveforms(params, model._g_hz(coupling), config, method)
     return center_time(with_pump) - center_time(without)

@@ -236,11 +236,11 @@ def resonance_spectrum(params: DeviceParams, g_hz: NDArray[np.floating]) -> Spec
 def _resonance_spectrum(
     params: DeviceParams, g: NDArray[np.floating], spec: SweepSpec
 ) -> Spectrum:
-    tz = model.resonance_curve(params, g)
+    t, delay = model._response(params.kappa_hz, params.eta, params.gamma_m_hz, g, 0.0, delay=True)
+    tz = t.real
     singular = np.abs(tz) < model.DEGENERACY_TOL
     phase = np.where(tz < 0.0, math.pi, 0.0)
     phase = np.where(singular, np.nan, phase)
-    delay = model.resonance_delay_curve(params, g)
     return Spectrum(
         x_hz=g,
         t=tz.astype(complex),

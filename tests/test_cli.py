@@ -103,6 +103,10 @@ def test_load_config_preset_and_overrides(tmp_path):
         reference_doc(critical=[1, 2]),  # command block not a mapping
         {"version": "1", "device": {"eta": 0.5}, "critical": {}},  # missing fields
         {"version": "1", "device": 42, "critical": {}},
+        reference_doc(fit={"kind": "bare", "data": "x.csv", "add_noise_snr_db": 30}, seed="abc"),
+        reference_doc(fit={"kind": "bare", "data": "x.csv", "add_noise_snr_db": 30}, seed=1.5),
+        reference_doc(fit={"kind": "bare", "data": "x.csv", "add_noise_snr_db": 30}, seed=-3),
+        reference_doc(critical={}, out=5),
     ],
 )
 def test_load_config_rejects(tmp_path, doc):
@@ -225,6 +229,28 @@ def test_pulse_command(tmp_path, capsys):
     extracted = float(out.split("extracted_delay_s=")[1].splitlines()[0])
     analytic = float(out.split("analytic_delay_s=")[1].splitlines()[0])
     assert extracted == pytest.approx(analytic, rel=0.05)
+
+
+def test_pulse_command_ode_route(tmp_path, capsys):
+    path = write_config(
+        tmp_path / "c.json",
+        reference_doc(pulse={"g": 155.1, "samples": 1024, "method": "ode"}),
+    )
+    out_dir = tmp_path / "out"
+    assert cli.main(["--config", path, "--out", str(out_dir)]) == 0
+    assert "# method=ode\n" in (out_dir / "pulse_output.csv").read_text()
+    out = capsys.readouterr().out
+    extracted = float(out.split("extracted_delay_s=")[1].splitlines()[0])
+    analytic = float(out.split("analytic_delay_s=")[1].splitlines()[0])
+    assert extracted == pytest.approx(analytic, rel=0.05)
+
+
+def test_pulse_unknown_method_is_config_error(tmp_path, capsys):
+    path = write_config(
+        tmp_path / "c.json", reference_doc(pulse={"g": 155.1, "method": "rk4"})
+    )
+    assert cli.main(["--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert "'rk4'" in capsys.readouterr().err
 
 
 def test_fit_bare_roundtrip_via_cli(tmp_path):
@@ -404,3 +430,17 @@ def test_non_numeric_count_is_config_error(tmp_path, capsys, command):
     assert cli.main(["--config", path, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and "'many'" in err
+
+
+@pytest.mark.parametrize(
+    "fit",
+    [
+        {"kind": "bare", "data": "x.csv", "frequency": ["x"]},
+        {"kind": "bare", "data": ["bare.csv"]},
+    ],
+    ids=["frequency-list", "data-list"],
+)
+def test_fit_option_of_wrong_type_is_config_error(tmp_path, capsys, fit):
+    path = write_config(tmp_path / "c.json", reference_doc(fit=fit))
+    assert cli.main(["--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("config error")

@@ -57,7 +57,9 @@ def test_reference_device_values(device):
         ("kappa_hz", 0.0),
         ("kappa_hz", -1.0),
         ("kappa_hz", math.nan),
+        ("kappa_hz", True),
         ("gamma_m_hz", 0.0),
+        ("vacuum_coupling_hz", True),
         ("mech_freq_hz", math.inf),
         ("eta", 0.0),
         ("eta", 1.0),

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import reference_integrators as reference
 from mcpa import (
     ParameterError,
     PulseConfig,
     PulseEstimationError,
     PulseWaveform,
-    StabilityError,
     model,
     pulses,
 )
@@ -165,31 +165,40 @@ def test_exact_integrator_matches_fft_route(device):
     cfg = pulses.delay_pulse_config(device, 40.0, n_samples=2048)
     w = pulses.gaussian_pulse(cfg)
     a = pulses.propagate(w, device, 40.0)
-    b = pulses.integrate_langevin(w, device, 40.0, method="exact")
+    b = pulses.integrate_langevin(w, device, 40.0)
     scale = np.abs(a.samples).max()
     assert np.max(np.abs(a.samples - b.samples)) < 1e-3 * scale
+
+
+def _reference_output(w, params, g, integrator, *args, initial_state=(0j, 0j)):
+    """s_in - sqrt(eta*kappa) a from one of the reference integrators."""
+    a_mat, b_vec = pulses._system_matrix(params, g, w.carrier_detuning_hz)
+    a = integrator(a_mat, b_vec, w.dt_s, w.samples, initial_state, *args)
+    return w.samples - math.sqrt(params.eta * 2.0 * math.pi * params.kappa_hz) * a
 
 
 def test_rk4_matches_exact_on_mild_system(toy_device):
     cfg = small_config(sigma=2.0, center=14.0, record=60.0, dt=0.05)
     w = pulses.gaussian_pulse(cfg)
-    exact = pulses.integrate_langevin(w, toy_device, 0.8, method="exact")
-    rk4 = pulses.integrate_langevin(w, toy_device, 0.8, method="rk4")
+    exact = pulses.integrate_langevin(w, toy_device, 0.8)
+    dt_int = 0.05 / (2.0 * math.pi * toy_device.kappa_hz)
+    rk4 = _reference_output(w, toy_device, 0.8, reference.rk4, dt_int)
     scale = np.abs(exact.samples).max()
-    assert np.max(np.abs(exact.samples - rk4.samples)) < 1e-6 * scale
+    assert np.max(np.abs(exact.samples - rk4)) < 1e-6 * scale
 
 
 def test_rk4_decay_rate(toy_device):
-    # pump off, no drive, cavity loaded with one unit of field: |a| must
-    # decay at exactly kappa/2 (angular)
+    # the RK4 reference itself, pump off, no drive, cavity loaded with one
+    # unit of field: |a| must decay at exactly kappa/2 (angular)
     n = 64
     dt = 0.01
     w = PulseWaveform(t0_s=0.0, dt_s=dt, samples=np.zeros(n, dtype=complex))
-    out = pulses.integrate_langevin(
-        w, toy_device, 0.0, method="rk4", initial_state=(1.0 + 0.0j, 0.0j)
+    dt_int = 0.05 / (2.0 * math.pi * toy_device.kappa_hz)
+    out = _reference_output(
+        w, toy_device, 0.0, reference.rk4, dt_int, initial_state=(1.0 + 0.0j, 0.0j)
     )
     root = math.sqrt(toy_device.eta * 2.0 * math.pi * toy_device.kappa_hz)
-    a_mag = np.abs(out.samples / -root)
+    a_mag = np.abs(out / -root)
     slope = np.polyfit(w.times_s, np.log(a_mag), 1)[0]
     assert slope == pytest.approx(-math.pi * toy_device.kappa_hz, rel=1e-6)
 
@@ -199,7 +208,7 @@ def test_exact_integrator_free_decay_matches_expm(device):
     dt = 3e-6
     w = PulseWaveform(t0_s=0.0, dt_s=dt, samples=np.zeros(n, dtype=complex))
     out = pulses.integrate_langevin(
-        w, device, 23.93, method="exact", initial_state=(1.0 + 0.0j, 0.25j)
+        w, device, 23.93, initial_state=(1.0 + 0.0j, 0.25j)
     )
     a_mat, _ = pulses._system_matrix(device, 23.93, 0.0)
     root = math.sqrt(device.eta * 2.0 * math.pi * device.kappa_hz)
@@ -211,28 +220,8 @@ def test_exact_integrator_free_decay_matches_expm(device):
 
 def test_zero_input_zero_state_stays_zero(device):
     w = PulseWaveform(t0_s=0.0, dt_s=0.5, samples=np.zeros(32, dtype=complex))
-    out = pulses.integrate_langevin(w, device, 23.93, method="exact")
+    out = pulses.integrate_langevin(w, device, 23.93)
     assert np.all(out.samples == 0.0)
-
-
-def test_rk4_stability_guard(device):
-    w = pulses.gaussian_pulse(small_config())
-    with pytest.raises(StabilityError):
-        pulses.integrate_langevin(w, device, 23.93, method="rk4", dt_int=1.0)
-
-
-def test_rk4_step_budget_guard(device):
-    cfg = pulses.delay_pulse_config(device, 23.93, n_samples=1024)
-    w = pulses.gaussian_pulse(cfg)
-    # a stable step over a multi-thousand-second record wants ~1e13 steps
-    with pytest.raises(ParameterError):
-        pulses.integrate_langevin(w, device, 23.93, method="rk4")
-
-
-def test_unknown_method_rejected(device):
-    w = pulses.gaussian_pulse(small_config())
-    with pytest.raises(ParameterError):
-        pulses.integrate_langevin(w, device, 23.93, method="euler")
 
 
 def test_foh_fallback_matches_eigen_step():
@@ -240,23 +229,55 @@ def test_foh_fallback_matches_eigen_step():
     a_mat = np.array([[-1.0 + 0.3j, -0.2j], [-0.2j, -0.5 - 0.1j]])
     b_vec = np.array([1.3 + 0.0j, 0.0j])
     h = 0.37
-    mu, alpha, beta, v = pulses._eigen_propagator(a_mat, b_vec, h)
+    mu, alpha, beta, v = reference.eigen_step(a_mat, b_vec, h)
     e_mat, av, bv = pulses._foh_propagator(a_mat, b_vec, h)
     z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     s0, s1 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     via_eigen = v @ (mu * np.linalg.solve(v, z) + alpha * s0 + beta * s1)
     via_expm = e_mat @ z + av * s0 + bv * s1
     np.testing.assert_allclose(via_eigen, via_expm, rtol=1e-12)
+    # the single path: the same step as one IIR filter over a whole record
+    s = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    single = pulses._integrate(a_mat, b_vec, h, s, z)
+    np.testing.assert_allclose(single, reference.eigen(a_mat, b_vec, h, s, z), rtol=1e-12)
+
+
+def test_single_path_matches_eigen_reference_near_critical(device):
+    # near G_c the output is a small difference amplified by 1/|t|, and the
+    # step spans kappa/gamma_m ~ 4e7 in rates: the exact step must keep the
+    # slow mechanical decay to full precision for the two routes to agree
+    for g in (17.66, 1.04 * model.critical_coupling(device), 23.93):
+        cfg = pulses.delay_pulse_config(device, g, n_samples=1024)
+        w = pulses.gaussian_pulse(cfg)
+        single = pulses.integrate_langevin(w, device, g).samples
+        eigen = _reference_output(w, device, g, reference.eigen)
+        assert np.max(np.abs(single - eigen)) < 1e-11 * np.abs(eigen).max()
+
+
+def test_exceptional_point_matches_reference(device):
+    # G = (kappa - gamma_m)/4 at zero detuning: the two eigenvalues coincide
+    # and A is defective, so the eigenbasis reference refuses; the
+    # per-sample expm loop does not need an eigenbasis
+    g_ep = (device.kappa_hz - device.gamma_m_hz) / 4.0
+    a_mat, b_vec = pulses._system_matrix(device, g_ep, 0.0)
+    with pytest.raises(ValueError):
+        reference.eigen_step(a_mat, b_vec, 1e-7)
+    cfg = small_config(sigma=8e-6, center=40e-6, record=204.8e-6, dt=1e-7)
+    w = pulses.gaussian_pulse(cfg)
+    for x0 in ((0j, 0j), (1.0 + 0.0j, 0.25j)):
+        out = pulses.integrate_langevin(w, device, g_ep, initial_state=x0).samples
+        ref = _reference_output(w, device, g_ep, reference.expm_loop, initial_state=x0)
+        assert np.max(np.abs(out - ref)) < 1e-10 * np.abs(ref).max()
 
 
 def test_phi_helpers_branch_agreement():
     # series branch (|x| < 0.5) and direct branch must agree where they meet
     for x in (0.4999, -0.4999, 0.4999j, 0.3 - 0.39j):
-        p1s, p2s = pulses._phi12(x)
+        p1s, p2s = reference.phi12(x)
         ex = np.exp(complex(x))
         assert p1s == pytest.approx((ex - 1.0) / x, rel=1e-12)
         assert p2s == pytest.approx((ex - 1.0 - x) / (x * x), rel=1e-12)
-    p1, p2 = pulses._phi12(0.0)
+    p1, p2 = reference.phi12(0.0)
     assert p1 == 1.0
     assert p2 == 0.5
 
@@ -274,19 +295,18 @@ def test_cw_response_matches_closed_form(device):
 
 
 def test_cw_response_rk4_on_mild_system(toy_device):
+    # constant unit drive, RK4 reference stepped through 320 slow time
+    # constants so every transient has decayed
     closed = complex(model.transmission_curve(toy_device, 0.8, 0.3))
-    stepped = pulses.cw_response(toy_device, 0.8, 0.3, method="rk4")
+    a_mat, b_vec = pulses._system_matrix(toy_device, 0.8, 0.3)
+    eig = np.linalg.eigvals(a_mat)
+    dt_int = 0.05 / max(np.abs(eig).max(), 2.0 * math.pi * toy_device.kappa_hz)
+    n = int(math.ceil(320.0 / np.min(-eig.real) / dt_int))
+    w = PulseWaveform(
+        t0_s=0.0, dt_s=dt_int, samples=np.ones(n, dtype=complex), carrier_detuning_hz=0.3
+    )
+    stepped = _reference_output(w, toy_device, 0.8, reference.rk4, dt_int)[-1]
     assert abs(stepped - closed) < 1e-6 * abs(closed)
-
-
-def test_cw_response_rk4_budget_guard(device):
-    with pytest.raises(ParameterError):
-        pulses.cw_response(device, 23.93, 0.0, method="rk4")
-
-
-def test_cw_response_unknown_method(device):
-    with pytest.raises(ParameterError):
-        pulses.cw_response(device, 23.93, 0.0, method="midpoint")
 
 
 # ---------------------------------------------------------------------------
