@@ -251,12 +251,16 @@ def read_measured_csv(path: str, *, absolute: bool | None = None) -> calibrate.M
 # ---------------------------------------------------------------------------
 
 def _number(options: dict, key: str, default, kind=int):
-    """Option `key` converted by `kind`; an unconvertible value is a ConfigError."""
+    """Option `key` converted by `kind`; an unconvertible value, or a count
+    (kind int) that is not a whole number, is a ConfigError."""
     value = options.get(key, default)
     try:
+        if kind is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError
         return kind(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+        what = "a whole number" if kind is int else "a number"
+        raise ConfigError(f"{key} must be {what}, got {value!r}") from None
 
 
 def _coupling_from(options: dict, key: str = "g", default=None) -> float:
@@ -308,6 +312,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     device = cfg.device
     g = _coupling_from(cfg.options)
     n = cfg.points_override or _number(cfg.options, "points", 2001)
+    scale = _grid_scale(cfg.options.get("scale", "linear"))
     if "start" in cfg.options or "stop" in cfg.options:
         if not ("start" in cfg.options and "stop" in cfg.options):
             raise ConfigError("give both start and stop, or neither")
@@ -316,7 +321,11 @@ def cmd_spectrum(cfg: RunConfig) -> int:
             start_hz=parse_frequency(cfg.options["start"]),
             stop_hz=parse_frequency(cfg.options["stop"]),
             n_points=n,
-            scale=_grid_scale(cfg.options.get("scale", "linear")),
+            scale=scale,
+        )
+    elif scale is spectra.GridScale.LOG:
+        raise ConfigError(
+            "scale 'log' needs start and stop: the default span is centred on zero detuning"
         )
     else:
         sweep = spectra.detuning_span(device, g, n_points=n)

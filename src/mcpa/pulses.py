@@ -158,17 +158,11 @@ class PulseWaveform:
         return replace(self, warnings=self.warnings + (tag,))
 
 
-def gaussian_pulse(config: PulseConfig, window_hz: float | None = None) -> PulseWaveform:
+def gaussian_pulse(config: PulseConfig) -> PulseWaveform:
     """Synthesize the Gaussian probe envelope described by `config`.
 
-    Parameters
-    ----------
-    config : PulseConfig
-    window_hz : float, optional
-        (Hz) effective window width of the system the pulse is aimed at.
-        When given, a pulse whose rms bandwidth exceeds half this width gets
-        the "bandwidth" warning attached (it still propagates; distortion
-        studies are legitimate).
+    The pulse carries no warnings: both propagation routes check its
+    bandwidth against the window they send it through.
 
     Returns
     -------
@@ -179,16 +173,22 @@ def gaussian_pulse(config: PulseConfig, window_hz: float | None = None) -> Pulse
     t = config.dt_s * np.arange(n)
     arg = (t - config.center_s) / config.sigma_t_s
     samples = (config.amplitude * np.exp(-0.5 * arg * arg)).astype(complex)
-    warnings: tuple[str, ...] = ()
-    if window_hz is not None and config.rms_bandwidth_hz > 0.5 * window_hz:
-        warnings = ("bandwidth",)
     return PulseWaveform(
         t0_s=0.0,
         dt_s=config.dt_s,
         samples=samples,
         carrier_detuning_hz=config.carrier_detuning_hz,
-        warnings=warnings,
     )
+
+
+def _power_moments(t: NDArray[np.floating], env: NDArray[np.floating]) -> tuple[float, float]:
+    """Mean and variance of the times `t` weighted by |envelope|^2 = env^2."""
+    power = env * env
+    total = float(power.sum())
+    if total <= 0.0:
+        raise PulseEstimationError("waveform has no energy")
+    mean = float((t * power).sum() / total)
+    return mean, float((np.square(t - mean) * power).sum() / total)
 
 
 def waveform_rms_sigma(w: PulseWaveform) -> float:
@@ -196,33 +196,30 @@ def waveform_rms_sigma(w: PulseWaveform) -> float:
 
     For a true Gaussian envelope this equals its sigma_t.
     """
-    power = np.abs(w.samples) ** 2
-    total = float(power.sum())
-    if total <= 0.0:
-        raise PulseEstimationError("waveform has zero energy")
-    t = w.times_s
-    mean = float((t * power).sum() / total)
-    var = float((np.square(t - mean) * power).sum() / total)
-    return math.sqrt(2.0 * var)
+    return math.sqrt(2.0 * _power_moments(w.times_s, np.abs(w.samples))[1])
 
 
-def _band_checks(
-    w: PulseWaveform,
-    params: DeviceParams,
-    g: float,
-    spectrum_mag: NDArray[np.floating],
-    response_mag: NDArray[np.floating],
-) -> tuple[str, ...]:
-    """Soft diagnostics shared by both propagation routes."""
+def _output(
+    w: PulseWaveform, samples: NDArray[np.complexfloating], params: DeviceParams, g: float
+) -> PulseWaveform:
+    """Either route's output: `samples` on the grid of the input `w`, with
+    its warnings plus the band checks on its own n-point spectrum."""
     tags: list[str] = []
     if w.energy > 0.0:
-        bw = 1.0 / (TWO_PI * waveform_rms_sigma(w))
-        if bw > 0.5 * model.effective_window_hz(params, g):
+        if 1.0 / (TWO_PI * waveform_rms_sigma(w)) > 0.5 * model.effective_window_hz(params, g):
             tags.append("bandwidth")
-        band = spectrum_mag > 1e-3 * spectrum_mag.max()
-        if np.any(response_mag[band] < SINGULAR_BAND_TOL):
+        x = np.abs(np.fft.fft(w.samples))
+        f = np.fft.fftfreq(len(x), w.dt_s)
+        h = np.abs(model.transmission_curve(params, g, w.carrier_detuning_hz + f))
+        if np.any(h[x > 1e-3 * x.max()] < SINGULAR_BAND_TOL):
             tags.append("singular-band")
-    return tuple(tags)
+    return PulseWaveform(
+        t0_s=w.t0_s,
+        dt_s=w.dt_s,
+        samples=samples,
+        carrier_detuning_hz=w.carrier_detuning_hz,
+        warnings=w.warnings + tuple(tag for tag in tags if tag not in w.warnings),
+    )
 
 
 def propagate(
@@ -237,10 +234,10 @@ def propagate(
     Returns
     -------
     PulseWaveform
-        Output envelope on the input grid. Warnings: "bandwidth" when the
-        pulse spectrum is wider than half the effective window,
-        "singular-band" when the transfer function passes through a zero
-        inside the occupied band.
+        Output envelope on the input grid. Warnings, from the input's
+        n-point spectrum: "bandwidth" when the pulse's rms bandwidth exceeds
+        half the effective window, "singular-band" when |t| falls below
+        SINGULAR_BAND_TOL on a bin holding over 1e-3 of the spectral peak.
     """
     g = model._g_hz(coupling)
     n = len(w.samples)
@@ -248,17 +245,7 @@ def propagate(
     x = np.fft.fft(w.samples, m)
     f = np.fft.fftfreq(m, w.dt_s)
     h = model.transmission_curve(params, g, w.carrier_detuning_hz + f)
-    y = np.fft.ifft(x * h)[:n]
-    out = PulseWaveform(
-        t0_s=w.t0_s,
-        dt_s=w.dt_s,
-        samples=y,
-        carrier_detuning_hz=w.carrier_detuning_hz,
-        warnings=w.warnings,
-    )
-    for tag in _band_checks(w, params, g, np.abs(x), np.abs(h)):
-        out = out.with_warning(tag)
-    return out
+    return _output(w, np.fft.ifft(x * h)[:n], params, g)
 
 
 # ---------------------------------------------------------------------------
@@ -369,26 +356,14 @@ def integrate_langevin(
     Returns
     -------
     PulseWaveform
-        Output envelope s_in - sqrt(eta*kappa) a on the input grid.
+        Output envelope s_in - sqrt(eta*kappa) a on the input grid, with the
+        warnings of `propagate`.
     """
     g = model._g_hz(coupling)
     a_mat, b_vec = _system_matrix(params, g, w.carrier_detuning_hz)
     a_out = _integrate(a_mat, b_vec, w.dt_s, w.samples, initial_state)
     root = math.sqrt(params.eta * TWO_PI * params.kappa_hz)
-    out = PulseWaveform(
-        t0_s=w.t0_s,
-        dt_s=w.dt_s,
-        samples=w.samples - root * a_out,
-        carrier_detuning_hz=w.carrier_detuning_hz,
-        warnings=w.warnings,
-    )
-    if w.energy > 0.0:
-        x = np.fft.fft(w.samples, 4 * len(w.samples))
-        f = np.fft.fftfreq(4 * len(w.samples), w.dt_s)
-        h = model.transmission_curve(params, g, w.carrier_detuning_hz + f)
-        for tag in _band_checks(w, params, g, np.abs(x), np.abs(h)):
-            out = out.with_warning(tag)
-    return out
+    return _output(w, w.samples - root * a_out, params, g)
 
 
 # cw_response steps the exact propagator with a stride of _CW_SETTLE slow
@@ -430,7 +405,7 @@ class CenterTimeEstimate:
     Attributes
     ----------
     centroid_s : float
-        (s) first moment of |envelope|^2 (the primary estimator).
+        (s) first moment of |envelope|^2: the `center_time` arrival time.
     gaussian_center_s : float
         (s) center of a least-squares Gaussian fit to |envelope|.
     gaussian_sigma_s : float
@@ -480,28 +455,41 @@ def _gaussian_fit(t: NDArray[np.floating], env: NDArray[np.floating]) -> tuple[f
     return float(center), float(sigma)
 
 
-def center_time_estimates(w: PulseWaveform) -> CenterTimeEstimate:
-    """Both arrival-time estimators for a waveform, with a distortion flag.
+def center_time(w: PulseWaveform) -> float:
+    """(s) arrival time of a single-lobe waveform: the centroid of |envelope|^2.
 
     Raises
     ------
     PulseEstimationError
-        On near-zero energy or when a secondary lobe exceeds a third of the
-        main peak (no single arrival time exists then).
+        On zero energy, or when a second lobe reaches a third of the main
+        peak in both height and prominence (no single arrival time exists
+        then).
     """
     env = np.abs(w.samples)
-    peak = float(env.max())
-    if peak <= 0.0 or w.energy <= 0.0:
-        raise PulseEstimationError("waveform has no energy; no arrival time")
-    peaks, _ = scipy.signal.find_peaks(env, prominence=peak / 3.0)
+    centroid, _ = _power_moments(w.times_s, env)
+    # on a non-negative envelope a prominence never exceeds its height: the
+    # height bound drops no lobe and skips the tails' rounding-noise maxima
+    third = float(env.max()) / 3.0
+    peaks, _ = scipy.signal.find_peaks(env, height=third, prominence=third)
     if len(peaks) > 1:
         raise PulseEstimationError(
             f"{len(peaks)} comparable lobes found; arrival time undefined"
         )
-    t = w.times_s
-    power = env * env
-    centroid = float((t * power).sum() / power.sum())
-    g_center, g_sigma = _gaussian_fit(t, env)
+    return centroid
+
+
+def center_time_estimates(w: PulseWaveform) -> CenterTimeEstimate:
+    """The arrival time of `center_time` cross-checked by a least-squares
+    Gaussian fit to |envelope|, with a distortion flag.
+
+    Raises
+    ------
+    PulseEstimationError
+        Where `center_time` raises, and when the envelope has no Gaussian
+        curvature around its peak (a flat top, for example).
+    """
+    centroid = center_time(w)
+    g_center, g_sigma = _gaussian_fit(w.times_s, np.abs(w.samples))
     disc = abs(centroid - g_center)
     return CenterTimeEstimate(
         centroid_s=centroid,
@@ -510,11 +498,6 @@ def center_time_estimates(w: PulseWaveform) -> CenterTimeEstimate:
         discrepancy_s=disc,
         distorted=disc > g_sigma / 10.0,
     )
-
-
-def center_time(w: PulseWaveform) -> float:
-    """(s) primary arrival time: the centroid of |envelope|^2."""
-    return center_time_estimates(w).centroid_s
 
 
 def delay_pulse_config(
@@ -562,7 +545,7 @@ def _route_waveforms(
     if method not in ("fft", "ode"):
         raise ParameterError(f"pulse method must be 'fft' or 'ode', got {method!r}")
     run = propagate if method == "fft" else integrate_langevin
-    pulse = gaussian_pulse(config, window_hz=model.effective_window_hz(params, g))
+    pulse = gaussian_pulse(config)
     return pulse, run(pulse, params, g), run(pulse, params, 0.0)
 
 

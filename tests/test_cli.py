@@ -391,11 +391,18 @@ def test_fit_rejects_unknown_kind(tmp_path):
     assert cli.main(["--config", path]) == 2
 
 
-def test_spectrum_rejects_half_range(tmp_path):
-    path = write_config(
-        tmp_path / "c.json", reference_doc(spectrum={"g": 23.93, "start": -1.0})
-    )
-    assert cli.main(["--config", path, "--out", str(tmp_path / "o")]) == 2
+def test_spectrum_rejects_half_range(tmp_path, capsys):
+    # with it, the other malformed spans: a scale that is not a name, and a
+    # log scale on the default span, which is centred on zero detuning
+    for block in (
+        {"g": 23.93, "start": -1.0},
+        {"g": 23.93, "scale": ["log"]},
+        {"g": 23.93, "scale": "log"},
+    ):
+        path = write_config(tmp_path / "c.json", reference_doc(spectrum=block))
+        assert cli.main(["--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("config error")
+    assert not (tmp_path / "o" / "spectrum.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -421,15 +428,20 @@ def test_fit_malformed_csv_is_config_error(tmp_path, capsys, kind, data, where):
 
 
 @pytest.mark.parametrize(
-    "command",
-    [{"spectrum": {"g": 23.93, "points": "many"}}, {"pulse": {"g": 155.1, "samples": "many"}}],
-    ids=["points", "samples"],
+    "command,value",
+    [
+        ({"spectrum": {"g": 23.93, "points": "many"}}, "'many'"),
+        ({"pulse": {"g": 155.1, "samples": "many"}}, "'many'"),
+        ({"pulse": {"g": 155.1, "samples": 1024.5}}, "1024.5"),
+        ({"sweep_g": {"points": 20.9}}, "20.9"),
+    ],
+    ids=["points", "samples", "fractional-samples", "fractional-points"],
 )
-def test_non_numeric_count_is_config_error(tmp_path, capsys, command):
+def test_non_numeric_count_is_config_error(tmp_path, capsys, command, value):
     path = write_config(tmp_path / "c.json", reference_doc(**command))
     assert cli.main(["--config", path, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error") and "'many'" in err
+    assert err.startswith("config error") and value in err
 
 
 @pytest.mark.parametrize(

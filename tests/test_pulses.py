@@ -58,13 +58,14 @@ def test_gaussian_pulse_samples():
     assert w.t0_s == 0.0 and w.dt_s == 0.1
 
 
-def test_gaussian_pulse_bandwidth_warning():
-    cfg = small_config(sigma=1.0)
-    # rms bandwidth ~0.159 Hz; a 0.1 Hz window is far too narrow
-    w = pulses.gaussian_pulse(cfg, window_hz=0.1)
-    assert "bandwidth" in w.warnings
-    wide = pulses.gaussian_pulse(cfg, window_hz=10.0)
-    assert wide.warnings == ()
+def test_gaussian_pulse_bandwidth_warning(device):
+    # rms bandwidth ~0.159 Hz: far wider than half the pump-off window
+    # (gamma_m = 9.7 mHz), well inside half the 1.5 Hz window at G = 400 Hz
+    w = pulses.gaussian_pulse(small_config(sigma=1.0))
+    assert w.warnings == ()
+    for route in (pulses.propagate, pulses.integrate_langevin):
+        assert "bandwidth" in route(w, device, 0.0).warnings
+        assert "bandwidth" not in route(w, device, 400.0).warnings
 
 
 def test_waveform_validation():
@@ -146,6 +147,26 @@ def test_propagate_singular_band_warning(device):
     w = pulses.gaussian_pulse(cfg)
     out = pulses.propagate(w, device, gc)
     assert "singular-band" in out.warnings
+
+
+def test_routes_attach_the_same_warnings(device):
+    gc = model.critical_coupling(device)
+    cases = [
+        (pulses.delay_pulse_config(device, g, carrier_detuning_hz=carrier, n_samples=1024), g)
+        for g in (0.5 * gc, gc, 155.1)
+        for carrier in (0.0, 0.003)
+    ]
+    # about twice as wide in band as the 0.24 Hz window at 155.1 Hz
+    cases.append(
+        (small_config(sigma=0.33, center=3.0, record=6.0, dt=0.01, carrier_detuning_hz=0.003), 155.1)
+    )
+    seen = set()
+    for cfg, g in cases:
+        w = pulses.gaussian_pulse(cfg)
+        tags = pulses.propagate(w, device, g).warnings
+        assert pulses.integrate_langevin(w, device, g).warnings == tags
+        seen.update(tags)
+    assert seen == {"bandwidth", "singular-band"}
 
 
 def test_propagate_preserves_grid(device):
@@ -326,11 +347,33 @@ def test_center_time_clean_gaussian():
 
 def test_center_time_rejects_multi_lobe():
     t = 0.05 * np.arange(1200)
-    env = np.exp(-0.5 * ((t - 20.0) / 1.5) ** 2) + 0.8 * np.exp(
-        -0.5 * ((t - 40.0) / 1.5) ** 2
-    )
+
+    def lobe(center, height):
+        return height * np.exp(-0.5 * ((t - center) / 1.5) ** 2)
+
+    # second lobes of height and prominence 0.8 and 0.4 of the peak
+    for env in (lobe(20.0, 1.0) + lobe(40.0, 0.8), lobe(20.0, 1.0) + lobe(32.0, 0.4)):
+        w = PulseWaveform(t0_s=0.0, dt_s=0.05, samples=env.astype(complex))
+        with pytest.raises(PulseEstimationError):
+            pulses.center_time(w)
+        with pytest.raises(PulseEstimationError):
+            pulses.center_time_estimates(w)
+    # a shoulder of height 0.5 on a 0.3 pedestal has prominence 0.2: one lobe
+    pedestal = 0.15 * (np.tanh((t - 14.0) / 0.5) - np.tanh((t - 38.0) / 0.5))
+    env = lobe(20.0, 0.7) + pedestal + lobe(30.0, 0.2)
     w = PulseWaveform(t0_s=0.0, dt_s=0.05, samples=env.astype(complex))
-    with pytest.raises(PulseEstimationError):
+    power = env * env
+    assert pulses.center_time(w) == pytest.approx((t * power).sum() / power.sum(), rel=1e-12)
+
+
+def test_center_time_of_flat_top_needs_no_gaussian_fit():
+    # the centroid is defined for any single lobe; only the opt-in Gaussian
+    # cross-check needs curvature at the peak
+    env = np.zeros(400)
+    env[150:250] = 1.0
+    w = PulseWaveform(t0_s=0.0, dt_s=0.1, samples=env.astype(complex))
+    assert pulses.center_time(w) == pytest.approx(19.95, rel=1e-12)
+    with pytest.raises(PulseEstimationError, match="curvature"):
         pulses.center_time_estimates(w)
 
 
