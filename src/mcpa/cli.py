@@ -263,6 +263,14 @@ def _number(options: dict, key: str, default, kind=int):
         raise ConfigError(f"{key} must be {what}, got {value!r}") from None
 
 
+def _count(cfg: RunConfig, key: str, default: int) -> int:
+    """The grid or sample count: `--points` when given (0 included, so it
+    meets the same validation as the option), else option `key`."""
+    if cfg.points_override is not None:
+        return cfg.points_override
+    return _number(cfg.options, key, default)
+
+
 def _coupling_from(options: dict, key: str = "g", default=None) -> float:
     if key not in options:
         if default is None:
@@ -311,7 +319,7 @@ def _spectrum_rows(spec_obj: spectra.Spectrum) -> np.ndarray:
 def cmd_spectrum(cfg: RunConfig) -> int:
     device = cfg.device
     g = _coupling_from(cfg.options)
-    n = cfg.points_override or _number(cfg.options, "points", 2001)
+    n = _count(cfg, "points", 2001)
     scale = _grid_scale(cfg.options.get("scale", "linear"))
     if "start" in cfg.options or "stop" in cfg.options:
         if not ("start" in cfg.options and "stop" in cfg.options):
@@ -350,7 +358,7 @@ def _grid_scale(name: str) -> spectra.GridScale:
 
 def cmd_sweep_g(cfg: RunConfig) -> int:
     device = cfg.device
-    n = cfg.points_override or _number(cfg.options, "points", 2000)
+    n = _count(cfg, "points", 2000)
     sweep = spectra.SweepSpec(
         axis=spectra.SweepAxis.COUPLING,
         start_hz=parse_frequency(cfg.options.get("start", 5.0)),
@@ -387,7 +395,7 @@ def cmd_pulse(cfg: RunConfig) -> int:
     g = _coupling_from(cfg.options)
     method = cfg.options.get("method", "fft")
     carrier = parse_frequency(cfg.options.get("carrier_detuning", 0.0))
-    n = cfg.points_override or _number(cfg.options, "samples", 4096)
+    n = _count(cfg, "samples", 4096)
     fraction = _number(cfg.options, "bandwidth_fraction", pulses.DELAY_BANDWIDTH_FRACTION, float)
     pulse_cfg = pulses.delay_pulse_config(
         device, g, carrier_detuning_hz=carrier, bandwidth_fraction=fraction, n_samples=n

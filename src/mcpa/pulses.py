@@ -25,6 +25,12 @@ transmission; that equivalence is this module's core self-check and is
 pinned in the tests.
 
 Times are seconds, rates ordinary Hz as everywhere in this package.
+
+Importing this module loads numpy only. `scipy.signal` is imported inside
+the two functions that use it, `_integrate` (the IIR filter) and
+`center_time` (the lobe check), so it loads on the first time-domain
+propagation or arrival-time estimate and the commands that need neither
+start without it.
 """
 
 from __future__ import annotations
@@ -33,7 +39,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.signal
 from numpy.typing import NDArray
 
 from . import model
@@ -317,6 +322,8 @@ def _integrate(a_mat, b_vec, h, s, initial_state):
     valid from k = 2 on: a single IIR filter, seeded with a_0 (the initial
     state) and a_1 (one explicit step).
     """
+    import scipy.signal
+
     e, p, q = _foh_propagator(a_mat, b_vec, h)
     x0 = np.asarray(initial_state, dtype=complex)
     a0 = x0[0]
@@ -465,6 +472,8 @@ def center_time(w: PulseWaveform) -> float:
         peak in both height and prominence (no single arrival time exists
         then).
     """
+    import scipy.signal
+
     env = np.abs(w.samples)
     centroid, _ = _power_moments(w.times_s, env)
     # on a non-negative envelope a prominence never exceeds its height: the
@@ -518,6 +527,8 @@ def delay_pulse_config(
     g = model._g_hz(coupling)
     if not 0.0 < bandwidth_fraction <= 0.5:
         raise ParameterError("bandwidth_fraction must be in (0, 0.5]")
+    if n_samples < 16:
+        raise ParameterError(f"n_samples must be at least 16, got {n_samples!r}")
     window = model.effective_window_hz(params, g)
     sigma_t = 1.0 / (TWO_PI * bandwidth_fraction * window)
     tau = float(model.group_delay_curve(params, g, carrier_detuning_hz))

@@ -6,6 +6,8 @@ monkeypatching work; the console entry point is the same function.
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -186,6 +188,27 @@ def test_points_flag_overrides_config(tmp_path):
         if not ln.startswith("#")
     ]
     assert len(rows) == 1 + 31
+
+
+@pytest.mark.parametrize("source", ["flag", "option"])
+@pytest.mark.parametrize(
+    "command,key,written",
+    [
+        ("spectrum", "points", "spectrum.csv"),
+        ("sweep_g", "points", "sweep_g.csv"),
+        ("pulse", "samples", "pulse_input.csv"),
+    ],
+)
+def test_zero_count_is_config_error(tmp_path, capsys, source, command, key, written):
+    options = {"g": 155.1} if command != "sweep_g" else {}
+    argv = ["--points", "0"] if source == "flag" else []
+    if source == "option":
+        options[key] = 0
+    path = write_config(tmp_path / "c.json", reference_doc(**{command: options}))
+    out_dir = tmp_path / "out"
+    assert cli.main(["--config", path, "--out", str(out_dir), *argv]) == 2
+    assert capsys.readouterr().err.startswith("config error")
+    assert not (out_dir / written).exists()
 
 
 def test_spectrum_rerun_byte_identical(tmp_path):
@@ -456,3 +479,50 @@ def test_fit_option_of_wrong_type_is_config_error(tmp_path, capsys, fit):
     path = write_config(tmp_path / "c.json", reference_doc(fit=fit))
     assert cli.main(["--config", path, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("config error")
+
+
+# ---------------------------------------------------------------------------
+# startup imports
+# ---------------------------------------------------------------------------
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# Runs in a fresh interpreter and prints, after each step, its exit code and
+# whether scipy.signal has been imported. A pulse step that succeeds also
+# shows that the function-local imports in `pulses` are in place: without
+# them the name `scipy` would be unbound there.
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+import mcpa, mcpa.cli
+steps = [["import", 0, "scipy.signal" in sys.modules]]
+for name, config in zip(sys.argv[2::2], sys.argv[3::2]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = mcpa.cli.main(["--config", config, "--out", sys.argv[1]])
+    steps.append([name, code, "scipy.signal" in sys.modules])
+print(json.dumps(steps))
+"""
+
+
+def test_scipy_signal_loads_only_for_pulses(tmp_path):
+    ode = write_config(
+        tmp_path / "ode.json",
+        reference_doc(pulse={"g": 155.1, "samples": 1024, "method": "ode"}),
+    )
+    configs = [
+        ("critical", "configs/critical.json"),
+        ("spectrum", "configs/spectrum.json"),
+        ("pulse-fft", "configs/pulse.json"),
+        ("pulse-ode", ode),
+    ]
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+    argv = [sys.executable, "-c", _IMPORT_PROBE, str(tmp_path / "out")]
+    argv += [item for pair in configs for item in pair]
+    proc = subprocess.run(argv, cwd=REPO, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [
+        ["import", 0, False],
+        ["critical", 0, False],
+        ["spectrum", 0, False],
+        ["pulse-fft", 0, True],
+        ["pulse-ode", 0, True],
+    ]
