@@ -35,7 +35,16 @@ from .model import DeviceParams
 
 FORMAT_VERSION = "1"
 CSV_FORMAT_TAG = "mcpa-csv/1"
-COMMANDS = ("critical", "spectrum", "sweep_g", "pulse", "fit")
+# the options each command block accepts, as listed in the README
+OPTIONS = {
+    "critical": ("g",),
+    "spectrum": ("g", "start", "stop", "points", "scale"),
+    "sweep_g": ("start", "stop", "points", "scale"),
+    "pulse": ("g", "method", "samples", "carrier_detuning", "bandwidth_fraction"),
+    "fit": ("kind", "data", "frequency", "add_noise_snr_db"),
+}
+COMMANDS = tuple(OPTIONS)
+DEVICE_KEYS = ("cavity_freq", "mech_freq", "kappa", "eta", "gamma_m", "vacuum_coupling")
 
 _UNIT_SCALE = {"mHz": 1e-3, "Hz": 1.0, "kHz": 1e3, "MHz": 1e6, "GHz": 1e9}
 _FREQ_RE = re.compile(r"^\s*([-+0-9.eE]+)\s*(mHz|Hz|kHz|MHz|GHz)?\s*$")
@@ -69,10 +78,14 @@ class RunConfig:
 
 
 def _build_device(block: Any) -> DeviceParams:
-    if block == "reference" or (isinstance(block, dict) and block.get("preset") == "reference"):
+    if block == "reference" or block == {"preset": "reference"}:
         return model.reference_device()
     if not isinstance(block, dict):
         raise ConfigError("device block must be a mapping or the string 'reference'")
+    unknown = set(block) - set(DEVICE_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown device keys {sorted(unknown)}; a device block is "
+                          f"{{'preset': 'reference'}} alone or keys out of {DEVICE_KEYS}")
     try:
         g0 = block.get("vacuum_coupling")
         return DeviceParams(
@@ -89,12 +102,21 @@ def _build_device(block: Any) -> DeviceParams:
         raise ConfigError(f"bad device block: {exc}") from None
 
 
+def _read_text(path: str) -> str:
+    """The contents of a UTF-8 text file; bytes that do not decode are a
+    ConfigError naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def load_config(path: str, *, out_dir: str | None = None, seed: int | None = None,
                 points: int | None = None) -> RunConfig:
     """Read and validate a JSON run config, applying CLI overrides."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
@@ -117,6 +139,9 @@ def load_config(path: str, *, out_dir: str | None = None, seed: int | None = Non
         options = {}
     if not isinstance(options, dict):
         raise ConfigError(f"{command} block must be a mapping")
+    unknown = set(options) - set(OPTIONS[command])
+    if unknown:
+        raise ConfigError(f"unknown {command} options {sorted(unknown)}; it takes {OPTIONS[command]}")
     unknown = set(doc) - set(COMMANDS) - {"version", "device", "out", "seed"}
     if unknown:
         raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
@@ -151,8 +176,12 @@ def _fmt(value: float) -> str:
     return str(value)
 
 
-def _device_meta(device: DeviceParams) -> dict[str, Any]:
+def _header(cfg: RunConfig, **extras: Any) -> dict[str, Any]:
+    """CSV header entries: the command, the device, `extras`, and the seed
+    when one is set."""
+    device = cfg.device
     meta = {
+        "command": cfg.command,
         "cavity_freq_hz": device.cavity_freq_hz,
         "mech_freq_hz": device.mech_freq_hz,
         "kappa_hz": device.kappa_hz,
@@ -161,7 +190,20 @@ def _device_meta(device: DeviceParams) -> dict[str, Any]:
     }
     if device.vacuum_coupling_hz is not None:
         meta["vacuum_coupling_hz"] = device.vacuum_coupling_hz
+    meta.update(extras)
+    if cfg.seed is not None:
+        meta["seed"] = cfg.seed
     return meta
+
+
+def _print_values(values: dict[str, Any]) -> None:
+    """Print one `key=value` line per entry; a nested mapping prints as
+    `key.sub=value` lines."""
+    for key, value in values.items():
+        if isinstance(value, dict):
+            _print_values({f"{key}.{sub}": v for sub, v in value.items()})
+        else:
+            print(f"{key}={_fmt(value)}")
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -198,22 +240,22 @@ def _read_table(path: str) -> tuple[dict[str, int], np.ndarray]:
     data rows, a row of the wrong length or a non-numeric cell is a
     ConfigError naming the file (and the data row, counted from 1).
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        reader = csv.reader(line for line in fh if not line.startswith("#"))
-        header = next(reader, None)
-        if header is None:
-            raise ConfigError(f"{path} is empty")
-        rows = []
-        for row in reader:
-            if not row:
-                continue
-            where = f"{path} data row {len(rows) + 1}"
-            if len(row) != len(header):
-                raise ConfigError(f"{where} has {len(row)} cells, the header has {len(header)}")
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise ConfigError(f"{where}: {exc}") from None
+    lines = io.StringIO(_read_text(path))
+    reader = csv.reader(line for line in lines if not line.startswith("#"))
+    header = next(reader, None)
+    if header is None:
+        raise ConfigError(f"{path} is empty")
+    rows = []
+    for row in reader:
+        if not row:
+            continue
+        where = f"{path} data row {len(rows) + 1}"
+        if len(row) != len(header):
+            raise ConfigError(f"{where} has {len(row)} cells, the header has {len(header)}")
+        try:
+            rows.append([float(v) for v in row])
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
     if not rows:
         raise ConfigError(f"{path} has a header but no data rows")
     return {name.strip(): i for i, name in enumerate(header)}, np.array(rows)
@@ -297,97 +339,50 @@ def cmd_critical(cfg: RunConfig) -> int:
         lines["t_z_power_db"] = 20.0 * math.log10(abs(tz)) if tz != 0.0 else -math.inf
         lines["regime"] = result.regime.value
         lines["at_boundary"] = result.at_boundary
-    for key, value in lines.items():
-        print(f"{key}={_fmt(value) if isinstance(value, float) else value}")
+    _print_values(lines)
     return 0
-
-
-def _spectrum_rows(spec_obj: spectra.Spectrum) -> np.ndarray:
-    delay = spec_obj.delay_s
-    if delay is None:
-        delay = np.full(len(spec_obj), np.nan)
-    return np.column_stack([
-        spec_obj.x_hz,
-        spec_obj.t.real,
-        spec_obj.t.imag,
-        spec_obj.amplitude_db,
-        spec_obj.phase_rad,
-        delay,
-    ])
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
     device = cfg.device
     g = _coupling_from(cfg.options)
     n = _count(cfg, "points", 2001)
-    scale = _grid_scale(cfg.options.get("scale", "linear"))
+    scale = cfg.options.get("scale", "linear")
     if "start" in cfg.options or "stop" in cfg.options:
         if not ("start" in cfg.options and "stop" in cfg.options):
             raise ConfigError("give both start and stop, or neither")
-        sweep = spectra.SweepSpec(
-            axis=spectra.SweepAxis.DETUNING,
-            start_hz=parse_frequency(cfg.options["start"]),
-            stop_hz=parse_frequency(cfg.options["stop"]),
-            n_points=n,
-            scale=scale,
-        )
-    elif scale is spectra.GridScale.LOG:
+        x = spectra.grid(parse_frequency(cfg.options["start"]),
+                         parse_frequency(cfg.options["stop"]), n, scale)
+    elif scale != "linear":
         raise ConfigError(
-            "scale 'log' needs start and stop: the default span is centred on zero detuning"
+            f"scale {scale!r} needs start and stop: the default span is linear and "
+            "centred on zero detuning"
         )
     else:
-        sweep = spectra.detuning_span(device, g, n_points=n)
-    result = spectra.numeric_group_delay(spectra.sweep_detuning(device, g, sweep))
-    meta = {"command": "spectrum", **_device_meta(device), "g_hz": g,
-            "n_points": n, "scale": sweep.scale.value}
-    if cfg.seed is not None:
-        meta["seed"] = cfg.seed
+        x = spectra.detuning_span(device, g, n_points=n)
+    result = spectra.sweep_detuning(device, g, x)
+    rows = np.column_stack([result.x_hz, result.t.real, result.t.imag,
+                            result.amplitude_db, result.phase_rad, result.delay_s])
     path = os.path.join(cfg.out_dir, "spectrum.csv")
-    write_csv(path, meta, ["detuning_hz", "re", "im", "amp_db", "phase_rad", "delay_s"],
-              _spectrum_rows(result))
+    write_csv(path, _header(cfg, g_hz=g, n_points=n, scale=scale),
+              ["detuning_hz", "re", "im", "amp_db", "phase_rad", "delay_s"], rows)
     print(f"wrote {path} ({len(result)} rows)")
     return 0
-
-
-def _grid_scale(name: str) -> spectra.GridScale:
-    try:
-        return spectra.GridScale(name)
-    except ValueError:
-        raise ConfigError(f"scale must be 'linear' or 'log', got {name!r}") from None
 
 
 def cmd_sweep_g(cfg: RunConfig) -> int:
-    device = cfg.device
     n = _count(cfg, "points", 2000)
-    sweep = spectra.SweepSpec(
-        axis=spectra.SweepAxis.COUPLING,
-        start_hz=parse_frequency(cfg.options.get("start", 5.0)),
-        stop_hz=parse_frequency(cfg.options.get("stop", 60.0)),
-        n_points=n,
-        scale=_grid_scale(cfg.options.get("scale", "log")),
-    )
-    result = spectra.sweep_coupling_resonance(device, sweep)
-    rows = np.column_stack([
-        result.x_hz,
-        result.t.real,
-        result.amplitude_db,
-        result.phase_rad,
-        result.delay_s,
-    ])
-    meta = {"command": "sweep_g", **_device_meta(device),
-            "n_points": n, "scale": sweep.scale.value}
-    if cfg.seed is not None:
-        meta["seed"] = cfg.seed
+    scale = cfg.options.get("scale", "log")
+    g = spectra.grid(parse_frequency(cfg.options.get("start", 5.0)),
+                     parse_frequency(cfg.options.get("stop", 60.0)), n, scale)
+    result = spectra.sweep_coupling_resonance(cfg.device, g)
+    rows = np.column_stack([result.x_hz, result.t.real, result.amplitude_db,
+                            result.phase_rad, result.delay_s])
     path = os.path.join(cfg.out_dir, "sweep_g.csv")
-    write_csv(path, meta, ["g_hz", "t_z", "amp_db", "phase_rad", "delay_s"], rows)
+    write_csv(path, _header(cfg, n_points=n, scale=scale),
+              ["g_hz", "t_z", "amp_db", "phase_rad", "delay_s"], rows)
     print(f"wrote {path} ({len(result)} rows)")
     return 0
-
-
-def _waveform_rows(w: pulses.PulseWaveform) -> np.ndarray:
-    return np.column_stack([
-        w.times_s, w.samples.real, w.samples.imag, np.abs(w.samples),
-    ])
 
 
 def cmd_pulse(cfg: RunConfig) -> int:
@@ -402,23 +397,21 @@ def cmd_pulse(cfg: RunConfig) -> int:
     )
     pulse, out, ref = pulses._route_waveforms(device, g, pulse_cfg, method)
     tau = pulses.center_time(out) - pulses.center_time(ref)
-    meta = {"command": "pulse", **_device_meta(device), "g_hz": g,
-            "carrier_detuning_hz": carrier, "method": method,
-            "sigma_t_s": pulse_cfg.sigma_t_s, "dt_s": pulse_cfg.dt_s}
-    if cfg.seed is not None:
-        meta["seed"] = cfg.seed
+    meta = _header(cfg, g_hz=g, carrier_detuning_hz=carrier, method=method,
+                   sigma_t_s=pulse_cfg.sigma_t_s, dt_s=pulse_cfg.dt_s)
     columns = ["time_s", "re", "im", "abs"]
     for name, w in (("pulse_input", pulse), ("pulse_output", out), ("pulse_reference", ref)):
-        write_csv(os.path.join(cfg.out_dir, f"{name}.csv"), meta, columns, _waveform_rows(w))
-    print(f"extracted_delay_s={_fmt(tau)}")
+        rows = np.column_stack([w.times_s, w.samples.real, w.samples.imag, np.abs(w.samples)])
+        write_csv(os.path.join(cfg.out_dir, f"{name}.csv"), meta, columns, rows)
+    values = {"extracted_delay_s": tau}
     try:
-        analytic = model.group_delay(device, g, carrier)
-        print(f"analytic_delay_s={_fmt(analytic)}")
+        values["analytic_delay_s"] = model.group_delay(device, g, carrier)
     except McpaError:
-        print("analytic_delay_s=nan")
-    print(f"regime={model.classify_regime(device, g).regime.value}")
+        values["analytic_delay_s"] = math.nan
+    values["regime"] = model.classify_regime(device, g).regime.value
     if out.warnings:
-        print(f"warnings={','.join(out.warnings)}")
+        values["warnings"] = ",".join(out.warnings)
+    _print_values(values)
     print(f"wrote {cfg.out_dir}/pulse_input.csv, pulse_output.csv, pulse_reference.csv")
     return 0
 
@@ -483,12 +476,7 @@ def cmd_fit(cfg: RunConfig) -> int:
             report["alternate_residual_rms"] = fit.alternate.residual_rms
     report_text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     _atomic_write(os.path.join(cfg.out_dir, "fit_report.json"), report_text)
-    for key, value in report.items():
-        if isinstance(value, dict):
-            for sub, v in value.items():
-                print(f"{key}.{sub}={_fmt(v) if isinstance(v, float) else v}")
-        else:
-            print(f"{key}={_fmt(value) if isinstance(value, float) else value}")
+    _print_values(report)
     return 0
 
 

@@ -1,16 +1,16 @@
 """Sweep engine: transmission spectra versus detuning or coupling rate.
 
-Produces immutable :class:`Spectrum` objects carrying the complex response
-together with derived amplitude, phase, and delay channels. Model-level
-singularities (transmission zeros) are flagged per point, never dropped, so
-downstream consumers always see uniform grids.
+Sweeps take a plain grid array (build one with :func:`grid` or
+:func:`detuning_span`) and return an immutable :class:`Spectrum` carrying
+the complex response together with derived amplitude, phase, and delay
+channels. Model-level singularities (transmission zeros) are flagged per
+point, never dropped, so downstream consumers always see uniform grids.
 """
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -22,78 +22,34 @@ from .model import DeviceParams
 TWO_PI = model.TWO_PI
 
 
-class SweepAxis(enum.Enum):
-    DETUNING = "detuning"
-    COUPLING = "coupling"
-
-
-class GridScale(enum.Enum):
-    LINEAR = "linear"
-    LOG = "log"
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """Grid description for one sweep.
-
-    Parameters
-    ----------
-    axis : SweepAxis
-        Which quantity varies along the grid.
-    start_hz, stop_hz : float
-        (Hz) inclusive grid endpoints, start < stop.
-    n_points : int
-        Number of samples, >= 2.
-    scale : GridScale
-        Linear or logarithmic spacing; log requires start > 0.
-    fixed_g_hz : float, optional
-        (Hz) coupling held fixed during a detuning sweep (metadata).
-    fixed_detuning_hz : float, optional
-        (Hz) detuning held fixed during a coupling sweep; resonance sweeps
-        use 0.
-    """
-
-    axis: SweepAxis
-    start_hz: float
-    stop_hz: float
-    n_points: int
-    scale: GridScale = GridScale.LINEAR
-    fixed_g_hz: float | None = None
-    fixed_detuning_hz: float | None = None
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.start_hz) and math.isfinite(self.stop_hz)):
-            raise ParameterError("sweep endpoints must be finite")
-        if not self.start_hz < self.stop_hz:
-            raise ParameterError(
-                f"sweep needs start < stop, got [{self.start_hz}, {self.stop_hz}]"
-            )
-        if self.n_points < 2:
-            raise ParameterError(f"sweep needs at least 2 points, got {self.n_points}")
-        if self.scale is GridScale.LOG and self.start_hz <= 0.0:
+def grid(start_hz: float, stop_hz: float, n_points: int,
+         scale: str = "linear") -> NDArray[np.floating]:
+    """`n_points` (>= 2) samples from `start_hz` to `stop_hz` (Hz, finite,
+    start < stop, both included), spaced "linear" or "log" (start > 0)."""
+    if scale not in ("linear", "log"):
+        raise ParameterError(f"scale must be 'linear' or 'log', got {scale!r}")
+    if not (math.isfinite(start_hz) and math.isfinite(stop_hz)):
+        raise ParameterError("sweep endpoints must be finite")
+    if not start_hz < stop_hz:
+        raise ParameterError(f"sweep needs start < stop, got [{start_hz}, {stop_hz}]")
+    if n_points < 2:
+        raise ParameterError(f"sweep needs at least 2 points, got {n_points}")
+    if scale == "log":
+        if start_hz <= 0.0:
             raise ParameterError("log-scaled sweep requires start > 0")
-
-    def grid(self) -> NDArray[np.floating]:
-        if self.scale is GridScale.LOG:
-            return np.geomspace(self.start_hz, self.stop_hz, self.n_points)
-        return np.linspace(self.start_hz, self.stop_hz, self.n_points)
+        return np.geomspace(start_hz, stop_hz, n_points)
+    return np.linspace(start_hz, stop_hz, n_points)
 
 
 def detuning_span(params: DeviceParams, coupling: float, n_points: int = 2001,
-                  widths: float = 5.0) -> SweepSpec:
-    """Symmetric detuning sweep covering the mechanically induced feature.
+                  widths: float = 5.0) -> NDArray[np.floating]:
+    """Symmetric linear detuning grid covering the mechanically induced feature.
 
     The window spans +/- `widths` effective window widths, which captures
     the full feature without resolving the (much wider) cavity line.
     """
     w = model.effective_window_hz(params, coupling)
-    return SweepSpec(
-        axis=SweepAxis.DETUNING,
-        start_hz=-widths * w,
-        stop_hz=widths * w,
-        n_points=n_points,
-        fixed_g_hz=float(coupling),
-    )
+    return grid(-widths * w, widths * w, n_points)
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,7 +59,8 @@ class Spectrum:
     Attributes
     ----------
     x_hz : ndarray
-        (Hz) grid (detuning or coupling rate, see axis).
+        (Hz) grid: detuning for a detuning sweep, coupling rate for a
+        resonance sweep.
     t : ndarray of complex
         () transmission; real-valued content for resonance sweeps.
     amplitude_db : ndarray
@@ -111,28 +68,35 @@ class Spectrum:
     phase_rad : ndarray
         (rad) phase on (-pi, pi], real-negative mapped to +pi; NaN at
         singular points of a resonance sweep.
-    delay_s : ndarray or None
-        (s) group delay channel; filled analytically for resonance sweeps,
-        by :func:`numeric_group_delay` for detuning sweeps.
+    delay_s : ndarray
+        (s) group delay: analytic for resonance sweeps, from
+        :func:`numeric_group_delay` for detuning sweeps.
     singular : ndarray of bool
         Per-point flag marking transmission zeros.
-    axis : SweepAxis
-    device : DeviceParams
-    spec : SweepSpec
     """
 
     x_hz: NDArray[np.floating]
     t: NDArray[np.complexfloating]
     amplitude_db: NDArray[np.floating]
     phase_rad: NDArray[np.floating]
-    delay_s: NDArray[np.floating] | None
+    delay_s: NDArray[np.floating]
     singular: NDArray[np.bool_]
-    axis: SweepAxis
-    device: DeviceParams
-    spec: SweepSpec
 
     def __len__(self) -> int:
         return len(self.x_hz)
+
+
+def _checked_grid(x_hz, what: str, min_points: int) -> NDArray[np.floating]:
+    """`x_hz` as a float array, after checking it is a 1-d, finite, strictly
+    ascending grid of at least `min_points` points."""
+    x = np.asarray(x_hz, dtype=float)
+    if x.ndim != 1 or len(x) < min_points:
+        raise ParameterError(f"need a 1-d {what} grid with at least {min_points} points")
+    if not np.all(np.isfinite(x)):
+        raise ParameterError(f"{what} grid must be finite")
+    if np.any(np.diff(x) <= 0.0):
+        raise ParameterError(f"{what} grid must be strictly ascending")
+    return x
 
 
 def _amplitude_db(t_abs: NDArray[np.floating]) -> NDArray[np.floating]:
@@ -149,93 +113,52 @@ def _phase_with_branch(t: NDArray[np.complexfloating]) -> NDArray[np.floating]:
     return np.where(real_negative, math.pi, phase)
 
 
-def sweep_detuning(
-    params: DeviceParams, coupling: float, spec: SweepSpec
-) -> Spectrum:
+def sweep_detuning(params: DeviceParams, coupling: float,
+                   detuning_hz: NDArray[np.floating]) -> Spectrum:
     """Evaluate the transmission across a detuning grid at fixed coupling.
 
     Parameters
     ----------
     params : DeviceParams
     coupling : float
-        (Hz) field-enhanced coupling rate; recorded in the returned
-        spectrum's spec as fixed_g_hz.
-    spec : SweepSpec
-        Must have axis DETUNING. If spec.fixed_g_hz is set it must agree
-        with `coupling`.
+        (Hz) field-enhanced coupling rate.
+    detuning_hz : array_like
+        (Hz) 1-d, finite, strictly ascending grid of at least 3 points.
 
     Returns
     -------
     Spectrum
-        delay_s is None; run :func:`numeric_group_delay` to fill it.
+        delay_s comes from :func:`numeric_group_delay` on the sampled phase.
     """
-    if spec.axis is not SweepAxis.DETUNING:
-        raise ParameterError(f"sweep_detuning needs a DETUNING spec, got {spec.axis}")
     g = model._g_hz(coupling)
-    if spec.fixed_g_hz is not None and not math.isclose(spec.fixed_g_hz, g, rel_tol=1e-12):
-        raise ParameterError(
-            f"spec.fixed_g_hz = {spec.fixed_g_hz} disagrees with coupling = {g}"
-        )
-    x = spec.grid()
+    x = _checked_grid(detuning_hz, "detuning", 3)
     t = model.transmission_curve(params, g, x)
     t_abs = np.abs(t)
     singular = t_abs < model.DEGENERACY_TOL
+    phase = _phase_with_branch(t)
     return Spectrum(
         x_hz=x,
         t=t,
         amplitude_db=_amplitude_db(t_abs),
-        phase_rad=_phase_with_branch(t),
-        delay_s=None,
+        phase_rad=phase,
+        delay_s=numeric_group_delay(x, phase, singular),
         singular=singular,
-        axis=SweepAxis.DETUNING,
-        device=params,
-        spec=replace(spec, fixed_g_hz=g),
     )
 
 
-def sweep_coupling_resonance(params: DeviceParams, spec: SweepSpec) -> Spectrum:
+def sweep_coupling_resonance(params: DeviceParams, g_hz: NDArray[np.floating]) -> Spectrum:
     """Resonant response across a coupling grid: t_z, phase, and delay at
     zero detuning.
 
-    At zero detuning the closed-form transmission is an exact real number,
-    so the phase channel is exactly pi below the critical coupling and
-    exactly 0 above it. Grid points whose transmission is degenerate with zero are
-    flagged singular and carry NaN phase and delay.
+    The grid must be 1-d, finite, non-negative and strictly ascending, with
+    at least 2 points. At zero detuning the closed-form transmission is an
+    exact real number, so the phase channel is exactly pi below the critical
+    coupling and exactly 0 above it. Grid points whose transmission is
+    degenerate with zero are flagged singular and carry NaN phase and delay.
     """
-    if spec.axis is not SweepAxis.COUPLING:
-        raise ParameterError(f"sweep_coupling_resonance needs a COUPLING spec, got {spec.axis}")
-    if spec.start_hz < 0.0:
+    g = _checked_grid(g_hz, "coupling", 2)
+    if g[0] < 0.0:
         raise ParameterError("coupling grid must be non-negative")
-    g = spec.grid()
-    return _resonance_spectrum(params, g, spec)
-
-
-def resonance_spectrum(params: DeviceParams, g_hz: NDArray[np.floating]) -> Spectrum:
-    """Resonance sweep over an explicit (already built) coupling grid.
-
-    The grid must be strictly ascending, finite, and non-negative; the grid
-    stored in the result is the one passed in, not a regenerated one.
-    """
-    g = np.asarray(g_hz, dtype=float)
-    if g.ndim != 1 or len(g) < 2:
-        raise ParameterError("need a 1-d grid with at least 2 coupling points")
-    if np.any(g < 0.0) or not np.all(np.isfinite(g)):
-        raise ParameterError("coupling grid must be finite and non-negative")
-    if np.any(np.diff(g) <= 0.0):
-        raise ParameterError("coupling grid must be strictly ascending")
-    spec = SweepSpec(
-        axis=SweepAxis.COUPLING,
-        start_hz=float(g[0]),
-        stop_hz=float(g[-1]),
-        n_points=len(g),
-        fixed_detuning_hz=0.0,
-    )
-    return _resonance_spectrum(params, g, spec)
-
-
-def _resonance_spectrum(
-    params: DeviceParams, g: NDArray[np.floating], spec: SweepSpec
-) -> Spectrum:
     t, delay = model._response(params.kappa_hz, params.eta, params.gamma_m_hz, g, 0.0, delay=True)
     tz = t.real
     singular = np.abs(tz) < model.DEGENERACY_TOL
@@ -248,46 +171,21 @@ def _resonance_spectrum(
         phase_rad=phase,
         delay_s=delay,
         singular=singular,
-        axis=SweepAxis.COUPLING,
-        device=params,
-        spec=replace(spec, fixed_detuning_hz=0.0),
     )
 
 
-def unwrap_phase(phase_rad: NDArray[np.floating]) -> NDArray[np.floating]:
-    """Remove 2*pi jumps from a sampled phase sequence.
-
-    Output differs from the input by an integer multiple of 2*pi at every
-    point and adjacent differences stay within (-pi, pi].
-    """
-    phase = np.asarray(phase_rad, dtype=float)
-    if phase.ndim != 1:
-        raise ParameterError("unwrap_phase expects a 1-d sequence")
-    return np.unwrap(phase)
-
-
-def numeric_group_delay(spectrum: Spectrum) -> Spectrum:
-    """Fill a detuning spectrum's delay channel from its sampled phase.
+def numeric_group_delay(x_hz: NDArray[np.floating], phase_rad: NDArray[np.floating],
+                        singular: NDArray[np.bool_]) -> NDArray[np.floating]:
+    """Group delay from a phase sampled on a detuning grid of >= 3 points.
 
     tau = -(1/2pi) * d(phase)/d(detuning), with the phase unwrapped first.
     Interior points use second-order central differences; the endpoints use
     second-order one-sided stencils. Singular points and their immediate
     neighbours get NaN delay.
-
-    Raises
-    ------
-    ParameterError
-        If the spectrum is not a detuning sweep or has fewer than 3 points.
     """
-    if spectrum.axis is not SweepAxis.DETUNING:
-        raise ParameterError("numeric delay is defined for detuning sweeps")
-    if len(spectrum) < 3:
-        raise ParameterError(f"need at least 3 points, got {len(spectrum)}")
-    phase = unwrap_phase(spectrum.phase_rad)
-    dphi = np.gradient(phase, spectrum.x_hz, edge_order=2)
+    x = _checked_grid(x_hz, "detuning", 3)
+    dphi = np.gradient(np.unwrap(phase_rad), x, edge_order=2)
     delay = -dphi / TWO_PI
-    if spectrum.singular.any():
-        bad = np.flatnonzero(spectrum.singular)
-        for i in bad:
-            delay[max(0, i - 1): i + 2] = np.nan
-    return replace(spectrum, delay_s=delay)
+    for i in np.flatnonzero(singular):
+        delay[max(0, i - 1): i + 2] = np.nan
+    return delay

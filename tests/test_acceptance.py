@@ -67,7 +67,7 @@ def test_critical_and_boundary_couplings():
 
 def test_phase_jump_across_critical():
     grid = np.geomspace(5.0, 60.0, 2000)
-    spec = spectra.resonance_spectrum(DEVICE, grid)
+    spec = spectra.sweep_coupling_resonance(DEVICE, grid)
     below = grid < GC_HZ
     above = grid > GC_HZ
     problems = []
@@ -216,7 +216,7 @@ def test_calibration_roundtrip_and_noise():
         problems.append(f"bare eta {bare.params['eta']:.8f}")
 
     g_true = 17.24
-    span = spectra.detuning_span(DEVICE, g_true, n_points=401).grid()
+    span = spectra.detuning_span(DEVICE, g_true, n_points=401)
     mech = calibrate.fit_mechanical_window(
         calibrate.MeasuredSpectrum.from_complex(
             span, model.transmission_curve(DEVICE, g_true, span), absolute_frequency=False
@@ -237,7 +237,7 @@ def test_calibration_roundtrip_and_noise():
 
     # Monte Carlo bias at 30 dB signal-to-noise, complex readout
     g_mc = 23.93
-    span_mc = spectra.detuning_span(DEVICE, g_mc, n_points=401).grid()
+    span_mc = spectra.detuning_span(DEVICE, g_mc, n_points=401)
     clean = model.transmission_curve(DEVICE, g_mc, span_mc)
     level = 10.0 ** (-30.0 / 20.0) / np.sqrt(2.0)
     gs, gammas = [], []

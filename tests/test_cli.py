@@ -109,6 +109,17 @@ def test_load_config_preset_and_overrides(tmp_path):
         reference_doc(fit={"kind": "bare", "data": "x.csv", "add_noise_snr_db": 30}, seed=1.5),
         reference_doc(fit={"kind": "bare", "data": "x.csv", "add_noise_snr_db": 30}, seed=-3),
         reference_doc(critical={}, out=5),
+        # option and device keys outside the documented lists
+        reference_doc(spectrum={"g": "23.93 Hz", "point": 11, "scal": "log"}),
+        reference_doc(critical={"G": 17.66}),
+        reference_doc(sweep_g={"pionts": 10}),
+        reference_doc(pulse={"g": 155.1, "sample": 1024}),
+        reference_doc(fit={"kind": "bare", "data": "x.csv", "snr_db": 30}),
+        {"version": "1", "device": {"preset": "reference", "eta": 0.7}, "critical": {}},
+        {"version": "1", "device": {"preset": "custom"}, "critical": {}},
+        {"version": "1", "critical": {}, "device": {
+            "cavity_freq": "5.318 GHz", "mech_freq": "755.5 kHz", "kappa": "420 kHz",
+            "eta": 0.651, "gamma_m": "9.7 mHz", "gamma": "9.7 mHz"}},
     ],
 )
 def test_load_config_rejects(tmp_path, doc):
@@ -451,6 +462,29 @@ def test_fit_malformed_csv_is_config_error(tmp_path, capsys, kind, data, where):
 
 
 @pytest.mark.parametrize(
+    "kind,data",
+    [
+        (None, None),
+        ("critical_sweep", b"g_hz,t_z\n5.0,0.5\n6.0,0.4\xff\n"),
+        ("bare", b"detuning_hz,re,im\n\xff1,0.5,0\n2,0.5,0\n"),
+    ],
+    ids=["config", "sweep-csv", "measured-csv"],
+)
+def test_non_utf8_input_is_config_error(tmp_path, capsys, kind, data):
+    if kind is None:
+        bad = tmp_path / "c.json"
+        bad.write_bytes(b'{"version": "1", "device": "reference", "critical": {}}\xff')
+        path = str(bad)
+    else:
+        bad = tmp_path / "data.csv"
+        bad.write_bytes(data)
+        path = write_config(tmp_path / "c.json", reference_doc(fit={"kind": kind, "data": str(bad)}))
+    assert cli.main(["--config", path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and str(bad) in err
+
+
+@pytest.mark.parametrize(
     "command,value",
     [
         ({"spectrum": {"g": 23.93, "points": "many"}}, "'many'"),
@@ -511,6 +545,7 @@ def test_scipy_signal_loads_only_for_pulses(tmp_path):
     configs = [
         ("critical", "configs/critical.json"),
         ("spectrum", "configs/spectrum.json"),
+        ("sweep_g", "configs/sweep_g.json"),
         ("pulse-fft", "configs/pulse.json"),
         ("pulse-ode", ode),
     ]
@@ -523,6 +558,7 @@ def test_scipy_signal_loads_only_for_pulses(tmp_path):
         ["import", 0, False],
         ["critical", 0, False],
         ["spectrum", 0, False],
+        ["sweep_g", 0, False],
         ["pulse-fft", 0, True],
         ["pulse-ode", 0, True],
     ]
