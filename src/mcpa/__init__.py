@@ -11,17 +11,14 @@ from .errors import (
     BracketingError,
     ConfigError,
     ConvergenceError,
-    DelaySingularityError,
     DipNotFoundError,
     FitError,
     McpaError,
     NoCriticalCouplingError,
     ParameterError,
     PulseEstimationError,
-    UndefinedPhaseError,
 )
 from .model import (
-    ComplexResponse,
     DeviceParams,
     Regime,
     RegimeResult,
@@ -30,16 +27,9 @@ from .model import (
     critical_coupling,
     effective_window_hz,
     enhanced_coupling,
-    group_delay,
     group_delay_curve,
-    phase_at_resonance,
     principal_phase,
     reference_device,
-    resonance_curve,
-    resonance_delay_curve,
-    resonance_group_delay,
-    transmission,
-    transmission_at_resonance,
     transmission_curve,
 )
 from .spectra import (
@@ -76,10 +66,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BracketingError",
     "CenterTimeEstimate",
-    "ComplexResponse",
     "ConfigError",
     "ConvergenceError",
-    "DelaySingularityError",
     "DeviceParams",
     "DipNotFoundError",
     "FitError",
@@ -94,7 +82,6 @@ __all__ = [
     "Regime",
     "RegimeResult",
     "Spectrum",
-    "UndefinedPhaseError",
     "boundary_coupling",
     "center_time",
     "center_time_estimates",
@@ -109,22 +96,15 @@ __all__ = [
     "fit_bare_cavity",
     "fit_mechanical_window",
     "gaussian_pulse",
-    "group_delay",
     "group_delay_curve",
     "infer_critical_from_sweep",
     "integrate_langevin",
     "numeric_group_delay",
-    "phase_at_resonance",
     "principal_phase",
     "propagate",
     "reference_device",
-    "resonance_curve",
-    "resonance_delay_curve",
-    "resonance_group_delay",
     "sweep_coupling_resonance",
     "sweep_detuning",
-    "transmission",
-    "transmission_at_resonance",
     "transmission_curve",
     "waveform_rms_sigma",
 ]

@@ -150,8 +150,7 @@ def _fd_jacobian(residual, x, r0, scale):
     return jac
 
 
-def _levenberg_marquardt(residual, x0, scale, *, max_iter=MAX_ITERATIONS,
-                         grad_rtol=GRADIENT_RTOL):
+def _levenberg_marquardt(residual, x0, scale):
     """Damped least squares with acceptance-gated steps.
 
     Returns (x, cov, history, n_iter, converged); `history` is the rms
@@ -168,9 +167,9 @@ def _levenberg_marquardt(residual, x0, scale, *, max_iter=MAX_ITERATIONS,
     grad0 = float(np.max(np.abs(jac.T @ r))) or 1.0
     converged = False
     n_iter = 0
-    for n_iter in range(1, max_iter + 1):
+    for n_iter in range(1, MAX_ITERATIONS + 1):
         grad = jac.T @ r
-        if float(np.max(np.abs(grad))) <= grad_rtol * grad0:
+        if float(np.max(np.abs(grad))) <= GRADIENT_RTOL * grad0:
             converged = True
             break
         normal = jac.T @ jac

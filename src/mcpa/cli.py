@@ -332,7 +332,7 @@ def cmd_critical(cfg: RunConfig) -> int:
     }
     if "g" in cfg.options:
         g = _coupling_from(cfg.options)
-        tz = model.transmission_at_resonance(device, g)
+        tz = float(model.transmission_curve(device, g, 0.0).real)
         result = model.classify_regime(device, g)
         lines["g_hz"] = g
         lines["t_z"] = tz
@@ -395,6 +395,8 @@ def cmd_pulse(cfg: RunConfig) -> int:
     pulse_cfg = pulses.delay_pulse_config(
         device, g, carrier_detuning_hz=carrier, bandwidth_fraction=fraction, n_samples=n
     )
+    # before any file is written: a device with no critical coupling fails here
+    regime = model.classify_regime(device, g).regime.value
     pulse, out, ref = pulses._route_waveforms(device, g, pulse_cfg, method)
     tau = pulses.center_time(out) - pulses.center_time(ref)
     meta = _header(cfg, g_hz=g, carrier_detuning_hz=carrier, method=method,
@@ -403,12 +405,11 @@ def cmd_pulse(cfg: RunConfig) -> int:
     for name, w in (("pulse_input", pulse), ("pulse_output", out), ("pulse_reference", ref)):
         rows = np.column_stack([w.times_s, w.samples.real, w.samples.imag, np.abs(w.samples)])
         write_csv(os.path.join(cfg.out_dir, f"{name}.csv"), meta, columns, rows)
-    values = {"extracted_delay_s": tau}
-    try:
-        values["analytic_delay_s"] = model.group_delay(device, g, carrier)
-    except McpaError:
-        values["analytic_delay_s"] = math.nan
-    values["regime"] = model.classify_regime(device, g).regime.value
+    values = {
+        "extracted_delay_s": tau,
+        "analytic_delay_s": float(model.group_delay_curve(device, g, carrier)),
+        "regime": regime,
+    }
     if out.warnings:
         values["warnings"] = ",".join(out.warnings)
     _print_values(values)

@@ -14,16 +14,6 @@ class NoCriticalCouplingError(McpaError):
     resonant transmission exists at any coupling strength."""
 
 
-class UndefinedPhaseError(McpaError):
-    """The resonant transmission is degenerate with zero, so its phase
-    carries no information."""
-
-
-class DelaySingularityError(McpaError):
-    """Group delay was requested at a zero of the transmission, where the
-    phase derivative diverges."""
-
-
 class PulseEstimationError(McpaError):
     """A pulse arrival-time estimate is not meaningful for this waveform
     (multiple lobes, vanishing energy, or similar)."""

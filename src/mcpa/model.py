@@ -12,16 +12,22 @@ coupling strengths that organize the physics:
 * the boundary coupling, where the resonant transmission climbs back up to
   the bare-cavity level and the window turns into transparency.
 
-Every public evaluation goes through one kernel, :func:`_response`, which
-writes the transmission as a ratio of two factored polynomials in the
-detuning Delta. With D1 = i*Delta + gamma_m/2 and D2 = i*Delta + kappa/2,
+There are two public evaluations, :func:`transmission_curve` (t) and
+:func:`group_delay_curve` (tau), and one phase rule, :func:`principal_phase`.
+Both evaluations take a coupling and a detuning that may each be a scalar
+or an array and broadcast against each other, so a spectrum at fixed
+coupling and a resonance curve across couplings are the same call. Both go
+through one kernel, :func:`_response`, which writes the transmission as a
+ratio of two factored polynomials in the detuning Delta. With
+D1 = i*Delta + gamma_m/2 and D2 = i*Delta + kappa/2,
 
     t = N / den,    N = D1*(D2 - eta*kappa) + G^2,    den = D1*D2 + G^2,
 
 and the group delay is tau = -d(arg t)/d(2*pi*Delta). At zero detuning D1
 and D2 are real, so N reduces to G^2 - (eta - 1/2)*kappa*gamma_m/2 without
 any complex arithmetic: the resonant transmission is an exact real number,
-its phase is exactly 0 or pi, and near the critical coupling the only
+its phase is exactly 0 or pi (:func:`principal_phase` puts real-negative t
+at +pi, never -pi), and near the critical coupling the only
 cancellation left is the one in G^2 - G_c^2 that the problem itself has.
 
 Unit convention: every frequency or rate stored in :class:`DeviceParams`,
@@ -40,12 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import (
-    DelaySingularityError,
-    NoCriticalCouplingError,
-    ParameterError,
-    UndefinedPhaseError,
-)
+from .errors import NoCriticalCouplingError, ParameterError
 
 TWO_PI = 2.0 * math.pi
 
@@ -104,12 +105,13 @@ class DeviceParams:
             raise ParameterError(f"eta must lie strictly inside (0, 1), got {self.eta!r}")
 
 
-def _g_hz(coupling: float) -> float:
-    """Validate a coupling rate in Hz: finite and non-negative."""
-    g = float(coupling)
-    if not (math.isfinite(g) and g >= 0.0):
+def _g_hz(coupling):
+    """Validate coupling rates in Hz: every element finite and non-negative.
+    A scalar comes back as a float, an array as a float array."""
+    g = np.asarray(coupling, dtype=float)
+    if not np.all(np.isfinite(g) & (g >= 0.0)):
         raise ParameterError(f"coupling rate must be finite and >= 0, got {coupling!r}")
-    return g
+    return float(g) if g.ndim == 0 else g
 
 
 def reference_device() -> DeviceParams:
@@ -192,136 +194,46 @@ def _response(kappa_hz, eta, gamma_m_hz, g_hz, detuning_hz, offset_hz=0.0, *, de
 
 
 # ---------------------------------------------------------------------------
-# transmission
+# the two public evaluations and the phase rule
 # ---------------------------------------------------------------------------
 
 def transmission_curve(
     params: DeviceParams,
-    coupling: float,
+    coupling: NDArray[np.floating] | float,
     detuning_hz: NDArray[np.floating] | float,
 ) -> NDArray[np.complexfloating]:
-    """Probe transmission coefficient on a detuning grid.
+    """Probe transmission coefficient t(Delta; G).
 
     Parameters
     ----------
     params : DeviceParams
         Device under test.
-    coupling : float
-        (Hz) field-enhanced coupling rate.
+    coupling : array_like
+        (Hz) field-enhanced coupling rate(s), each finite and >= 0.
     detuning_hz : array_like
         (Hz) probe detuning(s) Delta = omega_c - Omega_probe from the cavity
-        resonance.
+        resonance; broadcasts against `coupling`.
 
     Returns
     -------
     ndarray of complex
-        Transmission coefficient at each detuning.
+        Transmission coefficient at each point. At zero detuning it is an
+        exact real number, negative below the critical coupling.
     """
     return _response(params.kappa_hz, params.eta, params.gamma_m_hz, _g_hz(coupling), detuning_hz)
 
 
-def principal_phase(t: complex) -> float:
+def principal_phase(t: NDArray[np.complexfloating] | complex) -> NDArray[np.floating]:
     """Phase of t on the branch (-pi, pi], with real-negative t at exactly +pi.
 
-    The +pi choice keeps the two sides of the absorption dip cleanly
-    separated: below the critical coupling the resonant transmission is a
-    negative real number and always reports pi, never -pi.
+    Elementwise over an array. The +pi choice keeps the two sides of the
+    absorption dip cleanly separated: below the critical coupling the
+    resonant transmission is a negative real number and always reports pi,
+    never -pi.
     """
-    if t.imag == 0.0:
-        return math.pi if t.real < 0.0 else 0.0
-    return math.atan2(t.imag, t.real)
-
-
-@dataclass(frozen=True)
-class ComplexResponse:
-    """One evaluated transmission point.
-
-    Attributes
-    ----------
-    t : complex
-        () transmission coefficient.
-    amplitude_db : float
-        (dB) power transmission 20*log10(|t|); -inf at a true zero.
-    phase_rad : float
-        (rad) phase on (-pi, pi], real-negative t mapped to +pi.
-    delay_s : float or None
-        (s) analytic group delay, if it was evaluated; NaN marks a
-        singular point.
-    """
-
-    t: complex
-    amplitude_db: float
-    phase_rad: float
-    delay_s: float | None = None
-
-    @classmethod
-    def from_t(cls, t: complex, delay_s: float | None = None) -> "ComplexResponse":
-        mag = abs(t)
-        amp_db = 20.0 * math.log10(mag) if mag > 0.0 else -math.inf
-        return cls(t=t, amplitude_db=amp_db, phase_rad=principal_phase(t), delay_s=delay_s)
-
-
-def transmission(params: DeviceParams, coupling: float, detuning_hz: float) -> ComplexResponse:
-    """Single-point probe transmission with phase and group delay attached.
-
-    Parameters
-    ----------
-    params : DeviceParams
-    coupling : float
-        (Hz) field-enhanced coupling rate.
-    detuning_hz : float
-        (Hz) probe detuning from the cavity resonance.
-
-    Returns
-    -------
-    ComplexResponse
-        delay_s is NaN when the point sits on a transmission zero.
-    """
-    t, tau = _response(
-        params.kappa_hz, params.eta, params.gamma_m_hz, _g_hz(coupling), detuning_hz, delay=True
-    )
-    return ComplexResponse.from_t(complex(t), delay_s=float(tau))
-
-
-def transmission_at_resonance(params: DeviceParams, coupling: float) -> float:
-    """Resonant (zero-detuning) transmission as a signed real number.
-
-    At zero detuning the kernel's factors are real, so the result is
-    (G^2 - G_c^2) / (G^2 + kappa*gamma_m/4) with no cancellation beyond
-    G^2 - G_c^2 itself; the unfactored form 1 - eta*kappa*D1/den would
-    subtract two nearly equal terms near the critical coupling.
-
-    Returns
-    -------
-    float
-        () signed resonant transmission; negative below the critical
-        coupling, positive above.
-    """
-    return float(resonance_curve(params, _g_hz(coupling)))
-
-
-def resonance_curve(
-    params: DeviceParams, g_hz: NDArray[np.floating] | float
-) -> NDArray[np.floating]:
-    """Vectorized resonant transmission over an array of coupling rates."""
-    g = np.asarray(g_hz, dtype=float)
-    return _response(params.kappa_hz, params.eta, params.gamma_m_hz, g, 0.0).real
-
-
-def phase_at_resonance(params: DeviceParams, coupling: float) -> float:
-    """Resonant transmission phase: pi below the critical coupling, 0 above.
-
-    Raises
-    ------
-    UndefinedPhaseError
-        If |t_z| is degenerate with zero (coupling at the critical point).
-    """
-    tz = transmission_at_resonance(params, coupling)
-    if abs(tz) < DEGENERACY_TOL:
-        raise UndefinedPhaseError(
-            f"resonant transmission {tz:.3e} is degenerate with zero; phase undefined"
-        )
-    return math.pi if tz < 0.0 else 0.0
+    t = np.asarray(t)
+    real_negative = (t.imag == 0.0) & (t.real < 0.0)
+    return np.where(real_negative, math.pi, np.angle(t))[()]
 
 
 # ---------------------------------------------------------------------------
@@ -428,12 +340,16 @@ def effective_window_hz(params: DeviceParams, coupling: float) -> float:
 
 def group_delay_curve(
     params: DeviceParams,
-    coupling: float,
+    coupling: NDArray[np.floating] | float,
     detuning_hz: NDArray[np.floating] | float,
 ) -> NDArray[np.floating]:
-    """Analytic group delay tau = -d(arg t)/d(2*pi*Delta) on a detuning grid.
+    """Analytic group delay tau = -d(arg t)/d(2*pi*Delta).
 
-    Points where |t| is degenerate with zero return NaN.
+    `coupling` and `detuning_hz` broadcast as in :func:`transmission_curve`.
+    At zero detuning tau is negative below the critical coupling (pulse
+    advance) and positive above (pulse delay), diverging like
+    1/(G^2 - G_c^2) in between. Points where |t| is degenerate with zero
+    return NaN.
 
     Returns
     -------
@@ -443,51 +359,3 @@ def group_delay_curve(
     return _response(
         params.kappa_hz, params.eta, params.gamma_m_hz, _g_hz(coupling), detuning_hz, delay=True
     )[1]
-
-
-def group_delay(params: DeviceParams, coupling: float, detuning_hz: float) -> float:
-    """Analytic group delay at a single detuning, in seconds.
-
-    Raises
-    ------
-    DelaySingularityError
-        If the transmission at this point is degenerate with zero.
-    """
-    t, tau = _response(
-        params.kappa_hz, params.eta, params.gamma_m_hz, _g_hz(coupling), detuning_hz, delay=True
-    )
-    if abs(t) < DEGENERACY_TOL:
-        raise DelaySingularityError(
-            f"|t| = {abs(t):.3e} at detuning {detuning_hz} Hz; group delay diverges"
-        )
-    return float(tau)
-
-
-def resonance_delay_curve(
-    params: DeviceParams, g_hz: NDArray[np.floating] | float
-) -> NDArray[np.floating]:
-    """Vectorized zero-detuning group delay over an array of coupling rates.
-
-    Negative below the critical coupling (pulse advance), positive above
-    (pulse delay), diverging like 1/(G^2 - G_c^2) at the critical point.
-    Singular points return NaN.
-    """
-    g = np.asarray(g_hz, dtype=float)
-    return _response(params.kappa_hz, params.eta, params.gamma_m_hz, g, 0.0, delay=True)[1]
-
-
-def resonance_group_delay(params: DeviceParams, coupling: float) -> float:
-    """Zero-detuning group delay at one coupling rate, in seconds.
-
-    Raises
-    ------
-    DelaySingularityError
-        If the coupling is degenerate with the critical coupling.
-    """
-    g = _g_hz(coupling)
-    t, tau = _response(params.kappa_hz, params.eta, params.gamma_m_hz, g, 0.0, delay=True)
-    if abs(t) < DEGENERACY_TOL:
-        raise DelaySingularityError(
-            f"resonant transmission {t.real:.3e} at g = {g} Hz; delay diverges at the critical coupling"
-        )
-    return float(tau)

@@ -36,7 +36,7 @@ start without it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -156,11 +156,6 @@ class PulseWaveform:
     def energy(self) -> float:
         """() integral of |envelope|^2 over the record."""
         return float(np.sum(np.abs(self.samples) ** 2) * self.dt_s)
-
-    def with_warning(self, tag: str) -> "PulseWaveform":
-        if tag in self.warnings:
-            return self
-        return replace(self, warnings=self.warnings + (tag,))
 
 
 def gaussian_pulse(config: PulseConfig) -> PulseWaveform:

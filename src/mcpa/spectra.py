@@ -106,13 +106,6 @@ def _amplitude_db(t_abs: NDArray[np.floating]) -> NDArray[np.floating]:
     return out
 
 
-def _phase_with_branch(t: NDArray[np.complexfloating]) -> NDArray[np.floating]:
-    """np.angle with real-negative values pinned to exactly +pi."""
-    phase = np.angle(t)
-    real_negative = (t.imag == 0.0) & (t.real < 0.0)
-    return np.where(real_negative, math.pi, phase)
-
-
 def sweep_detuning(params: DeviceParams, coupling: float,
                    detuning_hz: NDArray[np.floating]) -> Spectrum:
     """Evaluate the transmission across a detuning grid at fixed coupling.
@@ -135,7 +128,7 @@ def sweep_detuning(params: DeviceParams, coupling: float,
     t = model.transmission_curve(params, g, x)
     t_abs = np.abs(t)
     singular = t_abs < model.DEGENERACY_TOL
-    phase = _phase_with_branch(t)
+    phase = model.principal_phase(t)
     return Spectrum(
         x_hz=x,
         t=t,
@@ -162,8 +155,7 @@ def sweep_coupling_resonance(params: DeviceParams, g_hz: NDArray[np.floating]) -
     t, delay = model._response(params.kappa_hz, params.eta, params.gamma_m_hz, g, 0.0, delay=True)
     tz = t.real
     singular = np.abs(tz) < model.DEGENERACY_TOL
-    phase = np.where(tz < 0.0, math.pi, 0.0)
-    phase = np.where(singular, np.nan, phase)
+    phase = np.where(singular, np.nan, model.principal_phase(tz))
     return Spectrum(
         x_hz=g,
         t=tz.astype(complex),

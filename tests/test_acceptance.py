@@ -6,6 +6,7 @@ evaluation of the closed forms (mpmath), done independently of the package
 code; see the unit test modules for the per-symbol derivations.
 """
 
+import math
 import time
 
 import numpy as np
@@ -28,18 +29,23 @@ TAU_Z_S = {
 }
 
 
+def _amplitude_db(g):
+    """(dB) power transmission 20*log10|t| on resonance at coupling g."""
+    return 20.0 * math.log10(abs(complex(model.transmission_curve(DEVICE, g, 0.0))))
+
+
 def _report(name, ok, detail):
     print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}", flush=True)
     assert ok, f"{name}: {detail}"
 
 
 def test_absorption_dip_depth():
-    resp = model.transmission(DEVICE, 17.66, 0.0)
-    ok = abs(resp.amplitude_db - DIP_DB) < 1e-9 and -52.0 < resp.amplitude_db < -46.0
+    amplitude_db = _amplitude_db(17.66)
+    ok = abs(amplitude_db - DIP_DB) < 1e-9 and -52.0 < amplitude_db < -46.0
     _report(
         "absorption dip depth",
         ok,
-        f"|t| at resonance = {resp.amplitude_db:.9f} dB "
+        f"|t| at resonance = {amplitude_db:.9f} dB "
         f"(reference {DIP_DB:.9f} dB, tolerance 1e-9 dB)",
     )
 
@@ -76,11 +82,10 @@ def test_phase_jump_across_critical():
     if not np.all(spec.phase_rad[above] == 0.0):
         problems.append("phase above critical is not exactly 0")
     for g, ref_db in PAIR_DB.items():
-        resp = model.transmission(DEVICE, g, 0.0)
-        if abs(resp.amplitude_db - ref_db) > 1.0:
-            problems.append(f"|t_z({g})| = {resp.amplitude_db:.3f} dB vs {ref_db:.3f}")
-    ph_lo = model.phase_at_resonance(DEVICE, 17.24)
-    ph_hi = model.phase_at_resonance(DEVICE, 17.84)
+        amplitude_db = _amplitude_db(g)
+        if abs(amplitude_db - ref_db) > 1.0:
+            problems.append(f"|t_z({g})| = {amplitude_db:.3f} dB vs {ref_db:.3f}")
+    ph_lo, ph_hi = model.principal_phase(model.transmission_curve(DEVICE, [17.24, 17.84], 0.0))
     if not (ph_lo == np.pi and ph_hi == 0.0):
         problems.append(f"pair phases {ph_lo}, {ph_hi}")
     _report(
@@ -99,9 +104,7 @@ def test_delay_divergence_scaling():
     problems = []
     spreads = []
     for side in (+1.0, -1.0):
-        k = np.array(
-            [model.resonance_group_delay(DEVICE, GC_HZ * (1 + side * e)) * e for e in eps]
-        )
+        k = model.group_delay_curve(DEVICE, GC_HZ * (1 + side * eps), 0.0) * eps
         if side > 0 and not np.all(k > 0):
             problems.append("delay above critical is not positive")
         if side < 0 and not np.all(k < 0):
@@ -133,16 +136,16 @@ def test_delay_closed_form_vs_numeric_derivative():
         h = window / 100.0
         for d in (0.0, 0.3 * window):
             richardson = (4.0 * numeric_tau(g, d, h / 2.0) - numeric_tau(g, d, h)) / 3.0
-            analytic = model.group_delay(DEVICE, g, d)
+            analytic = float(model.group_delay_curve(DEVICE, g, d))
             rel = abs(richardson / analytic - 1.0)
             worst = max(worst, rel)
             if rel > 1e-6:
                 problems.append(f"g={g}, detuning={d:.3g}: rel {rel:.2e}")
-    tau_slow = model.resonance_group_delay(DEVICE, 155.1)
+    tau_slow = float(model.group_delay_curve(DEVICE, 155.1, 0.0))
     if not 0.6 < tau_slow < 2.4:
         problems.append(f"slow-light delay {tau_slow:.3f} s outside [0.6, 2.4]")
     for g, ref in TAU_Z_S.items():
-        if abs(model.resonance_group_delay(DEVICE, g) / ref - 1.0) > 1e-12:
+        if abs(model.group_delay_curve(DEVICE, g, 0.0) / ref - 1.0) > 1e-12:
             problems.append(f"tau_z({g}) reference mismatch")
     _report(
         "closed-form delay vs numeric phase derivative",
@@ -230,7 +233,7 @@ def test_calibration_roundtrip_and_noise():
 
     sweep = np.geomspace(5.0, 60.0, 2000)
     inferred = calibrate.infer_critical_from_sweep(
-        sweep, np.abs(model.resonance_curve(DEVICE, sweep)) ** 2
+        sweep, np.abs(model.transmission_curve(DEVICE, sweep, 0.0).real) ** 2
     )
     if abs(inferred - GC_HZ) > 0.01:
         problems.append(f"inferred critical coupling {inferred:.4f}")
@@ -317,15 +320,15 @@ def test_response_invariants():
         gc = model.critical_coupling(dev)
         g_below = np.geomspace(gc * 1e-3, gc * 0.999, 50)
         g_above = np.geomspace(gc * 1.001, gc * 1e3, 50)
-        below = np.abs(model.resonance_curve(dev, g_below))
-        above = np.abs(model.resonance_curve(dev, g_above))
+        below = np.abs(model.transmission_curve(dev, g_below, 0.0).real)
+        above = np.abs(model.transmission_curve(dev, g_above, 0.0).real)
         if not (np.all(np.diff(below) < 0.0) and np.all(np.diff(above) > 0.0)):
             mono_ok = False
         # advance below G_c, delay above; under gamma_m/2 the mechanical
         # window is not resolved and tau_z has a second sign change
         g = np.concatenate([g_below, g_above])
         resolved = g > gamma / 2.0
-        tau = model.resonance_delay_curve(dev, g[resolved])
+        tau = model.group_delay_curve(dev, g[resolved], 0.0)
         if not np.all(np.sign(tau) == np.sign(g[resolved] - gc)):
             sign_ok = False
     if not mono_ok:

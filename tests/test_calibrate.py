@@ -319,14 +319,14 @@ def test_fit_mechanical_window_noisy_data_converges(device):
 
 def test_infer_critical_noiseless(device):
     g = np.geomspace(5.0, 60.0, 2000)
-    power = np.square(model.resonance_curve(device, g))
+    power = np.square(model.transmission_curve(device, g, 0.0).real)
     est = calibrate.infer_critical_from_sweep(g, power)
     assert est == pytest.approx(model.critical_coupling(device), abs=0.01)
 
 
 def test_infer_critical_with_noise(device):
     g = np.geomspace(5.0, 60.0, 2000)
-    power = np.square(model.resonance_curve(device, g))
+    power = np.square(model.transmission_curve(device, g, 0.0).real)
     gc = model.critical_coupling(device)
     worst = 0.0
     for seed in range(100):
@@ -340,7 +340,7 @@ def test_infer_critical_with_noise(device):
 
 def test_infer_critical_requires_bracketing(device):
     g = np.geomspace(20.0, 60.0, 50)  # entirely above the critical coupling
-    power = np.square(model.resonance_curve(device, g))
+    power = np.square(model.transmission_curve(device, g, 0.0).real)
     with pytest.raises(BracketingError):
         calibrate.infer_critical_from_sweep(g, power)
 

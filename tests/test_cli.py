@@ -386,6 +386,17 @@ def test_exit_code_domain_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_pulse_without_critical_coupling_writes_nothing(tmp_path, capsys):
+    doc = reference_doc(pulse={"g": 155.1, "samples": 1024})
+    doc["device"] = {"cavity_freq": "5.318 GHz", "mech_freq": "755.5 kHz",
+                     "kappa": "420 kHz", "eta": 0.4, "gamma_m": "9.7 mHz"}
+    path = write_config(tmp_path / "c.json", doc)
+    out_dir = tmp_path / "out"
+    assert cli.main(["--config", path, "--out", str(out_dir)]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not list(out_dir.glob("pulse_*.csv"))
+
+
 def test_exit_code_missing_config(tmp_path, capsys):
     assert cli.main(["--config", str(tmp_path / "nope.json")]) == 4
     assert "io error" in capsys.readouterr().err

@@ -11,12 +11,10 @@ import numpy as np
 import pytest
 
 from mcpa import (
-    DelaySingularityError,
     DeviceParams,
     NoCriticalCouplingError,
     ParameterError,
     Regime,
-    UndefinedPhaseError,
     model,
 )
 from reduced_forms import tauz_reduced, tz_reduced
@@ -85,18 +83,15 @@ def test_device_params_frozen(device):
 
 
 def test_coupling_validation(device):
-    for bad in (-1.0, math.nan):
-        for fn in (
-            model.transmission_at_resonance,
-            model.phase_at_resonance,
-            model.resonance_group_delay,
-            model.classify_regime,
-            model.effective_window_hz,
-        ):
+    for bad in (-1.0, math.nan, math.inf):
+        for fn in (model.classify_regime, model.effective_window_hz):
             with pytest.raises(ParameterError):
                 fn(device, bad)
-        with pytest.raises(ParameterError):
-            model.transmission_curve(device, bad, 0.0)
+        # every element of a coupling array is checked
+        for coupling in (bad, np.array([11.87, bad])):
+            for fn in (model.transmission_curve, model.group_delay_curve):
+                with pytest.raises(ParameterError):
+                    fn(device, coupling, 0.0)
 
 
 def test_enhanced_coupling_sqrt_scaling():
@@ -161,23 +156,26 @@ def test_classify_regime(device):
 
 def test_resonant_transmission_oracle(device):
     for g, expected in TZ_ORACLE.items():
-        assert model.transmission_at_resonance(device, g) == pytest.approx(
+        assert float(model.transmission_curve(device, g, 0.0).real) == pytest.approx(
             expected, rel=1e-12
         )
 
 
 def test_resonant_transmission_pump_off(device):
     # with the pump off the probe sees the bare cavity: t = 1 - 2 eta
-    assert model.transmission_at_resonance(device, 0.0) == pytest.approx(
+    assert float(model.transmission_curve(device, 0.0, 0.0).real) == pytest.approx(
         1.0 - 2.0 * device.eta, rel=1e-15
     )
 
 
 def test_resonance_curve_matches_scalar(device):
+    # a coupling array gives, point by point, the scalar-coupling values
     g = np.array([0.0, 11.87, 17.66, 155.1])
-    curve = model.resonance_curve(device, g)
+    t = model.transmission_curve(device, g, 0.0)
+    assert np.all(t.imag == 0.0)
+    curve = t.real
     for i, gi in enumerate(g):
-        assert curve[i] == model.transmission_at_resonance(device, float(gi))
+        assert curve[i] == model.transmission_curve(device, float(gi), 0.0).real
     # the kernel against the separately derived reduced form
     np.testing.assert_allclose(curve, tz_reduced(device, g), rtol=1e-12)
 
@@ -225,13 +223,15 @@ def test_principal_phase_branch():
     assert model.principal_phase(complex(0.0, -1.0)) == pytest.approx(-math.pi / 2)
     phi = model.principal_phase(complex(-0.5, -1e-12))
     assert -math.pi < phi <= math.pi
+    # elementwise over arrays, real or complex
+    t = np.array([1.0, -1.0, complex(-1.0, -0.0), 1j])
+    np.testing.assert_array_equal(model.principal_phase(t), [0.0, math.pi, math.pi, math.pi / 2])
+    np.testing.assert_array_equal(model.principal_phase(np.array([-2.0, 3.0])), [math.pi, 0.0])
 
 
 def test_phase_at_resonance_jump(device):
-    assert model.phase_at_resonance(device, 17.24) == math.pi
-    assert model.phase_at_resonance(device, 17.84) == 0.0
-    with pytest.raises(UndefinedPhaseError):
-        model.phase_at_resonance(device, model.critical_coupling(device))
+    t = model.transmission_curve(device, np.array([17.24, 17.84]), 0.0)
+    np.testing.assert_array_equal(model.principal_phase(t), [math.pi, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -240,30 +240,23 @@ def test_phase_at_resonance_jump(device):
 
 def test_resonance_delay_oracle(device):
     for g, expected in TAUZ_ORACLE.items():
-        assert model.resonance_group_delay(device, g) == pytest.approx(
+        assert float(model.group_delay_curve(device, g, 0.0)) == pytest.approx(
             expected, rel=1e-12
         )
 
 
 def test_delay_sign_flips_across_critical(device):
     gc = model.critical_coupling(device)
-    assert model.resonance_group_delay(device, gc * 0.9) < 0.0
-    assert model.resonance_group_delay(device, gc * 1.1) > 0.0
-
-
-def test_delay_singularity_raises(device):
-    gc = model.critical_coupling(device)
-    with pytest.raises(DelaySingularityError):
-        model.resonance_group_delay(device, gc)
-    with pytest.raises(DelaySingularityError):
-        model.group_delay(device, gc, 0.0)
+    assert model.group_delay_curve(device, gc * 0.9, 0.0) < 0.0
+    assert model.group_delay_curve(device, gc * 1.1, 0.0) > 0.0
 
 
 def test_delay_curve_nan_at_singularity(device):
     gc = model.critical_coupling(device)
-    tau = model.resonance_delay_curve(device, np.array([gc * 0.5, gc, gc * 2.0]))
+    tau = model.group_delay_curve(device, np.array([gc * 0.5, gc, gc * 2.0]), 0.0)
     assert math.isfinite(tau[0]) and math.isfinite(tau[2])
     assert math.isnan(tau[1])
+    assert math.isnan(model.group_delay_curve(device, gc, 0.0))
 
 
 def test_group_delay_curve_matches_resonance_form(device):
@@ -272,7 +265,6 @@ def test_group_delay_curve_matches_resonance_form(device):
     for g in (11.87, 23.93, 155.1, 176.8):
         generic = float(model.group_delay_curve(device, g, 0.0))
         assert generic == pytest.approx(float(tauz_reduced(device, g)), rel=1e-9)
-        assert model.resonance_group_delay(device, g) == generic
 
 
 def test_group_delay_scales_inversely_with_rates(device):
@@ -284,8 +276,8 @@ def test_group_delay_scales_inversely_with_rates(device):
         eta=device.eta,
         gamma_m_hz=device.gamma_m_hz * scale,
     )
-    a = model.resonance_group_delay(device, 23.93)
-    b = model.resonance_group_delay(scaled, 23.93 * scale)
+    a = float(model.group_delay_curve(device, 23.93, 0.0))
+    b = float(model.group_delay_curve(scaled, 23.93 * scale, 0.0))
     assert b == pytest.approx(a / scale, rel=1e-12)
 
 
@@ -298,18 +290,19 @@ def test_effective_window(device):
     assert model.effective_window_hz(device, 0.0) == device.gamma_m_hz
 
 
-def test_transmission_object(device):
-    r = model.transmission(device, 17.66, 0.0)
-    assert r.t.real == pytest.approx(TZ_ORACLE[17.66], rel=1e-12)
-    assert r.amplitude_db == pytest.approx(-49.83317459550327441, abs=1e-9)
-    assert r.phase_rad == 0.0
-    assert r.delay_s == pytest.approx(
-        model.resonance_group_delay(device, 17.66), rel=1e-9
+def test_resonant_point_channels(device):
+    t = complex(model.transmission_curve(device, 17.66, 0.0))
+    assert t.real == pytest.approx(TZ_ORACLE[17.66], rel=1e-12)
+    assert 20.0 * math.log10(abs(t)) == pytest.approx(-49.83317459550327441, abs=1e-9)
+    assert model.principal_phase(t) == 0.0
+    # a scalar evaluation equals the same point of a detuning grid
+    delta = np.array([-1e-3, 0.0, 1e-3])
+    assert float(model.group_delay_curve(device, 17.66, 0.0)) == pytest.approx(
+        model.group_delay_curve(device, 17.66, delta)[1], rel=1e-9
     )
 
 
-def test_transmission_object_at_singularity(device):
+def test_resonant_point_at_singularity(device):
     gc = model.critical_coupling(device)
-    r = model.transmission(device, gc, 0.0)
-    assert math.isnan(r.delay_s)
-    assert r.amplitude_db < -140.0
+    assert math.isnan(model.group_delay_curve(device, gc, 0.0))
+    assert 20.0 * math.log10(abs(complex(model.transmission_curve(device, gc, 0.0)))) < -140.0

@@ -1,4 +1,5 @@
-"""Property tests over random over-coupled devices near the reference device.
+"""Property tests over random over-coupled devices near the reference device,
+and a fuzz test of the command line over random config documents.
 
 Each device scales the reference cavity linewidth and mechanical linewidth
 by up to a factor of 3 either way and draws an over-coupled eta, so every
@@ -6,15 +7,16 @@ device has a critical coupling G_c. Examples are derandomized and bounded,
 so the suite stays deterministic.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from mcpa import model, pulses
+from mcpa import cli, model, pulses
 
 REFERENCE = model.reference_device()
 
@@ -48,11 +50,10 @@ def test_passive(dev, x):
 @given(dev=over_coupled_devices(), r=st.floats(2e-3, 0.9))
 def test_resonant_phase_is_exact_and_flips_at_critical(dev, r):
     gc = model.critical_coupling(dev)
-    below = model.transmission(dev, gc * (1.0 - r), 0.0)
-    above = model.transmission(dev, gc * (1.0 + r), 0.0)
-    assert below.t.imag == 0.0 and above.t.imag == 0.0
-    assert below.phase_rad == math.pi
-    assert above.phase_rad == 0.0
+    below, above = model.transmission_curve(dev, gc * np.array([1.0 - r, 1.0 + r]), 0.0)
+    assert below.imag == 0.0 and above.imag == 0.0
+    assert model.principal_phase(below) == math.pi
+    assert model.principal_phase(above) == 0.0
 
 
 @PROPERTY
@@ -66,6 +67,85 @@ def test_cw_response_matches_transmission(dev, x, d):
     # which also keeps its couplings a few percent away from G_c
     g = model.critical_coupling(dev) * 10.0**x
     detuning = d * model.effective_window_hz(dev, g)
-    closed = model.transmission(dev, g, detuning).t
+    closed = complex(model.transmission_curve(dev, g, detuning))
     stepped = pulses.cw_response(dev, g, detuning)
     assert abs(stepped - closed) <= 1e-4 * abs(closed)
+
+
+# ---------------------------------------------------------------------------
+# config fuzzing: every document ends in an exit code, never a traceback
+# ---------------------------------------------------------------------------
+
+# Numbers stay within +/-4096, so no count (points, samples) asks for a
+# large grid.
+numbers = st.one_of(
+    st.integers(-4096, 4096),
+    st.floats(-4096.0, 4096.0),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+)
+unit_strings = st.builds(
+    "{}{}".format,
+    st.floats(-4096.0, 4096.0, allow_nan=False).map("{:g}".format),
+    st.sampled_from(["", " ", " mHz", " Hz", "kHz", " MHz", " GHz", " THz"]),
+)
+words = st.sampled_from(
+    ["", "fft", "ode", "linear", "log", "bare", "mechanical", "critical_sweep",
+     "absolute", "detuning", "reference", "x"]
+)
+scalars = st.one_of(st.none(), st.booleans(), numbers, unit_strings, words)
+values = st.one_of(scalars, st.lists(scalars, max_size=3))
+
+
+def mostly(typical, other):
+    """`typical` in about seven draws of eight, else `other`."""
+    return st.sampled_from([typical] * 7 + [other]).flatmap(lambda s: s)
+
+
+def option(typical):
+    return mostly(st.sampled_from(typical), values)
+
+
+# realistic device and option values, each of which a draw may replace
+DEVICE_BLOCK = {"cavity_freq": ["5.318 GHz"], "mech_freq": ["755.5 kHz"],
+                "kappa": ["420 kHz"], "eta": [0.651, 0.4], "gamma_m": ["9.7 mHz"]}
+TYPICAL = {"g": ["11.87 Hz", 23.93, "155.1"], "start": [5.0, "-2 Hz"],
+           "stop": [60.0, "40 mHz"], "points": [3, 64], "samples": [64, 256],
+           "scale": ["log", "linear"], "method": ["fft", "ode"],
+           "carrier_detuning": [0.0, "1 mHz"], "bandwidth_fraction": [0.05],
+           "kind": ["bare", "mechanical", "critical_sweep"], "data": ["missing.csv"],
+           "frequency": ["detuning"], "add_noise_snr_db": [30]}
+# drawn in every typical block, so most draws get past the option checks
+REQUIRED = {"spectrum": ("g",), "pulse": ("g",), "fit": ("kind", "data")}
+
+devices = mostly(
+    st.sampled_from(["reference", {"preset": "reference"}])
+    | st.fixed_dictionaries({k: option(v) for k, v in DEVICE_BLOCK.items()},
+                            optional={"vacuum_coupling": option(["1 Hz"])}),
+    values,
+)
+
+
+def command_block(name):
+    options = {key: option(TYPICAL[key]) for key in cli.OPTIONS[name]}
+    required = {key: options.pop(key) for key in REQUIRED.get(name, ())}
+    return mostly(st.fixed_dictionaries(required, optional=options), st.none() | values)
+
+
+# one command block in most documents, else none or two
+commands = mostly(st.just(1), st.integers(0, 2)).flatmap(
+    lambda n: st.lists(st.sampled_from(cli.COMMANDS), min_size=n, max_size=n, unique=True)
+).flatmap(lambda names: st.fixed_dictionaries({name: command_block(name) for name in names}))
+
+
+@settings(PROPERTY, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(version=mostly(st.just("1"), values), device=devices, command=commands,
+       seed=mostly(st.none(), numbers))
+def test_cli_config_fuzz_ends_in_exit_code(tmp_path, monkeypatch, version, device, command, seed):
+    monkeypatch.chdir(tmp_path)
+    doc = {"version": version, "device": device, **command}
+    if seed is not None:
+        doc["seed"] = seed
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main(["--config", str(path), "--out", str(tmp_path / "out")])
+    assert code in (0, 2, 3, 4)

@@ -90,11 +90,12 @@ def test_waveform_accepts_strided_samples():
         PulseWaveform(t0_s=0.0, dt_s=0.1, samples=bad[::-1])
 
 
-def test_waveform_energy_and_warning_dedup():
+def test_waveform_energy_and_warning_dedup(device):
     w = PulseWaveform(t0_s=0.0, dt_s=0.5, samples=2.0 * np.ones(20, dtype=complex))
     assert w.energy == pytest.approx(4.0 * 20 * 0.5, rel=1e-15)
-    w2 = w.with_warning("bandwidth").with_warning("bandwidth")
-    assert w2.warnings == ("bandwidth",)
+    # the record's 0.039 Hz rms bandwidth fires "bandwidth" again at G = 0
+    tagged = PulseWaveform(t0_s=0.0, dt_s=0.5, samples=w.samples, warnings=("bandwidth",))
+    assert pulses.propagate(tagged, device, 0.0).warnings == ("bandwidth",)
 
 
 def test_waveform_rms_sigma_recovers_width():
@@ -423,7 +424,7 @@ def test_extract_delay_route_consistency(device):
     cfg = pulses.delay_pulse_config(device, 155.1, n_samples=1024)
     tau_fft = pulses.extract_delay(device, 155.1, cfg, method="fft")
     tau_ode = pulses.extract_delay(device, 155.1, cfg, method="ode")
-    analytic = model.resonance_group_delay(device, 155.1)
+    analytic = float(model.group_delay_curve(device, 155.1, 0.0))
     assert tau_fft > 0.0
     assert abs(tau_fft - tau_ode) < 0.01 * abs(analytic)
     assert tau_fft == pytest.approx(analytic, rel=0.05)

@@ -105,7 +105,7 @@ def test_resonance_spectrum_explicit_grid(device):
     g = np.array([0.0, 5.0, 17.66, 40.0])
     s = spectra.sweep_coupling_resonance(device, g)
     np.testing.assert_array_equal(s.x_hz, g)
-    expected = model.resonance_curve(device, g)
+    expected = model.transmission_curve(device, g, 0.0).real
     np.testing.assert_array_equal(s.t.real, expected)
     assert np.all(s.t.imag == 0.0)
 
