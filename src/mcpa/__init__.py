@@ -26,7 +26,6 @@ from .model import (
     classify_regime,
     critical_coupling,
     effective_window_hz,
-    enhanced_coupling,
     group_delay_curve,
     principal_phase,
     reference_device,
@@ -43,9 +42,11 @@ from .pulses import (
     CenterTimeEstimate,
     PulseConfig,
     PulseWaveform,
+    band_averaged_delay,
     center_time,
     center_time_estimates,
     cw_response,
+    delay_curve,
     delay_pulse_config,
     extract_delay,
     gaussian_pulse,
@@ -82,16 +83,17 @@ __all__ = [
     "Regime",
     "RegimeResult",
     "Spectrum",
+    "band_averaged_delay",
     "boundary_coupling",
     "center_time",
     "center_time_estimates",
     "classify_regime",
     "critical_coupling",
     "cw_response",
+    "delay_curve",
     "delay_pulse_config",
     "detuning_span",
     "effective_window_hz",
-    "enhanced_coupling",
     "extract_delay",
     "fit_bare_cavity",
     "fit_mechanical_window",

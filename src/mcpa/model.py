@@ -16,7 +16,9 @@ There are two public evaluations, :func:`transmission_curve` (t) and
 :func:`group_delay_curve` (tau), and one phase rule, :func:`principal_phase`.
 Both evaluations take a coupling and a detuning that may each be a scalar
 or an array and broadcast against each other, so a spectrum at fixed
-coupling and a resonance curve across couplings are the same call. Both go
+coupling and a resonance curve across couplings are the same call. The
+functions that take one coupling rate (here, in `spectra` and in `pulses`)
+check it with :func:`_scalar_g_hz`, which refuses an array. Both go
 through one kernel, :func:`_response`, which writes the transmission as a
 ratio of two factored polynomials in the detuning Delta. With
 D1 = i*Delta + gamma_m/2 and D2 = i*Delta + kappa/2,
@@ -114,6 +116,14 @@ def _g_hz(coupling):
     return float(g) if g.ndim == 0 else g
 
 
+def _scalar_g_hz(coupling) -> float:
+    """`_g_hz` for the entry points that take one coupling rate: anything
+    but a scalar raises ParameterError."""
+    if np.ndim(coupling) != 0:
+        raise ParameterError(f"expected one coupling rate, got shape {np.shape(coupling)}")
+    return _g_hz(coupling)
+
+
 def reference_device() -> DeviceParams:
     """Bundled reference parameter set of the measured device.
 
@@ -129,28 +139,6 @@ def reference_device() -> DeviceParams:
         eta=0.651,
         gamma_m_hz=9.7e-3,
     )
-
-
-def enhanced_coupling(g0_hz: float, n_photons: float) -> float:
-    """Field-enhanced coupling g0 * sqrt(n) for a pump holding n photons.
-
-    Parameters
-    ----------
-    g0_hz : float
-        (Hz) single-photon coupling rate.
-    n_photons : float
-        () mean intracavity pump photon number, >= 0.
-
-    Returns
-    -------
-    float
-        (Hz) linearized coupling rate.
-    """
-    if not (math.isfinite(g0_hz) and g0_hz > 0.0):
-        raise ParameterError(f"g0_hz must be positive, got {g0_hz!r}")
-    if not (math.isfinite(n_photons) and n_photons >= 0.0):
-        raise ParameterError(f"n_photons must be >= 0, got {n_photons!r}")
-    return g0_hz * math.sqrt(n_photons)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +299,7 @@ def classify_regime(params: DeviceParams, coupling: float) -> RegimeResult:
     A coupling within a relative 1e-6 of either special value is flagged
     as sitting on the boundary (the label still reports the nearest side).
     """
-    g = _g_hz(coupling)
+    g = _scalar_g_hz(coupling)
     gc = critical_coupling(params)
     gb = boundary_coupling(params)
     at_boundary = (abs(g - gc) <= BOUNDARY_REL_TOL * gc) or (abs(g - gb) <= BOUNDARY_REL_TOL * gb)
@@ -330,7 +318,7 @@ def effective_window_hz(params: DeviceParams, coupling: float) -> float:
     This is the effective mechanical linewidth after pump broadening; pulses
     meant to probe the window undistorted must stay well inside it.
     """
-    g = _g_hz(coupling)
+    g = _scalar_g_hz(coupling)
     return params.gamma_m_hz + 4.0 * g * g / params.kappa_hz
 
 

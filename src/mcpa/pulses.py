@@ -24,6 +24,19 @@ The steady-state response of the integrator reproduces the closed-form
 transmission; that equivalence is this module's core self-check and is
 pinned in the tests.
 
+Each route is one private helper that returns output samples:
+`_spectral_product` (the padded-spectrum product, given the input's
+transform from `_padded_spectrum`) and `_stepped` (the exact IIR step).
+`propagate` and `integrate_langevin` wrap them and attach the band check
+("bandwidth", "singular-band") from the input's own spectrum; the band
+check runs only where a waveform is returned (those two functions and the
+`pulse` command of the CLI). `delay_curve` measures the delay at one or
+many couplings from one probe, one input transform and one pump-off
+reference per call, with no band check; `extract_delay` is `delay_curve`
+at one coupling. `band_averaged_delay` is its exact prediction: the mean
+of the analytic group delay over the output's power spectrum, minus the
+same mean with the pump off.
+
 Times are seconds, rates ordinary Hz as everywhere in this package.
 
 Importing this module loads numpy only. `scipy.signal` is imported inside
@@ -222,6 +235,23 @@ def _output(
     )
 
 
+def _padded_spectrum(w: PulseWaveform):
+    """Transform X of the record zero-padded to m >= 4n points (a power of
+    two), and its frequency grid f; the padding keeps the periodic wrap of
+    a delayed (or advanced) pulse out of the physical window."""
+    m = 1 << max(int(math.ceil(math.log2(4 * len(w.samples)))), 4)
+    return np.fft.fft(w.samples, m), np.fft.fftfreq(m, w.dt_s)
+
+
+def _spectral_product(
+    w: PulseWaveform, x, f, params: DeviceParams, g
+) -> NDArray[np.complexfloating]:
+    """The spectral route's output samples on the grid of `w`, from its
+    padded spectrum (x, f): the first n of ifft(X(f) * t(carrier + f))."""
+    h = model.transmission_curve(params, g, w.carrier_detuning_hz + f)
+    return np.fft.ifft(x * h)[: len(w.samples)]
+
+
 def propagate(
     w: PulseWaveform, params: DeviceParams, coupling: float
 ) -> PulseWaveform:
@@ -239,13 +269,9 @@ def propagate(
         half the effective window, "singular-band" when |t| falls below
         SINGULAR_BAND_TOL on a bin holding over 1e-3 of the spectral peak.
     """
-    g = model._g_hz(coupling)
-    n = len(w.samples)
-    m = 1 << max(int(math.ceil(math.log2(4 * n))), 4)
-    x = np.fft.fft(w.samples, m)
-    f = np.fft.fftfreq(m, w.dt_s)
-    h = model.transmission_curve(params, g, w.carrier_detuning_hz + f)
-    return _output(w, np.fft.ifft(x * h)[:n], params, g)
+    g = model._scalar_g_hz(coupling)
+    x, f = _padded_spectrum(w)
+    return _output(w, _spectral_product(w, x, f, params, g), params, g)
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +358,17 @@ def _integrate(a_mat, b_vec, h, s, initial_state):
     return a_out
 
 
+def _stepped(
+    w: PulseWaveform, params: DeviceParams, g, initial_state=(0j, 0j)
+) -> NDArray[np.complexfloating]:
+    """The time-domain route's output samples s_in - sqrt(eta*kappa) a on
+    the grid of `w`, from the exact IIR step of `_integrate`."""
+    a_mat, b_vec = _system_matrix(params, g, w.carrier_detuning_hz)
+    a_out = _integrate(a_mat, b_vec, w.dt_s, w.samples, initial_state)
+    root = math.sqrt(params.eta * TWO_PI * params.kappa_hz)
+    return w.samples - root * a_out
+
+
 def integrate_langevin(
     w: PulseWaveform,
     params: DeviceParams,
@@ -361,11 +398,8 @@ def integrate_langevin(
         Output envelope s_in - sqrt(eta*kappa) a on the input grid, with the
         warnings of `propagate`.
     """
-    g = model._g_hz(coupling)
-    a_mat, b_vec = _system_matrix(params, g, w.carrier_detuning_hz)
-    a_out = _integrate(a_mat, b_vec, w.dt_s, w.samples, initial_state)
-    root = math.sqrt(params.eta * TWO_PI * params.kappa_hz)
-    return _output(w, w.samples - root * a_out, params, g)
+    g = model._scalar_g_hz(coupling)
+    return _output(w, _stepped(w, params, g, initial_state), params, g)
 
 
 # cw_response steps the exact propagator with a stride of _CW_SETTLE slow
@@ -382,7 +416,7 @@ def cw_response(params: DeviceParams, coupling: float, detuning_hz: float) -> co
     decayed, and returns s_out / s_in. Up to rounding this equals the
     closed-form transmission; the agreement is the module's core oracle.
     """
-    g = model._g_hz(coupling)
+    g = model._scalar_g_hz(coupling)
     a_mat, b_vec = _system_matrix(params, g, detuning_hz)
     slow = float(np.min(-np.real(np.linalg.eigvals(a_mat))))
     if slow <= 0.0:
@@ -519,7 +553,7 @@ def delay_pulse_config(
     of the effective window, and the record is padded on whichever side the
     analytically expected group delay will shift the pulse toward.
     """
-    g = model._g_hz(coupling)
+    g = model._scalar_g_hz(coupling)
     if not 0.0 < bandwidth_fraction <= 0.5:
         raise ParameterError("bandwidth_fraction must be in (0, 0.5]")
     if n_samples < 16:
@@ -542,17 +576,82 @@ def delay_pulse_config(
     )
 
 
+def _check_method(method: str) -> None:
+    if method not in ("fft", "ode"):
+        raise ParameterError(f"pulse method must be 'fft' or 'ode', got {method!r}")
+
+
 def _route_waveforms(
     params: DeviceParams, g: float, config: PulseConfig, method: str
 ) -> tuple[PulseWaveform, PulseWaveform, PulseWaveform]:
-    """Input, output and pump-off reference waveforms of one delay
-    measurement by the named route: "fft" (`propagate`) or "ode"
-    (`integrate_langevin`)."""
-    if method not in ("fft", "ode"):
-        raise ParameterError(f"pulse method must be 'fft' or 'ode', got {method!r}")
+    """Input, output and pump-off reference waveforms, with their warnings,
+    of one delay measurement by the named route: "fft" (`propagate`) or
+    "ode" (`integrate_langevin`)."""
+    _check_method(method)
     run = propagate if method == "fft" else integrate_langevin
     pulse = gaussian_pulse(config)
     return pulse, run(pulse, params, g), run(pulse, params, 0.0)
+
+
+def _minus_pump_off(value, g):
+    """value(G) - value(0) at each coupling of `g` (a float or a float
+    array), shaped like `g`: a scalar in gives a scalar out."""
+    reference = value(0.0)
+    out = np.array([value(gi) - reference for gi in np.ravel(g).tolist()])
+    return out.reshape(np.shape(g))[()]
+
+
+def delay_curve(
+    params: DeviceParams,
+    couplings: NDArray[np.floating] | float,
+    config: PulseConfig,
+    *,
+    method: str = "fft",
+) -> NDArray[np.floating]:
+    """Pulse group delay at each coupling: the arrival-time shift of the
+    configured Gaussian relative to the pump-off run.
+
+    The probe is synthesized once, and on the "fft" route transformed once;
+    each coupling then costs one output and one centroid, and the pump-off
+    reference (coupling 0, bare cavity) is propagated once per call.
+    Referencing against it removes offsets common to both runs, such as the
+    sampling and interpolation bias of the chosen route. No band check
+    runs: the outputs are not returned, so their warnings would be dropped.
+
+    Parameters
+    ----------
+    couplings : array_like
+        (Hz) one field-enhanced coupling rate, or a 1-d array of them.
+    method : {"fft", "ode"}
+        Propagation route; "ode" integrates the equations of motion.
+
+    Returns
+    -------
+    ndarray of float
+        (s) extracted delay at each coupling, shaped like `couplings` (a
+        scalar in gives a scalar out); negative means the pulse arrived
+        early.
+
+    Raises
+    ------
+    PulseEstimationError
+        Where `center_time` refuses an output (two comparable lobes, as
+        close to the critical coupling).
+    """
+    _check_method(method)
+    g = model._g_hz(couplings)
+    pulse = gaussian_pulse(config)
+    if method == "fft":
+        x, f = _padded_spectrum(pulse)
+
+    def arrival(gi: float) -> float:
+        if method == "fft":
+            samples = _spectral_product(pulse, x, f, params, gi)
+        else:
+            samples = _stepped(pulse, params, gi)
+        return center_time(PulseWaveform(t0_s=pulse.t0_s, dt_s=pulse.dt_s, samples=samples))
+
+    return _minus_pump_off(arrival, g)
 
 
 def extract_delay(
@@ -562,14 +661,11 @@ def extract_delay(
     *,
     method: str = "fft",
 ) -> float:
-    """Pulse group delay: arrival-time shift relative to the pump-off run.
+    """Pulse group delay at one coupling: :func:`delay_curve` at `coupling`.
 
     Sends the configured Gaussian through the device twice, once at the
-    requested coupling and once with the pump off (coupling 0, bare
-    cavity), and returns the difference of the two arrival-time centroids.
-    Referencing against the pump-off run removes offsets common to both
-    runs, such as the sampling and interpolation bias of the chosen
-    propagation route.
+    requested coupling and once with the pump off, and returns the
+    difference of the two arrival-time centroids.
 
     Parameters
     ----------
@@ -581,5 +677,43 @@ def extract_delay(
     float
         (s) extracted delay; negative means the pulse arrived early.
     """
-    _, with_pump, without = _route_waveforms(params, model._g_hz(coupling), config, method)
-    return center_time(with_pump) - center_time(without)
+    return float(delay_curve(params, model._scalar_g_hz(coupling), config, method=method))
+
+
+def band_averaged_delay(
+    params: DeviceParams,
+    couplings: NDArray[np.floating] | float,
+    config: PulseConfig,
+) -> NDArray[np.floating]:
+    """Exact finite-bandwidth prediction of :func:`delay_curve`.
+
+    By Parseval, the centroid of |y|^2 is the mean of the analytic group
+    delay tau(carrier + f) over the output's power spectrum
+    |X(f)|^2 |t(carrier + f)|^2. This evaluates that mean on the same
+    zero-padded input spectrum the "fft" route uses, minus the same mean at
+    G = 0, with zero weight where tau is undefined (a transmission zero).
+    It needs no time-domain waveform, so it exists where `center_time`
+    refuses two lobes, and it gives the bias of a finite-bandwidth probe
+    against tau(0): the measurable side of the diverging delay at G_c.
+
+    Returns
+    -------
+    ndarray of float
+        (s) band-averaged delay at each coupling, shaped like `couplings`
+        (a scalar in gives a scalar out).
+    """
+    g = model._g_hz(couplings)
+    pulse = gaussian_pulse(config)
+    x, f = _padded_spectrum(pulse)
+    power = np.square(np.abs(x))
+    detuning = pulse.carrier_detuning_hz + f
+
+    def mean_delay(gi: float) -> float:
+        t, tau = model._response(
+            params.kappa_hz, params.eta, params.gamma_m_hz, gi, detuning, delay=True
+        )
+        defined = ~np.isnan(tau)
+        weight = power[defined] * np.square(np.abs(t[defined]))
+        return float(np.sum(weight * tau[defined]) / np.sum(weight))
+
+    return _minus_pump_off(mean_delay, g)

@@ -123,7 +123,7 @@ def sweep_detuning(params: DeviceParams, coupling: float,
     Spectrum
         delay_s comes from :func:`numeric_group_delay` on the sampled phase.
     """
-    g = model._g_hz(coupling)
+    g = model._scalar_g_hz(coupling)
     x = _checked_grid(detuning_hz, "detuning", 3)
     t = model.transmission_curve(params, g, x)
     t_abs = np.abs(t)

@@ -14,8 +14,11 @@ from mcpa import (
     DeviceParams,
     NoCriticalCouplingError,
     ParameterError,
+    PulseWaveform,
     Regime,
     model,
+    pulses,
+    spectra,
 )
 from reduced_forms import tauz_reduced, tz_reduced
 
@@ -94,17 +97,34 @@ def test_coupling_validation(device):
                     fn(device, coupling, 0.0)
 
 
-def test_enhanced_coupling_sqrt_scaling():
-    assert model.enhanced_coupling(2.0, 0.0) == 0.0
-    assert model.enhanced_coupling(2.0, 25.0) == pytest.approx(10.0, rel=1e-15)
-    # quadrupling the photon number doubles the rate
-    assert model.enhanced_coupling(1.7, 4e6) == pytest.approx(
-        2.0 * model.enhanced_coupling(1.7, 1e6), rel=1e-15
-    )
-    with pytest.raises(ParameterError):
-        model.enhanced_coupling(-1.0, 10.0)
-    with pytest.raises(ParameterError):
-        model.enhanced_coupling(1.0, -10.0)
+def _sweep(device, coupling):
+    return spectra.sweep_detuning(device, coupling, np.linspace(-1.0, 1.0, 3))
+
+
+def _probe(device, route, coupling):
+    w = PulseWaveform(t0_s=0.0, dt_s=0.5, samples=np.ones(32, dtype=complex))
+    return route(w, device, coupling)
+
+
+# each case misbehaved while the scalar-only entry points let arrays through:
+# a mixed-coupling Spectrum, numpy broadcasting and truth-value ValueErrors,
+# and a TypeError from delay_pulse_config
+SCALAR_ONLY = {
+    "sweep_detuning-3-on-3": lambda d: _sweep(d, np.array([10.0, 20.0, 30.0])),
+    "sweep_detuning-2-on-3": lambda d: _sweep(d, np.array([10.0, 20.0])),
+    "classify_regime": lambda d: model.classify_regime(d, np.array([10.0, 20.0])),
+    "delay_pulse_config": lambda d: pulses.delay_pulse_config(d, np.array([10.0, 20.0])),
+    "effective_window_hz": lambda d: model.effective_window_hz(d, np.array([10.0])),
+    "propagate": lambda d: _probe(d, pulses.propagate, np.array([10.0, 20.0])),
+    "integrate_langevin": lambda d: _probe(d, pulses.integrate_langevin, [10.0]),
+    "cw_response": lambda d: pulses.cw_response(d, np.array([10.0, 20.0]), 0.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCALAR_ONLY))
+def test_scalar_only_entry_points_reject_coupling_arrays(device, case):
+    with pytest.raises(ParameterError, match="one coupling rate"):
+        SCALAR_ONLY[case](device)
 
 
 # ---------------------------------------------------------------------------

@@ -434,3 +434,46 @@ def test_extract_delay_unknown_method(device):
     cfg = pulses.delay_pulse_config(device, 155.1, n_samples=1024)
     with pytest.raises(ParameterError):
         pulses.extract_delay(device, 155.1, cfg, method="centroid")
+
+
+# ---------------------------------------------------------------------------
+# delay curves and the band-averaged oracle
+# ---------------------------------------------------------------------------
+
+def _curve_config(device, g_min, carrier_detuning_hz=0.0):
+    """One probe for a whole curve at 2^14 samples: rms bandwidth 1/32 of
+    the narrowest window, centered in a 20-sigma record."""
+    sigma = 32.0 / (2.0 * math.pi * model.effective_window_hz(device, g_min))
+    return small_config(sigma=sigma, center=10.0 * sigma, record=20.0 * sigma,
+                        dt=20.0 * sigma / 2**14, carrier_detuning_hz=carrier_detuning_hz)
+
+
+def test_delay_curve_matches_band_averaged_delay(device):
+    gc = model.critical_coupling(device)
+    g = np.array([0.5, 0.9, 0.96, 1.04, 1.1, 2.0]) * gc
+    for carrier in (0.0, 0.003):
+        cfg = _curve_config(device, g[0], carrier)
+        oracle = pulses.band_averaged_delay(device, g, cfg)
+        assert oracle.shape == g.shape and np.all(np.isfinite(oracle))
+        fft = pulses.delay_curve(device, g, cfg)
+        np.testing.assert_allclose(fft, oracle, rtol=1e-12, atol=0)
+        ode = pulses.delay_curve(device, g, cfg, method="ode")
+        np.testing.assert_allclose(ode, oracle, rtol=1e-5, atol=0)
+    # one coupling in, one float out: extract_delay is the curve at one point
+    single = pulses.extract_delay(device, g[4], cfg, method="ode")
+    assert isinstance(single, float)
+    assert single == pytest.approx(ode[4], rel=1e-14)
+    assert pulses.band_averaged_delay(device, g[4], cfg) == pytest.approx(oracle[4], rel=1e-14)
+
+
+def test_delay_curve_two_lobes_where_band_average_is_finite(device):
+    # at 0.985 G_c the probe comes out in two comparable lobes: no arrival
+    # time exists, but the power-weighted mean delay does
+    g = 0.985 * model.critical_coupling(device)
+    cfg = _curve_config(device, 0.5 * model.critical_coupling(device))
+    for method in ("fft", "ode"):
+        with pytest.raises(PulseEstimationError, match="lobes"):
+            pulses.delay_curve(device, g, cfg, method=method)
+    oracle = pulses.band_averaged_delay(device, g, cfg)
+    assert math.isfinite(oracle) and oracle < 0.0
+
