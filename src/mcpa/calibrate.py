@@ -2,14 +2,16 @@
 
 Fits the closed-form response to complex, polar, or amplitude-only spectra
 with a damped least-squares (Levenberg-Marquardt style) optimizer using
-finite-difference Jacobians. Every fit self-initializes from the data:
+finite-difference Jacobians. Every fit seeds itself from the data alone:
 resonance position from the amplitude minimum, linewidth from the
 half-depth width, coupling fraction from the dip depth, mechanical
 parameters from the window height and width.
 
-Amplitude-only data cannot tell the two sides of the critical coupling
-apart (equal dip depths occur at one coupling below and one above), so
-those fits report both candidates; phase data breaks the tie.
+Both fits run the optimizer from each of their seeds and keep the
+lowest-residual converged result. Amplitude-only data cannot tell the two
+sides of the critical coupling apart (equal dip depths occur at one
+coupling below and one above), so those fits start from both candidates and
+report the runner-up as `alternate`; phase data breaks the tie.
 """
 
 from __future__ import annotations
@@ -78,10 +80,6 @@ class MeasuredSpectrum:
     @property
     def has_phase(self) -> bool:
         return self.t is not None or self.phase_rad is not None
-
-    @property
-    def is_polar(self) -> bool:
-        return self.amplitude_db is not None
 
     def amplitude(self) -> NDArray[np.floating]:
         """() linear transmission amplitude |t|."""
@@ -221,16 +219,12 @@ def _levenberg_marquardt(residual, x0, scale):
     return x, cov, history, n_iter, converged
 
 
-def _wrap_phase_diff(dphi):
-    """Map phase differences into (-pi, pi] without unwrap bookkeeping."""
-    return np.angle(np.exp(1j * dphi))
-
-
 def _make_residual(spectrum: MeasuredSpectrum, model_fn):
     """Residual vector builder matching the measurement mode.
 
     Complex data: stacked real and imaginary residuals. Polar data with
-    phase: amplitude residual plus phase residual weighted by the local
+    phase: amplitude residual plus the phase difference angle(t * e^{-i phase}),
+    which lies in (-pi, pi] without unwrap bookkeeping, weighted by the local
     amplitude (so the phase contributes nothing where the signal vanishes).
     Amplitude-only: amplitude residual alone.
     """
@@ -244,13 +238,11 @@ def _make_residual(spectrum: MeasuredSpectrum, model_fn):
         return residual
     amp = spectrum.amplitude()
     if spectrum.phase_rad is not None:
-        phase = spectrum.phase_rad
+        unphase = np.exp(-1j * spectrum.phase_rad)
 
         def residual(x):
             t = model_fn(x)
-            r_amp = np.abs(t) - amp
-            r_phase = _wrap_phase_diff(np.angle(t) - phase) * amp
-            return np.concatenate([r_amp, r_phase])
+            return np.concatenate([np.abs(t) - amp, np.angle(t * unphase) * amp])
 
         return residual
 
@@ -260,25 +252,27 @@ def _make_residual(spectrum: MeasuredSpectrum, model_fn):
     return residual
 
 
-def _finish(x, cov, history, n_iter, converged, names):
-    sig = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    return FitResult(
-        params={k: float(v) for k, v in zip(names, x)},
-        sigma={k: float(s) for k, s in zip(names, sig)},
-        residual_rms=history[-1],
-        n_iterations=n_iter,
-        converged=converged,
-        residual_history=tuple(history),
-    )
-
-
-def _best_converged(results, distinct):
-    """Lowest-residual converged fit, carrying the runner-up as `alternate`
+def _multistart(residual, starts, names, report, distinct):
+    """Run the solver from each (x0, scale) start and return the
+    lowest-residual converged fit, carrying the runner-up as `alternate`
     when `distinct(primary, runner_up)` says it is another solution.
+    `report` maps a solution to the values reported under `names`.
 
-    A seed that stalls (the mirror seed of amplitude-only data often starts
-    far from any minimum) is dropped; the fit fails only if every seed does.
+    A start that stalls (the mirror seed of amplitude-only data often starts
+    far from any minimum) is dropped; the fit fails only if every start does.
     """
+    results = []
+    for x0, scale in starts:
+        x, cov, history, n_iter, converged = _levenberg_marquardt(residual, x0, scale)
+        sigma = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+        results.append(FitResult(
+            params={k: float(v) for k, v in zip(names, report(x))},
+            sigma={k: float(s) for k, s in zip(names, sigma)},
+            residual_rms=history[-1],
+            n_iterations=n_iter,
+            converged=converged,
+            residual_history=tuple(history),
+        ))
     done = sorted((r for r in results if r.converged), key=lambda r: r.residual_rms)
     if not done:
         worst = max(r.n_iterations for r in results)
@@ -288,6 +282,22 @@ def _best_converged(results, distinct):
     if len(done) > 1 and distinct(done[0], done[1]):
         return replace(done[0], alternate=done[1])
     return done[0]
+
+
+def _half_width(axis, inside, i):
+    """Distance on `axis` between the first samples outside the run of
+    `inside` samples through index `i` (or the axis ends); a tenth of the
+    axis span when that distance is zero."""
+    lo = i
+    while lo > 0 and inside[lo]:
+        lo -= 1
+    hi = i
+    while hi < len(inside) - 1 and inside[hi]:
+        hi += 1
+    width = abs(float(axis[hi] - axis[lo]))
+    if width <= 0.0:
+        width = abs(float(axis[-1] - axis[0])) / 10.0
+    return width
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +318,9 @@ def _bare_model_fn(detuning_hz):
     return evaluate
 
 
-def _bare_init(spectrum):
-    """(center, kappa, eta_candidates) estimated straight from the data."""
+def _bare_starts(spectrum):
+    """(center, [(x0, scale), ...]) estimated straight from the data; x0 is
+    (center shift, kappa, eta), one start per coupling-fraction candidate."""
     amp = spectrum.amplitude()
     freq = spectrum.frequency_hz
     baseline = float(np.median(amp))
@@ -319,34 +330,21 @@ def _bare_init(spectrum):
         raise DipNotFoundError(
             f"no resonance dip: minimum is {depth_db:.2f} dB below the baseline"
         )
-    f_dip = float(freq[i_dip])
     half_power = math.sqrt((amp[i_dip] ** 2 + baseline**2) / 2.0)
-    above = amp > half_power
-    lo = i_dip
-    while lo > 0 and not above[lo]:
-        lo -= 1
-    hi = i_dip
-    while hi < len(amp) - 1 and not above[hi]:
-        hi += 1
-    width = float(freq[hi] - freq[lo])
-    if width <= 0.0:
-        width = float(freq[-1] - freq[0]) / 10.0
-    center0 = f_dip if spectrum.absolute_frequency else -f_dip
-    depth = float(amp[i_dip] / max(baseline, 1e-300))
+    kappa0 = _half_width(freq, amp <= half_power, i_dip)
+    center0 = float(freq[i_dip]) if spectrum.absolute_frequency else -float(freq[i_dip])
     if spectrum.has_phase:
         tz = complex(spectrum.complex_values()[i_dip])
-        eta_candidates = [min(max((1.0 - tz.real) / 2.0, 0.02), 0.98)]
+        eta_candidates = [(1.0 - tz.real) / 2.0]
     else:
-        eta_candidates = [
-            min(max((1.0 + depth) / 2.0, 0.02), 0.98),
-            min(max((1.0 - depth) / 2.0, 0.02), 0.98),
-        ]
-    return center0, width, eta_candidates
+        depth = float(amp[i_dip] / max(baseline, 1e-300))
+        eta_candidates = [(1.0 + depth) / 2.0, (1.0 - depth) / 2.0]
+    scale = (float(freq[-1] - freq[0]), kappa0, 1.0)
+    return center0, [((0.0, kappa0, min(max(eta0, 0.02), 0.98)), scale)
+                     for eta0 in eta_candidates]
 
 
-def fit_bare_cavity(
-    spectrum: MeasuredSpectrum, init: tuple[float, float, float] | None = None
-) -> FitResult:
+def fit_bare_cavity(spectrum: MeasuredSpectrum) -> FitResult:
     """Fit (resonance frequency, kappa, eta) to a pump-off spectrum.
 
     The spectrum should span at least ~3 linewidths around the dip. With
@@ -360,29 +358,19 @@ def fit_bare_cavity(
         params keys: "cavity_freq_hz" (or "center_offset_hz" when the axis
         is detuning), "kappa_hz", "eta".
     """
-    if init is not None:
-        center0, kappa0, eta0 = init
-        eta_candidates = [eta0]
-    else:
-        center0, kappa0, eta_candidates = _bare_init(spectrum)
+    center0, starts = _bare_starts(spectrum)
     # The center is fitted as a shift from its seed: on an absolute axis the
     # finite-difference step of the center itself would be a sizeable
     # fraction of kappa.
     freq = spectrum.frequency_hz
     detuning = (center0 - freq) if spectrum.absolute_frequency else (freq + center0)
-    residual = _make_residual(spectrum, _bare_model_fn(detuning))
     name0 = "cavity_freq_hz" if spectrum.absolute_frequency else "center_offset_hz"
-    names = (name0, "kappa_hz", "eta")
-    span = float(freq[-1] - freq[0])
-    results = []
-    for eta0 in eta_candidates:
-        x0 = (0.0, kappa0, eta0)
-        scale = (span, abs(kappa0) or span, 1.0)
-        x, cov, hist, n_it, conv = _levenberg_marquardt(residual, x0, scale)
-        x[0] += center0
-        results.append(_finish(x, cov, hist, n_it, conv, names))
-    return _best_converged(
-        results, lambda a, b: abs(b.params["eta"] - a.params["eta"]) > 1e-6
+    return _multistart(
+        _make_residual(spectrum, _bare_model_fn(detuning)),
+        starts,
+        (name0, "kappa_hz", "eta"),
+        lambda x: (x[0] + center0, x[1], x[2]),
+        lambda a, b: abs(b.params["eta"] - a.params["eta"]) > 1e-6,
     )
 
 
@@ -390,59 +378,35 @@ def fit_bare_cavity(
 # mechanical window
 # ---------------------------------------------------------------------------
 
-def _window_model_fn(spectrum, cavity: DeviceParams):
-    if spectrum.absolute_frequency:
-        delta_axis = cavity.cavity_freq_hz - spectrum.frequency_hz
-    else:
-        delta_axis = spectrum.frequency_hz
-
-    def evaluate(x):
-        gamma_hz, g_hz, offset_hz = x
-        return model._response(cavity.kappa_hz, cavity.eta, gamma_hz, g_hz, delta_axis, offset_hz)
-
-    return evaluate, delta_axis
-
-
-def _window_init(spectrum, cavity, delta_axis):
-    """Closed-form seed: window width gives the effective linewidth, the
-    window height at its center gives the split between gamma_m and G."""
+def _window_starts(spectrum, cavity, delta_axis):
+    """Closed-form starts over (gamma_m, G, offset): the window width gives
+    the effective linewidth, the window height at its center gives the split
+    between gamma_m and G."""
     amp = spectrum.amplitude()
     bare = abs(1.0 - 2.0 * cavity.eta)
     dev = np.abs(amp - bare)
     i_pk = int(np.argmax(dev))
     if dev[i_pk] < 0.05 * max(bare, 0.05):
         raise DipNotFoundError("no mechanical feature stands out from the bare background")
-    half = dev[i_pk] / 2.0
-    lo = i_pk
-    while lo > 0 and dev[lo] > half:
-        lo -= 1
-    hi = i_pk
-    while hi < len(dev) - 1 and dev[hi] > half:
-        hi += 1
-    gamma_eff = abs(float(delta_axis[hi] - delta_axis[lo]))
-    if gamma_eff <= 0.0:
-        gamma_eff = abs(float(delta_axis[-1] - delta_axis[0])) / 10.0
+    gamma_eff = _half_width(delta_axis, dev > dev[i_pk] / 2.0, i_pk)
     offset0 = float(delta_axis[i_pk])
     if spectrum.has_phase:
         tz_values = [float(np.real(spectrum.complex_values()[i_pk]))]
     else:
         mag = float(amp[i_pk])
         tz_values = [mag, -mag]
-    seeds = []
+    starts = []
     for tz in tz_values:
         tz = min(tz, 0.999)
         gamma0 = gamma_eff * (1.0 - tz) / (2.0 * cavity.eta)
         gamma0 = min(max(gamma0, 1e-12), gamma_eff * 0.999999)
         g0 = math.sqrt(max(cavity.kappa_hz * (gamma_eff - gamma0) / 4.0, 1e-24))
-        seeds.append((gamma0, g0, offset0))
-    return seeds, gamma_eff
+        scale = (max(gamma0, 1e-6), max(g0, 1e-3), max(gamma_eff, 1e-6))
+        starts.append(((gamma0, g0, offset0), scale))
+    return starts
 
 
-def fit_mechanical_window(
-    spectrum: MeasuredSpectrum,
-    cavity: DeviceParams,
-    init: tuple[float, float, float] | None = None,
-) -> FitResult:
+def fit_mechanical_window(spectrum: MeasuredSpectrum, cavity: DeviceParams) -> FitResult:
     """Fit (gamma_m, coupling rate, window center offset) with the cavity
     parameters held fixed.
 
@@ -457,23 +421,20 @@ def fit_mechanical_window(
     FitResult
         params keys: "gamma_m_hz", "g_hz", "center_offset_hz".
     """
-    model_fn, delta_axis = _window_model_fn(spectrum, cavity)
-    residual = _make_residual(spectrum, model_fn)
-    names = ("gamma_m_hz", "g_hz", "center_offset_hz")
-    if init is not None:
-        seeds = [tuple(init)]
-        gamma_eff = abs(init[0]) + 4.0 * init[1] ** 2 / cavity.kappa_hz
+    if spectrum.absolute_frequency:
+        delta_axis = cavity.cavity_freq_hz - spectrum.frequency_hz
     else:
-        seeds, gamma_eff = _window_init(spectrum, cavity, delta_axis)
-    results = []
-    for x0 in seeds:
-        scale = (max(abs(x0[0]), 1e-6), max(abs(x0[1]), 1e-3), max(gamma_eff, 1e-6))
-        x, cov, hist, n_it, conv = _levenberg_marquardt(residual, x0, scale)
-        x[0] = abs(x[0])
-        x[1] = abs(x[1])
-        results.append(_finish(x, cov, hist, n_it, conv, names))
-    return _best_converged(
-        results,
+        delta_axis = spectrum.frequency_hz
+
+    def evaluate(x):
+        gamma_hz, g_hz, offset_hz = x
+        return model._response(cavity.kappa_hz, cavity.eta, gamma_hz, g_hz, delta_axis, offset_hz)
+
+    return _multistart(
+        _make_residual(spectrum, evaluate),
+        _window_starts(spectrum, cavity, delta_axis),
+        ("gamma_m_hz", "g_hz", "center_offset_hz"),
+        lambda x: (abs(x[0]), abs(x[1]), x[2]),
         lambda a, b: abs(b.params["g_hz"] - a.params["g_hz"]) > 1e-9 * max(a.params["g_hz"], 1.0),
     )
 

@@ -74,7 +74,6 @@ class RunConfig:
     options: dict[str, Any]
     out_dir: str
     seed: int | None
-    points_override: int | None
 
 
 def _build_device(block: Any) -> DeviceParams:
@@ -114,7 +113,8 @@ def _read_text(path: str) -> str:
 
 def load_config(path: str, *, out_dir: str | None = None, seed: int | None = None,
                 points: int | None = None) -> RunConfig:
-    """Read and validate a JSON run config, applying CLI overrides."""
+    """Read and validate a JSON run config, applying CLI overrides; `points`
+    becomes the command's count option (`points` or `samples`), if it has one."""
     try:
         doc = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
@@ -152,13 +152,16 @@ def load_config(path: str, *, out_dir: str | None = None, seed: int | None = Non
         seed = doc.get("seed")
     if seed is not None and (type(seed) is not int or seed < 0):
         raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+    options = dict(options)
+    for key in ("points", "samples"):
+        if points is not None and key in OPTIONS[command]:
+            options[key] = points
     return RunConfig(
         device=_build_device(doc["device"]),
         command=command,
-        options=dict(options),
+        options=options,
         out_dir=out_dir,
         seed=seed,
-        points_override=points,
     )
 
 
@@ -305,20 +308,10 @@ def _number(options: dict, key: str, default, kind=int):
         raise ConfigError(f"{key} must be {what}, got {value!r}") from None
 
 
-def _count(cfg: RunConfig, key: str, default: int) -> int:
-    """The grid or sample count: `--points` when given (0 included, so it
-    meets the same validation as the option), else option `key`."""
-    if cfg.points_override is not None:
-        return cfg.points_override
-    return _number(cfg.options, key, default)
-
-
-def _coupling_from(options: dict, key: str = "g", default=None) -> float:
-    if key not in options:
-        if default is None:
-            raise ConfigError(f"command block needs a {key!r} entry")
-        return default
-    return parse_frequency(options[key])
+def _coupling_from(options: dict) -> float:
+    if "g" not in options:
+        raise ConfigError("command block needs a 'g' entry")
+    return parse_frequency(options["g"])
 
 
 def cmd_critical(cfg: RunConfig) -> int:
@@ -346,7 +339,7 @@ def cmd_critical(cfg: RunConfig) -> int:
 def cmd_spectrum(cfg: RunConfig) -> int:
     device = cfg.device
     g = _coupling_from(cfg.options)
-    n = _count(cfg, "points", 2001)
+    n = _number(cfg.options, "points", 2001)
     scale = cfg.options.get("scale", "linear")
     if "start" in cfg.options or "stop" in cfg.options:
         if not ("start" in cfg.options and "stop" in cfg.options):
@@ -371,7 +364,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 
 
 def cmd_sweep_g(cfg: RunConfig) -> int:
-    n = _count(cfg, "points", 2000)
+    n = _number(cfg.options, "points", 2000)
     scale = cfg.options.get("scale", "log")
     g = spectra.grid(parse_frequency(cfg.options.get("start", 5.0)),
                      parse_frequency(cfg.options.get("stop", 60.0)), n, scale)
@@ -390,7 +383,7 @@ def cmd_pulse(cfg: RunConfig) -> int:
     g = _coupling_from(cfg.options)
     method = cfg.options.get("method", "fft")
     carrier = parse_frequency(cfg.options.get("carrier_detuning", 0.0))
-    n = _count(cfg, "samples", 4096)
+    n = _number(cfg.options, "samples", 4096)
     fraction = _number(cfg.options, "bandwidth_fraction", pulses.DELAY_BANDWIDTH_FRACTION, float)
     pulse_cfg = pulses.delay_pulse_config(
         device, g, carrier_detuning_hz=carrier, bandwidth_fraction=fraction, n_samples=n
@@ -448,9 +441,14 @@ def cmd_fit(cfg: RunConfig) -> int:
                     f"fit frequency must be 'absolute' or 'detuning', got {options['frequency']!r}"
                 )
             absolute = options["frequency"] == "absolute"
-        measured = read_measured_csv(data_path, absolute=absolute)
-        if options.get("add_noise_snr_db") is not None:
+        snr_db = options.get("add_noise_snr_db")
+        if snr_db is not None:
             snr_db = _number(options, "add_noise_snr_db", None, float)
+            # the noise level 10^(-snr/20) must be a finite float
+            if not math.isfinite(snr_db) or -snr_db / 20.0 > sys.float_info.max_10_exp:
+                raise ConfigError(f"add_noise_snr_db must give a finite noise level, got {snr_db!r}")
+        measured = read_measured_csv(data_path, absolute=absolute)
+        if snr_db is not None:
             report["add_noise_snr_db"] = snr_db
             report["seed"] = cfg.seed
             rng = np.random.default_rng(cfg.seed)

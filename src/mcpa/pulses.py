@@ -545,7 +545,6 @@ def delay_pulse_config(
     carrier_detuning_hz: float = 0.0,
     bandwidth_fraction: float = DELAY_BANDWIDTH_FRACTION,
     n_samples: int = 4096,
-    amplitude: float = 1.0,
 ) -> PulseConfig:
     """Size a probe pulse for a clean delay measurement at this coupling.
 
@@ -571,7 +570,6 @@ def delay_pulse_config(
         center_s=lead,
         record_s=record,
         dt_s=record / n_samples,
-        amplitude=amplitude,
         carrier_detuning_hz=carrier_detuning_hz,
     )
 

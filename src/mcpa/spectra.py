@@ -21,6 +21,11 @@ from .model import DeviceParams
 
 TWO_PI = model.TWO_PI
 
+#: Half-span of `detuning_span` in effective window widths: wide enough to
+#: capture the full mechanical feature without resolving the (much wider)
+#: cavity line.
+DETUNING_SPAN_WIDTHS = 5.0
+
 
 def grid(start_hz: float, stop_hz: float, n_points: int,
          scale: str = "linear") -> NDArray[np.floating]:
@@ -41,15 +46,12 @@ def grid(start_hz: float, stop_hz: float, n_points: int,
     return np.linspace(start_hz, stop_hz, n_points)
 
 
-def detuning_span(params: DeviceParams, coupling: float, n_points: int = 2001,
-                  widths: float = 5.0) -> NDArray[np.floating]:
-    """Symmetric linear detuning grid covering the mechanically induced feature.
-
-    The window spans +/- `widths` effective window widths, which captures
-    the full feature without resolving the (much wider) cavity line.
-    """
-    w = model.effective_window_hz(params, coupling)
-    return grid(-widths * w, widths * w, n_points)
+def detuning_span(params: DeviceParams, coupling: float,
+                  n_points: int = 2001) -> NDArray[np.floating]:
+    """Symmetric linear detuning grid covering the mechanically induced
+    feature: +/- `DETUNING_SPAN_WIDTHS` effective window widths."""
+    w = DETUNING_SPAN_WIDTHS * model.effective_window_hz(params, coupling)
+    return grid(-w, w, n_points)
 
 
 @dataclass(frozen=True, eq=False)

@@ -87,10 +87,14 @@ def test_load_config_preset_and_overrides(tmp_path):
     path = write_config(tmp_path / "c.json", reference_doc(critical=None, seed=7))
     cfg = cli.load_config(path, out_dir="elsewhere", seed=99, points=55)
     assert cfg.device.cavity_freq_hz == 5.318e9
-    assert cfg.options == {}
+    assert cfg.options == {}  # critical has no count option to override
     assert cfg.out_dir == "elsewhere"
     assert cfg.seed == 99  # CLI flag beats the config value
-    assert cfg.points_override == 55
+    # --points becomes the command's count option, beating the config value
+    for command, key in (("spectrum", "points"), ("sweep_g", "points"), ("pulse", "samples")):
+        path = write_config(tmp_path / f"{command}.json", reference_doc(**{command: {key: 7}}))
+        assert cli.load_config(path, points=55).options == {key: 55}
+        assert cli.load_config(path).options == {key: 7}
 
 
 @pytest.mark.parametrize(
@@ -517,8 +521,10 @@ def test_non_numeric_count_is_config_error(tmp_path, capsys, command, value):
     [
         {"kind": "bare", "data": "x.csv", "frequency": ["x"]},
         {"kind": "bare", "data": ["bare.csv"]},
+        {"kind": "bare", "data": "x.csv", "add_noise_snr_db": -7000},
+        {"kind": "bare", "data": "x.csv", "add_noise_snr_db": "1e309"},
     ],
-    ids=["frequency-list", "data-list"],
+    ids=["frequency-list", "data-list", "snr-overflow", "snr-infinite"],
 )
 def test_fit_option_of_wrong_type_is_config_error(tmp_path, capsys, fit):
     path = write_config(tmp_path / "c.json", reference_doc(fit=fit))

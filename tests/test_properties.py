@@ -1,5 +1,6 @@
 """Property tests over random over-coupled devices near the reference device,
-and a fuzz test of the command line over random config documents.
+a fuzz test of the command line over random config documents, and a
+round trip of the calibration fits over a wider device range.
 
 Each device scales the reference cavity linewidth and mechanical linewidth
 by up to a factor of 3 either way and draws an over-coupled eta, so every
@@ -16,7 +17,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from mcpa import cli, model, pulses
+from mcpa import MeasuredSpectrum, calibrate, cli, model, pulses
 
 REFERENCE = model.reference_device()
 
@@ -149,3 +150,65 @@ def test_cli_config_fuzz_ends_in_exit_code(tmp_path, monkeypatch, version, devic
     path.write_text(json.dumps(doc))
     code = cli.main(["--config", str(path), "--out", str(tmp_path / "out")])
     assert code in (0, 2, 3, 4)
+
+
+# ---------------------------------------------------------------------------
+# calibration: noiseless fits return the device they were written from
+# ---------------------------------------------------------------------------
+
+@st.composite
+def calibration_cases(draw):
+    """A device over the calibration range and a coupling clear of G_c and
+    G_b: a fraction of G_c below it, a fraction of the way from G_c to G_b,
+    or a multiple of G_b above it."""
+    kappa = 10.0 ** draw(st.floats(5.0, math.log10(2e6)))
+    gamma = 10.0 ** draw(st.floats(math.log10(3e-3), math.log10(0.3)))
+    eta = draw(st.floats(0.55, 0.9))
+    dev = model.DeviceParams(REFERENCE.cavity_freq_hz, REFERENCE.mech_freq_hz, kappa, eta, gamma)
+    gc, gb = model.critical_coupling(dev), model.boundary_coupling(dev)
+    g = draw(st.one_of(
+        st.floats(0.3, 0.85).map(lambda u: u * gc),
+        st.floats(0.15, 0.85).map(lambda u: gc + u * (gb - gc)),
+        st.floats(1.15, 3.0).map(lambda u: u * gb),
+    ))
+    return dev, g
+
+
+def data_forms(axis, t):
+    """The trace as complex, polar and amplitude-only data on a detuning axis."""
+    amp_db = 20.0 * np.log10(np.abs(t))
+    return (
+        MeasuredSpectrum.from_complex(axis, t, absolute_frequency=False),
+        MeasuredSpectrum.from_polar(axis, amp_db, np.angle(t), absolute_frequency=False),
+        MeasuredSpectrum.from_polar(axis, amp_db, absolute_frequency=False),
+    )
+
+
+def recovers(fit, truth, offset_scale):
+    """Whether the fit or its alternate matches every `truth` value to 1e-6
+    relative, with a center offset within 1e-6 `offset_scale` of zero."""
+
+    def matches(candidate):
+        params = candidate.params
+        return abs(params["center_offset_hz"]) <= 1e-6 * offset_scale and all(
+            abs(params[k] / v - 1.0) <= 1e-6 for k, v in truth.items()
+        )
+
+    return any(matches(c) for c in (fit, fit.alternate) if c is not None)
+
+
+@PROPERTY
+@given(case=calibration_cases())
+def test_noiseless_fits_round_trip(case):
+    dev, g = case
+    axis = np.linspace(-3.0, 3.0, 241) * dev.kappa_hz
+    bare = model.transmission_curve(dev, 0.0, axis)
+    for spec in data_forms(axis, bare):
+        fit = calibrate.fit_bare_cavity(spec)
+        assert recovers(fit, {"kappa_hz": dev.kappa_hz, "eta": dev.eta}, dev.kappa_hz)
+    width = model.effective_window_hz(dev, g)
+    axis = np.linspace(-5.0, 5.0, 401) * width
+    window = model.transmission_curve(dev, g, axis)
+    for spec in data_forms(axis, window):
+        fit = calibrate.fit_mechanical_window(spec, dev)
+        assert recovers(fit, {"gamma_m_hz": dev.gamma_m_hz, "g_hz": g}, width)

@@ -36,7 +36,7 @@ def test_grid_endpoints():
 
 
 def test_detuning_span_covers_window(device):
-    x = spectra.detuning_span(device, 23.93, n_points=101, widths=5.0)
+    x = spectra.detuning_span(device, 23.93, n_points=101)
     w = model.effective_window_hz(device, 23.93)
     assert x[0] == pytest.approx(-5.0 * w, rel=1e-15)
     assert x[-1] == pytest.approx(5.0 * w, rel=1e-15)
