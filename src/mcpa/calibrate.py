@@ -255,7 +255,9 @@ def _make_residual(spectrum: MeasuredSpectrum, model_fn):
 def _multistart(residual, starts, names, report, distinct):
     """Run the solver from each (x0, scale) start and return the
     lowest-residual converged fit, carrying the runner-up as `alternate`
-    when `distinct(primary, runner_up)` says it is another solution.
+    when `distinct(primary, runner_up)` says it is another solution and its
+    every sigma is finite (a NaN sigma marks a runner-up that the data do
+    not constrain, such as the mechanics decoupled at G ~ 0).
     `report` maps a solution to the values reported under `names`.
 
     A start that stalls (the mirror seed of amplitude-only data often starts
@@ -279,7 +281,9 @@ def _multistart(residual, starts, names, report, distinct):
         raise ConvergenceError(
             f"no seed met the gradient tolerance (up to {worst} iterations per seed)"
         )
-    if len(done) > 1 and distinct(done[0], done[1]):
+    if len(done) > 1 and distinct(done[0], done[1]) and all(
+        map(math.isfinite, done[1].sigma.values())
+    ):
         return replace(done[0], alternate=done[1])
     return done[0]
 

@@ -229,10 +229,11 @@ def write_csv(path: str, meta: dict[str, Any], columns: list[str], rows) -> None
     buf.write(f"# format={CSV_FORMAT_TAG}\n")
     for key, value in meta.items():
         buf.write(f"# {key}={_fmt(value)}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_fmt(float(v)) for v in row])
+    csv.writer(buf, lineterminator="\n").writerow(columns)
+    # format(x, ".17g") spells nan, inf, -inf and -0 as _fmt does
+    cell = "{:.17g}".format
+    table = np.asarray(rows, dtype=float).tolist()
+    buf.write("".join(",".join(map(cell, row)) + "\n" for row in table))
     _atomic_write(path, buf.getvalue())
 
 

@@ -14,11 +14,12 @@ closed form from one matrix exponential, so it holds for any rate spread
 (kappa/gamma_m reaches ~4e7 for the reference device, far outside any
 explicit integrator's budget) and at the exceptional point, where the two
 modes' eigenvalues coincide. Per record the step reduces to one
-second-order IIR filter. The hold order matters: since the output is the
-small difference s_in - sqrt(eta*kappa) a, holding the input constant
-across each interval would misalign the two terms by a sample and the error
-would be amplified by 1/|t| near the absorption dip; the linear hold keeps
-them aligned at every sample time.
+second-order recurrence, solved as one banded triangular system. The hold
+order matters: since the output is the small difference
+s_in - sqrt(eta*kappa) a, holding the input constant across each interval
+would misalign the two terms by a sample and the error would be amplified
+by 1/|t| near the absorption dip; the linear hold keeps them aligned at
+every sample time.
 
 The steady-state response of the integrator reproduces the closed-form
 transmission; that equivalence is this module's core self-check and is
@@ -26,7 +27,7 @@ pinned in the tests.
 
 Each route is one private helper that returns output samples:
 `_spectral_product` (the padded-spectrum product, given the input's
-transform from `_padded_spectrum`) and `_stepped` (the exact IIR step).
+transform from `_padded_spectrum`) and `_stepped` (the exact step).
 `propagate` and `integrate_langevin` wrap them and attach the band check
 ("bandwidth", "singular-band") from the input's own spectrum; the band
 check runs only where a waveform is returned (those two functions and the
@@ -39,11 +40,10 @@ same mean with the pump off.
 
 Times are seconds, rates ordinary Hz as everywhere in this package.
 
-Importing this module loads numpy only. `scipy.signal` is imported inside
-the two functions that use it, `_integrate` (the IIR filter) and
-`center_time` (the lobe check), so it loads on the first time-domain
-propagation or arrival-time estimate and the commands that need neither
-start without it.
+This module needs numpy, plus `scipy.linalg` for the time-domain route
+alone: `_integrate` imports its banded triangular solve on first use, so
+the spectral route, the lobe check of `center_time` and every command but
+an ode pulse run without scipy.
 """
 
 from __future__ import annotations
@@ -340,29 +340,38 @@ def _integrate(a_mat, b_vec, h, s, initial_state):
         a_k - tr(E) a_{k-1} + det(E) a_{k-2}
             = Q0 s_k + (P0 - e11 Q0 + e01 Q1) s_{k-1} + (e01 P1 - e11 P0) s_{k-2},
 
-    valid from k = 2 on: a single IIR filter, seeded with a_0 (the initial
-    state) and a_1 (one explicit step).
+    valid from k = 2 on. Stacked over k, with a_0 (the initial state) and
+    a_1 (one explicit step) moved to the right-hand side of its first two
+    rows, the recurrence is one unit lower-triangular system of bandwidth 2,
+    solved in a single LAPACK banded triangular solve (`ztbtrs`).
     """
-    import scipy.signal
+    from scipy.linalg.lapack import ztbtrs
 
     e, p, q = _foh_propagator(a_mat, b_vec, h)
     x0 = np.asarray(initial_state, dtype=complex)
     a0 = x0[0]
     a1 = (e @ x0 + p * s[0] + q * s[1])[0]
-    num = [q[0], p[0] - e[1, 1] * q[0] + e[0, 1] * q[1], e[0, 1] * p[1] - e[1, 1] * p[0]]
-    den = [1.0, -(e[0, 0] + e[1, 1]), e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0]]
-    a_out = np.empty(len(s), dtype=complex)
-    a_out[0], a_out[1] = a0, a1
-    zi = scipy.signal.lfiltic(num, den, [a1, a0], [s[1], s[0]])
-    a_out[2:] = scipy.signal.lfilter(num, den, s[2:], zi=zi)[0]
-    return a_out
+    c1 = p[0] - e[1, 1] * q[0] + e[0, 1] * q[1]
+    c2 = e[0, 1] * p[1] - e[1, 1] * p[0]
+    d1 = -(e[0, 0] + e[1, 1])
+    d2 = e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0]
+    r = q[0] * s[2:] + c1 * s[1:-1] + c2 * s[:-2]
+    r[0] -= d1 * a1 + d2 * a0
+    r[1] -= d2 * a1
+    # band storage of the lower triangle, in Fortran order so that it is
+    # passed without a copy: row 0 is the unit diagonal (not read), rows 1
+    # and 2 the first and second subdiagonals
+    band = np.tile([0.0, d1, d2], (len(r), 1)).T
+    # with a unit diagonal the solve cannot fail: info is 0
+    a_rest, _ = ztbtrs(band, r[:, None], uplo="L", diag="U")
+    return np.concatenate(([a0, a1], a_rest[:, 0]))
 
 
 def _stepped(
     w: PulseWaveform, params: DeviceParams, g, initial_state=(0j, 0j)
 ) -> NDArray[np.complexfloating]:
     """The time-domain route's output samples s_in - sqrt(eta*kappa) a on
-    the grid of `w`, from the exact IIR step of `_integrate`."""
+    the grid of `w`, from the exact step of `_integrate`."""
     a_mat, b_vec = _system_matrix(params, g, w.carrier_detuning_hz)
     a_out = _integrate(a_mat, b_vec, w.dt_s, w.samples, initial_state)
     root = math.sqrt(params.eta * TWO_PI * params.kappa_hz)
@@ -491,6 +500,44 @@ def _gaussian_fit(t: NDArray[np.floating], env: NDArray[np.floating]) -> tuple[f
     return float(center), float(sigma)
 
 
+def _count_lobes(env: NDArray[np.floating], bound: float) -> int:
+    """Number of peaks of `env` that `scipy.signal.find_peaks(env,
+    height=bound, prominence=bound)` finds, by the same rules.
+
+    A peak is a local maximum away from the two edge samples; on a plateau
+    it is the plateau's midpoint. It counts when its height and its
+    prominence both reach `bound`. The prominence is the height minus the
+    higher of the two minima on the walks left and right from the peak,
+    each of which stops at the nearest strictly higher sample or the edge.
+    """
+    above = np.flatnonzero(env >= bound)
+    if len(above) == 0:
+        return 0
+    # every sample that can be a peak of height >= bound, with a neighbour
+    lo, hi = max(int(above[0]) - 1, 0), min(int(above[-1]) + 2, len(env))
+    x = env[lo:hi]
+    starts = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])  # runs of equal values
+    ends = np.append(starts[1:], len(x)) - 1
+    v = x[starts]
+    # a run with lower runs on both sides; the first and last runs of x hold
+    # an edge of env or a sample below bound, so neither counts
+    is_max = np.zeros(len(v), dtype=bool)
+    is_max[1:-1] = (v[1:-1] > v[:-2]) & (v[1:-1] > v[2:]) & (v[1:-1] >= bound)
+    top = float(x.max())
+    count = 0
+    for p in (lo + (starts[is_max] + ends[is_max]) // 2).tolist():
+        h = env[p]
+        if h == top:  # nothing is higher: both walks reach the edges
+            i, j = 0, len(env)
+        else:
+            higher = np.flatnonzero(env[:p] > h)
+            i = int(higher[-1]) + 1 if len(higher) else 0
+            higher = np.flatnonzero(env[p:] > h)
+            j = p + int(higher[0]) if len(higher) else len(env)
+        count += bool(h - max(env[i : p + 1].min(), env[p:j].min()) >= bound)
+    return count
+
+
 def center_time(w: PulseWaveform) -> float:
     """(s) arrival time of a single-lobe waveform: the centroid of |envelope|^2.
 
@@ -501,17 +548,15 @@ def center_time(w: PulseWaveform) -> float:
         peak in both height and prominence (no single arrival time exists
         then).
     """
-    import scipy.signal
-
     env = np.abs(w.samples)
     centroid, _ = _power_moments(w.times_s, env)
     # on a non-negative envelope a prominence never exceeds its height: the
     # height bound drops no lobe and skips the tails' rounding-noise maxima
     third = float(env.max()) / 3.0
-    peaks, _ = scipy.signal.find_peaks(env, height=third, prominence=third)
-    if len(peaks) > 1:
+    lobes = _count_lobes(env, third)
+    if lobes > 1:
         raise PulseEstimationError(
-            f"{len(peaks)} comparable lobes found; arrival time undefined"
+            f"{lobes} comparable lobes found; arrival time undefined"
         )
     return centroid
 

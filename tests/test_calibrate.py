@@ -279,6 +279,24 @@ def test_fit_mechanical_window_amplitude_only_above_boundary(device):
         assert min(abs(c.params["g_hz"] / g_true - 1.0) for c in candidates) < 0.01
 
 
+@pytest.mark.parametrize("ratio, seed", [(2.2, 4), (3.0, 2)])
+def test_fit_mechanical_window_drops_unconstrained_runner_up(device, ratio, seed):
+    # on these noisy amplitude-only traces above G_b the second seed
+    # converges to the mechanics decoupled (G of a few mHz or less) with a
+    # residual over 20 times the primary's and a singular covariance: no
+    # mirror solution, so no alternate
+    g_true = ratio * model.critical_coupling(device)
+    delta, t = window_trace(device, g_true, n=2001)
+    noisy = add_noise(t, np.random.default_rng(seed), level=10.0 ** (-50.0 / 20.0))
+    spec = MeasuredSpectrum.from_polar(
+        delta, 20.0 * np.log10(np.abs(noisy)), absolute_frequency=False
+    )
+    fit = calibrate.fit_mechanical_window(spec, device)
+    assert fit.params["g_hz"] == pytest.approx(g_true, rel=0.01)
+    assert all(math.isfinite(s) for s in fit.sigma.values())
+    assert fit.alternate is None
+
+
 def test_fit_mechanical_window_rejects_featureless(device):
     delta, t = window_trace(device, 17.66)
     flat = np.full_like(t, 1.0 - 2.0 * device.eta)

@@ -13,11 +13,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.signal
 
 pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from mcpa import MeasuredSpectrum, calibrate, cli, model, pulses
+from mcpa.errors import PulseEstimationError
 
 REFERENCE = model.reference_device()
 
@@ -71,6 +73,50 @@ def test_cw_response_matches_transmission(dev, x, d):
     closed = complex(model.transmission_curve(dev, g, detuning))
     stepped = pulses.cw_response(dev, g, detuning)
     assert abs(stepped - closed) <= 1e-4 * abs(closed)
+
+
+# envelopes with plateaus, ties and maxima at the edges (small integers),
+# generic ones, and all-equal and all-zero arrays
+envelopes = st.one_of(
+    st.lists(st.integers(0, 3), min_size=1, max_size=40),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+    st.tuples(st.integers(1, 40), st.sampled_from([0.0, 0.5])).map(lambda a: [a[1]] * a[0]),
+).map(lambda v: np.array(v, dtype=float))
+
+
+@settings(PROPERTY, max_examples=60)
+@given(env=envelopes, share=st.one_of(st.just(1.0 / 3.0), st.floats(0.0, 1.2)))
+def test_lobe_count_matches_find_peaks(env, share):
+    bound = share * float(env.max())
+    peaks, _ = scipy.signal.find_peaks(env, height=bound, prominence=bound)
+    assert pulses._count_lobes(env, bound) == len(peaks)
+
+
+# G/G_c from 1/2 to 2, as log10 of the ratio. Farther out the delay shrinks
+# to below 1e-2 of the probe width, and the difference of two centroids some
+# 8 widths from the record start loses more than 1e-12 of it to rounding.
+near_critical = st.floats(-0.3, 0.3)
+
+
+@settings(PROPERTY, max_examples=10)
+@given(dev=over_coupled_devices(), x=near_critical)
+def test_routes_match_band_averaged_delay(dev, x):
+    # the probe's rms bandwidth is 1/32 of the window at G, so its delay
+    # stays under one width sigma; 2^14 samples over 16 widths keep the ode
+    # route's linear-hold error under 1e-5 up to the couplings where the
+    # output splits in two
+    g = model.critical_coupling(dev) * 10.0**x
+    sigma = 32.0 / (2.0 * math.pi * model.effective_window_hz(dev, g))
+    cfg = pulses.PulseConfig(sigma_t_s=sigma, center_s=8.0 * sigma,
+                             record_s=16.0 * sigma, dt_s=16.0 * sigma / 2**14)
+    try:
+        fft = pulses.delay_curve(dev, g, cfg)
+        ode = pulses.delay_curve(dev, g, cfg, method="ode")
+    except PulseEstimationError:
+        assume(False)  # two comparable lobes: no arrival time to compare
+    oracle = pulses.band_averaged_delay(dev, g, cfg)
+    assert abs(fft - oracle) <= 1e-12 * abs(oracle)
+    assert abs(ode - oracle) <= 1e-5 * abs(oracle)
 
 
 # ---------------------------------------------------------------------------

@@ -258,7 +258,7 @@ def test_foh_fallback_matches_eigen_step():
     via_eigen = v @ (mu * np.linalg.solve(v, z) + alpha * s0 + beta * s1)
     via_expm = e_mat @ z + av * s0 + bv * s1
     np.testing.assert_allclose(via_eigen, via_expm, rtol=1e-12)
-    # the single path: the same step as one IIR filter over a whole record
+    # the single path: the same step as one banded solve over a whole record
     s = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     single = pulses._integrate(a_mat, b_vec, h, s, z)
     np.testing.assert_allclose(single, reference.eigen(a_mat, b_vec, h, s, z), rtol=1e-12)
