@@ -97,17 +97,13 @@ class MeasuredSpectrum:
 
     @classmethod
     def from_complex(cls, frequency_hz, t, absolute_frequency: bool = True):
-        return cls(frequency_hz=np.asarray(frequency_hz, float),
-                   t=np.asarray(t, complex),
-                   absolute_frequency=absolute_frequency)
+        return cls(frequency_hz=frequency_hz, t=t, absolute_frequency=absolute_frequency)
 
     @classmethod
     def from_polar(cls, frequency_hz, amplitude_db, phase_rad=None,
                    absolute_frequency: bool = True):
-        return cls(frequency_hz=np.asarray(frequency_hz, float),
-                   amplitude_db=np.asarray(amplitude_db, float),
-                   phase_rad=None if phase_rad is None else np.asarray(phase_rad, float),
-                   absolute_frequency=absolute_frequency)
+        return cls(frequency_hz=frequency_hz, amplitude_db=amplitude_db,
+                   phase_rad=phase_rad, absolute_frequency=absolute_frequency)
 
 
 @dataclass(frozen=True)

@@ -41,10 +41,12 @@ OPTIONS = {
     "spectrum": ("g", "start", "stop", "points", "scale"),
     "sweep_g": ("start", "stop", "points", "scale"),
     "pulse": ("g", "method", "samples", "carrier_detuning", "bandwidth_fraction"),
-    "fit": ("kind", "data", "frequency", "add_noise_snr_db"),
+    "fit": ("kind", "data", "add_noise_snr_db"),
 }
 COMMANDS = tuple(OPTIONS)
 DEVICE_KEYS = ("cavity_freq", "mech_freq", "kappa", "eta", "gamma_m", "vacuum_coupling")
+#: the largest `points` or `samples` count a config or `--points` may ask for
+MAX_COUNT = 2**22
 
 _UNIT_SCALE = {"mHz": 1e-3, "Hz": 1.0, "kHz": 1e3, "MHz": 1e6, "GHz": 1e9}
 _FREQ_RE = re.compile(r"^\s*([-+0-9.eE]+)\s*(mHz|Hz|kHz|MHz|GHz)?\s*$")
@@ -169,14 +171,9 @@ def load_config(path: str, *, out_dir: str | None = None, seed: int | None = Non
 # output helpers
 # ---------------------------------------------------------------------------
 
-def _fmt(value: float) -> str:
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return f"{value:.17g}"
-    return str(value)
+def _fmt(value: Any) -> str:
+    """A float to 17 significant digits (nan, inf, -inf, -0 too), else str."""
+    return format(value, ".17g") if isinstance(value, float) else str(value)
 
 
 def _header(cfg: RunConfig, **extras: Any) -> dict[str, Any]:
@@ -230,7 +227,6 @@ def write_csv(path: str, meta: dict[str, Any], columns: list[str], rows) -> None
     for key, value in meta.items():
         buf.write(f"# {key}={_fmt(value)}\n")
     csv.writer(buf, lineterminator="\n").writerow(columns)
-    # format(x, ".17g") spells nan, inf, -inf and -0 as _fmt does
     cell = "{:.17g}".format
     table = np.asarray(rows, dtype=float).tolist()
     buf.write("".join(",".join(map(cell, row)) + "\n" for row in table))
@@ -265,11 +261,11 @@ def _read_table(path: str) -> tuple[dict[str, int], np.ndarray]:
     return {name.strip(): i for i, name in enumerate(header)}, np.array(rows)
 
 
-def read_measured_csv(path: str, *, absolute: bool | None = None) -> calibrate.MeasuredSpectrum:
+def read_measured_csv(path: str) -> calibrate.MeasuredSpectrum:
     """Load a MeasuredSpectrum from CSV.
 
-    Accepts a frequency column named frequency_hz or detuning_hz plus either
-    (re, im) or (amp_db [, phase_rad]). Comment lines start with '#'.
+    Accepts a frequency column frequency_hz (absolute) or detuning_hz, plus
+    either (re, im) or (amp_db [, phase_rad]). Comment lines start with '#'.
     """
     cols, data = _read_table(path)
     if "frequency_hz" in cols:
@@ -278,8 +274,6 @@ def read_measured_csv(path: str, *, absolute: bool | None = None) -> calibrate.M
         freq_col, is_absolute = cols["detuning_hz"], False
     else:
         raise ConfigError(f"{path} has neither a frequency_hz nor a detuning_hz column")
-    if absolute is not None:
-        is_absolute = absolute
     freq = data[:, freq_col]
     if "re" in cols and "im" in cols:
         values = data[:, cols["re"]] + 1j * data[:, cols["im"]]
@@ -298,15 +292,19 @@ def read_measured_csv(path: str, *, absolute: bool | None = None) -> calibrate.M
 
 def _number(options: dict, key: str, default, kind=int):
     """Option `key` converted by `kind`; an unconvertible value, or a count
-    (kind int) that is not a whole number, is a ConfigError."""
+    (kind int) that is not a whole number or exceeds MAX_COUNT, is a
+    ConfigError."""
     value = options.get(key, default)
     try:
         if kind is int and isinstance(value, float) and not value.is_integer():
             raise ValueError
-        return kind(value)
+        number = kind(value)
     except (TypeError, ValueError):
         what = "a whole number" if kind is int else "a number"
         raise ConfigError(f"{key} must be {what}, got {value!r}") from None
+    if kind is int and number > MAX_COUNT:
+        raise ConfigError(f"{key} must be at most {MAX_COUNT}, got {value!r}")
+    return number
 
 
 def _coupling_from(options: dict) -> float:
@@ -435,20 +433,13 @@ def cmd_fit(cfg: RunConfig) -> int:
             raise ConfigError(f"{data_path} needs a t_z or amp_db column")
         report["critical_coupling_hz"] = calibrate.infer_critical_from_sweep(g, power)
     else:
-        absolute = None
-        if "frequency" in options:
-            if options["frequency"] not in ("absolute", "detuning"):
-                raise ConfigError(
-                    f"fit frequency must be 'absolute' or 'detuning', got {options['frequency']!r}"
-                )
-            absolute = options["frequency"] == "absolute"
         snr_db = options.get("add_noise_snr_db")
         if snr_db is not None:
             snr_db = _number(options, "add_noise_snr_db", None, float)
             # the noise level 10^(-snr/20) must be a finite float
             if not math.isfinite(snr_db) or -snr_db / 20.0 > sys.float_info.max_10_exp:
                 raise ConfigError(f"add_noise_snr_db must give a finite noise level, got {snr_db!r}")
-        measured = read_measured_csv(data_path, absolute=absolute)
+        measured = read_measured_csv(data_path)
         if snr_db is not None:
             report["add_noise_snr_db"] = snr_db
             report["seed"] = cfg.seed

@@ -79,8 +79,9 @@ class DeviceParams:
     gamma_m_hz : float
         (Hz) intrinsic mechanical linewidth gamma_m / 2pi.
     vacuum_coupling_hz : float, optional
-        (Hz) single-photon coupling rate g / 2pi, if known. Only used to
-        convert pump photon number into the field-enhanced coupling.
+        (Hz) single-photon coupling rate g / 2pi, if known. Nothing computes
+        with it: only a config's device block and the CSV headers written
+        from it carry the value.
     """
 
     cavity_freq_hz: float

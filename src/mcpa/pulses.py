@@ -78,8 +78,8 @@ class PulseConfig:
     Parameters
     ----------
     sigma_t_s : float
-        (s) Gaussian width parameter of the field envelope,
-        amplitude * exp(-(t - center)^2 / (2 sigma_t^2)).
+        (s) Gaussian width parameter of the unit-peak field envelope
+        exp(-(t - center)^2 / (2 sigma_t^2)).
     center_s : float
         (s) envelope peak time, > 0.
     record_s : float
@@ -87,8 +87,6 @@ class PulseConfig:
         the center so a delayed pulse is never truncated.
     dt_s : float
         (s) sample interval; must resolve the envelope (dt <= sigma_t / 4).
-    amplitude : float
-        () peak field amplitude.
     carrier_detuning_hz : float
         (Hz) detuning of the pulse carrier from the cavity resonance.
     """
@@ -97,7 +95,6 @@ class PulseConfig:
     center_s: float
     record_s: float
     dt_s: float
-    amplitude: float = 1.0
     carrier_detuning_hz: float = 0.0
 
     def __post_init__(self) -> None:
@@ -107,8 +104,6 @@ class PulseConfig:
             raise ParameterError(f"center_s must be positive, got {self.center_s!r}")
         if not (math.isfinite(self.dt_s) and self.dt_s > 0.0):
             raise ParameterError(f"dt_s must be positive, got {self.dt_s!r}")
-        if not (math.isfinite(self.amplitude) and self.amplitude > 0.0):
-            raise ParameterError(f"amplitude must be positive, got {self.amplitude!r}")
         if not math.isfinite(self.carrier_detuning_hz):
             raise ParameterError("carrier_detuning_hz must be finite")
         if self.record_s < self.center_s + 8.0 * self.sigma_t_s:
@@ -185,7 +180,7 @@ def gaussian_pulse(config: PulseConfig) -> PulseWaveform:
     n = int(round(config.record_s / config.dt_s))
     t = config.dt_s * np.arange(n)
     arg = (t - config.center_s) / config.sigma_t_s
-    samples = (config.amplitude * np.exp(-0.5 * arg * arg)).astype(complex)
+    samples = np.exp(-0.5 * arg * arg).astype(complex)
     return PulseWaveform(
         t0_s=0.0,
         dt_s=config.dt_s,
@@ -367,25 +362,17 @@ def _integrate(a_mat, b_vec, h, s, initial_state):
     return np.concatenate(([a0, a1], a_rest[:, 0]))
 
 
-def _stepped(
-    w: PulseWaveform, params: DeviceParams, g, initial_state=(0j, 0j)
-) -> NDArray[np.complexfloating]:
+def _stepped(w: PulseWaveform, params: DeviceParams, g) -> NDArray[np.complexfloating]:
     """The time-domain route's output samples s_in - sqrt(eta*kappa) a on
-    the grid of `w`, from the exact step of `_integrate`."""
+    the grid of `w`, from rest, by the exact step of `_integrate`."""
     a_mat, b_vec = _system_matrix(params, g, w.carrier_detuning_hz)
-    a_out = _integrate(a_mat, b_vec, w.dt_s, w.samples, initial_state)
+    a_out = _integrate(a_mat, b_vec, w.dt_s, w.samples, (0j, 0j))
     root = math.sqrt(params.eta * TWO_PI * params.kappa_hz)
     return w.samples - root * a_out
 
 
-def integrate_langevin(
-    w: PulseWaveform,
-    params: DeviceParams,
-    coupling: float,
-    *,
-    initial_state: tuple[complex, complex] = (0.0 + 0.0j, 0.0 + 0.0j),
-) -> PulseWaveform:
-    """Propagate a waveform by integrating the two-mode equations of motion.
+def integrate_langevin(w: PulseWaveform, params: DeviceParams, coupling: float) -> PulseWaveform:
+    """Propagate a waveform from rest by integrating the two-mode equations.
 
     The step between samples is exact for the linearly interpolated
     envelope, whatever the rate spread, including at the exceptional point.
@@ -398,8 +385,6 @@ def integrate_langevin(
     params : DeviceParams
     coupling : float
         (Hz) field-enhanced coupling rate.
-    initial_state : (complex, complex)
-        Intracavity field and mechanical amplitude at the first sample.
 
     Returns
     -------
@@ -408,7 +393,7 @@ def integrate_langevin(
         warnings of `propagate`.
     """
     g = model._scalar_g_hz(coupling)
-    return _output(w, _stepped(w, params, g, initial_state), params, g)
+    return _output(w, _stepped(w, params, g), params, g)
 
 
 # cw_response steps the exact propagator with a stride of _CW_SETTLE slow
@@ -658,8 +643,11 @@ def delay_curve(
     each coupling then costs one output and one centroid, and the pump-off
     reference (coupling 0, bare cavity) is propagated once per call.
     Referencing against it removes offsets common to both runs, such as the
-    sampling and interpolation bias of the chosen route. No band check
-    runs: the outputs are not returned, so their warnings would be dropped.
+    sampling and interpolation bias of the chosen route. Both arrivals are
+    timed from the probe's own center, not from the record start, so their
+    difference keeps its digits when the delay is a small fraction of the
+    width. No band check runs: the outputs are not returned, so their
+    warnings would be dropped.
 
     Parameters
     ----------
@@ -684,6 +672,7 @@ def delay_curve(
     _check_method(method)
     g = model._g_hz(couplings)
     pulse = gaussian_pulse(config)
+    t0 = pulse.t0_s - config.center_s
     if method == "fft":
         x, f = _padded_spectrum(pulse)
 
@@ -692,7 +681,7 @@ def delay_curve(
             samples = _spectral_product(pulse, x, f, params, gi)
         else:
             samples = _stepped(pulse, params, gi)
-        return center_time(PulseWaveform(t0_s=pulse.t0_s, dt_s=pulse.dt_s, samples=samples))
+        return center_time(PulseWaveform(t0_s=t0, dt_s=pulse.dt_s, samples=samples))
 
     return _minus_pump_off(arrival, g)
 

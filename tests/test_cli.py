@@ -124,6 +124,8 @@ def test_load_config_preset_and_overrides(tmp_path):
         {"version": "1", "critical": {}, "device": {
             "cavity_freq": "5.318 GHz", "mech_freq": "755.5 kHz", "kappa": "420 kHz",
             "eta": 0.651, "gamma_m": "9.7 mHz", "gamma": "9.7 mHz"}},
+        # the axis column of the data names its kind: fit takes no frequency option
+        reference_doc(fit={"kind": "bare", "data": "x.csv", "frequency": ["x"]}),
     ],
 )
 def test_load_config_rejects(tmp_path, doc):
@@ -156,6 +158,26 @@ def test_load_config_rejects_bad_device_values(tmp_path):
     }
     with pytest.raises(ConfigError):
         cli.load_config(write_config(tmp_path / "c.json", doc))
+
+
+@pytest.mark.parametrize(
+    "value,text",
+    [
+        (float("nan"), "nan"),
+        (float("inf"), "inf"),
+        (float("-inf"), "-inf"),
+        (-0.0, "-0"),
+        (0.1, "0.10000000000000001"),
+        (1e300, "1.0000000000000001e+300"),
+        (True, "True"),
+        (7, "7"),
+        (None, "None"),
+        ("fft", "fft"),
+    ],
+)
+def test_fmt_spells_every_printed_value(value, text):
+    # floats print with 17 significant digits, anything else as str
+    assert cli._fmt(value) == text
 
 
 # ---------------------------------------------------------------------------
@@ -500,31 +522,37 @@ def test_non_utf8_input_is_config_error(tmp_path, capsys, kind, data):
 
 
 @pytest.mark.parametrize(
-    "command,value",
+    "command,argv,value",
     [
-        ({"spectrum": {"g": 23.93, "points": "many"}}, "'many'"),
-        ({"pulse": {"g": 155.1, "samples": "many"}}, "'many'"),
-        ({"pulse": {"g": 155.1, "samples": 1024.5}}, "1024.5"),
-        ({"sweep_g": {"points": 20.9}}, "20.9"),
+        ({"spectrum": {"g": 23.93, "points": "many"}}, [], "'many'"),
+        ({"pulse": {"g": 155.1, "samples": "many"}}, [], "'many'"),
+        ({"pulse": {"g": 155.1, "samples": 1024.5}}, [], "1024.5"),
+        ({"sweep_g": {"points": 20.9}}, [], "20.9"),
+        # counts past MAX_COUNT are refused before any array is allocated
+        ({"spectrum": {"g": 23.93, "points": 10**13}}, [], str(10**13)),
+        ({"pulse": {"g": 155.1, "samples": 10**13}}, [], str(10**13)),
+        ({"pulse": {"g": 155.1}}, ["--points", str(10**13)], str(10**13)),
     ],
-    ids=["points", "samples", "fractional-samples", "fractional-points"],
+    ids=["points", "samples", "fractional-samples", "fractional-points",
+         "huge-points", "huge-samples", "huge-points-flag"],
 )
-def test_non_numeric_count_is_config_error(tmp_path, capsys, command, value):
+def test_non_numeric_count_is_config_error(tmp_path, capsys, command, argv, value):
     path = write_config(tmp_path / "c.json", reference_doc(**command))
-    assert cli.main(["--config", path, "--out", str(tmp_path / "o")]) == 2
+    out_dir = tmp_path / "o"
+    assert cli.main(["--config", path, "--out", str(out_dir), *argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and value in err
+    assert not list(out_dir.glob("*.csv"))
 
 
 @pytest.mark.parametrize(
     "fit",
     [
-        {"kind": "bare", "data": "x.csv", "frequency": ["x"]},
         {"kind": "bare", "data": ["bare.csv"]},
         {"kind": "bare", "data": "x.csv", "add_noise_snr_db": -7000},
         {"kind": "bare", "data": "x.csv", "add_noise_snr_db": "1e309"},
     ],
-    ids=["frequency-list", "data-list", "snr-overflow", "snr-infinite"],
+    ids=["data-list", "snr-overflow", "snr-infinite"],
 )
 def test_fit_option_of_wrong_type_is_config_error(tmp_path, capsys, fit):
     path = write_config(tmp_path / "c.json", reference_doc(fit=fit))
