@@ -291,12 +291,15 @@ def read_measured_csv(path: str) -> calibrate.MeasuredSpectrum:
 # ---------------------------------------------------------------------------
 
 def _number(options: dict, key: str, default, kind=int):
-    """Option `key` converted by `kind`; an unconvertible value, or a count
-    (kind int) that is not a whole number or exceeds MAX_COUNT, is a
-    ConfigError."""
+    """Option `key` converted by `kind`; an unconvertible value, a JSON
+    true or false, or a count (kind int) that is not a whole number or
+    exceeds MAX_COUNT, is a ConfigError."""
     value = options.get(key, default)
     try:
-        if kind is int and isinstance(value, float) and not value.is_integer():
+        # int(True) is 1: a bool is no number here
+        if isinstance(value, bool) or (
+            kind is int and isinstance(value, float) and not value.is_integer()
+        ):
             raise ValueError
         number = kind(value)
     except (TypeError, ValueError):

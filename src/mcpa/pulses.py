@@ -32,11 +32,16 @@ transform from `_padded_spectrum`) and `_stepped` (the exact step).
 ("bandwidth", "singular-band") from the input's own spectrum; the band
 check runs only where a waveform is returned (those two functions and the
 `pulse` command of the CLI). `delay_curve` measures the delay at one or
-many couplings from one probe, one input transform and one pump-off
-reference per call, with no band check; `extract_delay` is `delay_curve`
-at one coupling. `band_averaged_delay` is its exact prediction: the mean
-of the analytic group delay over the output's power spectrum, minus the
-same mean with the pump off.
+many couplings, with no band check; `extract_delay` is `delay_curve` at one
+coupling. What is the same at every coupling is made once and reused across
+calls: the probe with its padded transform (`_probe`, the last probe only)
+and the pump-off arrival time (`_pump_off_arrival`, floats only), so a loop
+of `extract_delay` calls costs one output and one centroid per coupling.
+The probe kept between calls holds 112 n bytes for n samples: 3.7 MB at
+2^15, about 470 MB at the CLI's largest count 2^22, no more than one call
+allocates at its peak. `band_averaged_delay` is the exact prediction on the
+same probe transform: the mean of the analytic group delay over the
+output's power spectrum, minus the same mean with the pump off.
 
 Times are seconds, rates ordinary Hz as everywhere in this package.
 
@@ -48,6 +53,7 @@ an ode pulse run without scipy.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -595,6 +601,14 @@ def delay_pulse_config(
     margin = min(abs(tau) * 1.5, 20.0 * sigma_t)
     lead = 8.0 * sigma_t + (margin if tau < 0.0 else 0.0)
     record = lead + 8.0 * sigma_t + (margin if tau > 0.0 else 0.0)
+    if record / n_samples > sigma_t / 4.0:  # the PulseConfig sampling rule
+        need = math.floor(4.0 * record / sigma_t)
+        while record / need > sigma_t / 4.0:  # after rounding, one more may be due
+            need += 1
+        raise ParameterError(
+            f"samples = {n_samples} undersamples the probe at this coupling; "
+            f"it needs at least {need} samples"
+        )
     return PulseConfig(
         sigma_t_s=sigma_t,
         center_s=lead,
@@ -621,11 +635,42 @@ def _route_waveforms(
     return pulse, run(pulse, params, g), run(pulse, params, 0.0)
 
 
-def _minus_pump_off(value, g):
-    """value(G) - value(0) at each coupling of `g` (a float or a float
+@functools.lru_cache(maxsize=1)
+def _probe(config: PulseConfig):
+    """The probe of `config` and its padded transform: (pulse, x, f), as
+    made by `gaussian_pulse` and `_padded_spectrum`. Cached for the last
+    config, so a sweep over couplings synthesizes and transforms its probe
+    once; the arrays are shared by every caller and so are read-only."""
+    pulse = gaussian_pulse(config)
+    x, f = _padded_spectrum(pulse)
+    for array in (pulse.samples, x, f):
+        array.flags.writeable = False
+    return pulse, x, f
+
+
+def _arrival(params: DeviceParams, g: float, config: PulseConfig, method: str) -> float:
+    """(s) arrival time of the probe of `config` through the device at
+    coupling `g` by the named route, timed from the probe's own center."""
+    pulse, x, f = _probe(config)
+    if method == "fft":
+        samples = _spectral_product(pulse, x, f, params, g)
+    else:
+        samples = _stepped(pulse, params, g)
+    t0 = pulse.t0_s - config.center_s
+    return center_time(PulseWaveform(t0_s=t0, dt_s=pulse.dt_s, samples=samples))
+
+
+@functools.lru_cache(maxsize=16)
+def _pump_off_arrival(params: DeviceParams, config: PulseConfig, method: str) -> float:
+    """`_arrival` with the pump off (coupling 0, the bare cavity), cached
+    per device, probe and route: it is the same for every coupling."""
+    return _arrival(params, 0.0, config, method)
+
+
+def _minus_pump_off(value, pump_off: float, g):
+    """value(G) - pump_off at each coupling of `g` (a float or a float
     array), shaped like `g`: a scalar in gives a scalar out."""
-    reference = value(0.0)
-    out = np.array([value(gi) - reference for gi in np.ravel(g).tolist()])
+    out = np.array([value(gi) - pump_off for gi in np.ravel(g).tolist()])
     return out.reshape(np.shape(g))[()]
 
 
@@ -639,15 +684,18 @@ def delay_curve(
     """Pulse group delay at each coupling: the arrival-time shift of the
     configured Gaussian relative to the pump-off run.
 
-    The probe is synthesized once, and on the "fft" route transformed once;
-    each coupling then costs one output and one centroid, and the pump-off
-    reference (coupling 0, bare cavity) is propagated once per call.
-    Referencing against it removes offsets common to both runs, such as the
-    sampling and interpolation bias of the chosen route. Both arrivals are
-    timed from the probe's own center, not from the record start, so their
-    difference keeps its digits when the delay is a small fraction of the
-    width. No band check runs: the outputs are not returned, so their
-    warnings would be dropped.
+    Each coupling costs one output (one kernel pass and one inverse FFT on
+    the "fft" route, one banded solve on the "ode" route) and one centroid.
+    The probe with its transform and the pump-off reference (coupling 0,
+    bare cavity) are the same at every coupling; they are made once and
+    kept across calls (the last probe, and a few pump-off arrival times),
+    so a loop of calls costs what one call over the same couplings does.
+    Referencing against the pump-off run removes offsets
+    common to both runs, such as the sampling and interpolation bias of the
+    chosen route. Both arrivals are timed from the probe's own center, not
+    from the record start, so their difference keeps its digits when the
+    delay is a small fraction of the width. No band check runs: the outputs
+    are not returned, so their warnings would be dropped.
 
     Parameters
     ----------
@@ -671,19 +719,8 @@ def delay_curve(
     """
     _check_method(method)
     g = model._g_hz(couplings)
-    pulse = gaussian_pulse(config)
-    t0 = pulse.t0_s - config.center_s
-    if method == "fft":
-        x, f = _padded_spectrum(pulse)
-
-    def arrival(gi: float) -> float:
-        if method == "fft":
-            samples = _spectral_product(pulse, x, f, params, gi)
-        else:
-            samples = _stepped(pulse, params, gi)
-        return center_time(PulseWaveform(t0_s=t0, dt_s=pulse.dt_s, samples=samples))
-
-    return _minus_pump_off(arrival, g)
+    pump_off = _pump_off_arrival(params, config, method)
+    return _minus_pump_off(lambda gi: _arrival(params, gi, config, method), pump_off, g)
 
 
 def extract_delay(
@@ -695,9 +732,10 @@ def extract_delay(
 ) -> float:
     """Pulse group delay at one coupling: :func:`delay_curve` at `coupling`.
 
-    Sends the configured Gaussian through the device twice, once at the
-    requested coupling and once with the pump off, and returns the
-    difference of the two arrival-time centroids.
+    Sends the configured Gaussian through the device at the requested
+    coupling and returns the shift of its arrival-time centroid against the
+    pump-off run, which, like the probe, is made once and reused across
+    calls.
 
     Parameters
     ----------
@@ -721,9 +759,10 @@ def band_averaged_delay(
 
     By Parseval, the centroid of |y|^2 is the mean of the analytic group
     delay tau(carrier + f) over the output's power spectrum
-    |X(f)|^2 |t(carrier + f)|^2. This evaluates that mean on the same
-    zero-padded input spectrum the "fft" route uses, minus the same mean at
-    G = 0, with zero weight where tau is undefined (a transmission zero).
+    |X(f)|^2 |t(carrier + f)|^2. This evaluates that mean on the probe
+    transform the "fft" route uses (the same cached arrays), minus the same
+    mean at G = 0, with zero weight where tau is undefined (a transmission
+    zero).
     It needs no time-domain waveform, so it exists where `center_time`
     refuses two lobes, and it gives the bias of a finite-bandwidth probe
     against tau(0): the measurable side of the diverging delay at G_c.
@@ -735,8 +774,7 @@ def band_averaged_delay(
         (a scalar in gives a scalar out).
     """
     g = model._g_hz(couplings)
-    pulse = gaussian_pulse(config)
-    x, f = _padded_spectrum(pulse)
+    pulse, x, f = _probe(config)
     power = np.square(np.abs(x))
     detuning = pulse.carrier_detuning_hz + f
 
@@ -748,4 +786,4 @@ def band_averaged_delay(
         weight = power[defined] * np.square(np.abs(t[defined]))
         return float(np.sum(weight * tau[defined]) / np.sum(weight))
 
-    return _minus_pump_off(mean_delay, g)
+    return _minus_pump_off(mean_delay, mean_delay(0.0), g)

@@ -6,6 +6,7 @@ monkeypatching work; the console entry point is the same function.
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -246,6 +247,24 @@ def test_zero_count_is_config_error(tmp_path, capsys, source, command, key, writ
     assert cli.main(["--config", path, "--out", str(out_dir), *argv]) == 2
     assert capsys.readouterr().err.startswith("config error")
     assert not (out_dir / written).exists()
+
+
+def test_too_few_samples_names_the_smallest_count(tmp_path, capsys):
+    # the probe's sampling rule dt <= sigma_t / 4 sets the smallest count at
+    # this coupling; the message gives it, and it is exactly enough
+    path = write_config(tmp_path / "c.json", reference_doc(pulse={"g": "155.1 Hz"}))
+
+    def run(samples):
+        out_dir = tmp_path / str(samples)
+        code = cli.main(["--config", path, "--out", str(out_dir), "--points", str(samples)])
+        return code, capsys.readouterr().err, sorted(p.name for p in out_dir.glob("*.csv"))
+
+    code, err, written = run(31)
+    assert code == 2 and not written
+    assert err.startswith("config error: samples = 31 ")
+    need = int(re.search(r"at least (\d+) samples", err).group(1))
+    assert run(need - 1)[:2] == (2, err.replace("= 31 ", f"= {need - 1} "))
+    assert run(need)[0] == 0
 
 
 def test_spectrum_rerun_byte_identical(tmp_path):
@@ -532,9 +551,11 @@ def test_non_utf8_input_is_config_error(tmp_path, capsys, kind, data):
         ({"spectrum": {"g": 23.93, "points": 10**13}}, [], str(10**13)),
         ({"pulse": {"g": 155.1, "samples": 10**13}}, [], str(10**13)),
         ({"pulse": {"g": 155.1}}, ["--points", str(10**13)], str(10**13)),
+        # a JSON true is no count, though int(True) is 1
+        ({"spectrum": {"g": 23.93, "points": True}}, [], "True"),
     ],
     ids=["points", "samples", "fractional-samples", "fractional-points",
-         "huge-points", "huge-samples", "huge-points-flag"],
+         "huge-points", "huge-samples", "huge-points-flag", "bool-points"],
 )
 def test_non_numeric_count_is_config_error(tmp_path, capsys, command, argv, value):
     path = write_config(tmp_path / "c.json", reference_doc(**command))
@@ -551,8 +572,9 @@ def test_non_numeric_count_is_config_error(tmp_path, capsys, command, argv, valu
         {"kind": "bare", "data": ["bare.csv"]},
         {"kind": "bare", "data": "x.csv", "add_noise_snr_db": -7000},
         {"kind": "bare", "data": "x.csv", "add_noise_snr_db": "1e309"},
+        {"kind": "bare", "data": "x.csv", "add_noise_snr_db": True},
     ],
-    ids=["data-list", "snr-overflow", "snr-infinite"],
+    ids=["data-list", "snr-overflow", "snr-infinite", "snr-bool"],
 )
 def test_fit_option_of_wrong_type_is_config_error(tmp_path, capsys, fit):
     path = write_config(tmp_path / "c.json", reference_doc(fit=fit))

@@ -1,6 +1,7 @@
 """Unit tests for pulse synthesis, propagation, and delay extraction."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -471,11 +472,68 @@ def test_delay_curve_matches_band_averaged_delay(device):
 def test_delay_curve_two_lobes_where_band_average_is_finite(device):
     # at 0.985 G_c the probe comes out in two comparable lobes: no arrival
     # time exists, but the power-weighted mean delay does
-    g = 0.985 * model.critical_coupling(device)
-    cfg = _curve_config(device, 0.5 * model.critical_coupling(device))
+    gc = model.critical_coupling(device)
+    cfg = _curve_config(device, 0.5 * gc)
     for method in ("fft", "ode"):
-        with pytest.raises(PulseEstimationError, match="lobes"):
-            pulses.delay_curve(device, g, cfg, method=method)
-    oracle = pulses.band_averaged_delay(device, g, cfg)
+        pulses.extract_delay(device, 0.5 * gc, cfg, method=method)  # warm caches
+        for _ in range(2):  # a refusal is never cached: every call raises it
+            with pytest.raises(PulseEstimationError, match="lobes"):
+                pulses.delay_curve(device, 0.985 * gc, cfg, method=method)
+    oracle = pulses.band_averaged_delay(device, 0.985 * gc, cfg)
     assert math.isfinite(oracle) and oracle < 0.0
+
+
+# ---------------------------------------------------------------------------
+# the probe and pump-off caches
+# ---------------------------------------------------------------------------
+
+def _clear_caches():
+    pulses._probe.cache_clear()
+    pulses._pump_off_arrival.cache_clear()
+
+
+def _hex(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+@pytest.mark.parametrize("method", ["fft", "ode"])
+def test_delays_same_with_warm_and_cleared_caches(device, method):
+    gc = model.critical_coupling(device)
+    g = np.array([0.5, 1.1, 2.0]) * gc
+    cfg = _curve_config(device, g[0])
+    runs = []
+    for _ in range(2):
+        _clear_caches()
+        for _ in range(2):  # cold, then warm
+            runs.append(_hex(pulses.delay_curve(device, g, cfg, method=method)))
+            runs.append(_hex([pulses.extract_delay(device, gi, cfg, method=method) for gi in g]))
+    assert all(run == runs[0] for run in runs)
+
+
+def test_warm_caches_keep_devices_probes_and_routes_apart(device):
+    gc = model.critical_coupling(device)
+    cfg = _curve_config(device, 0.5 * gc)
+    cases = [
+        (device, cfg, "fft"),
+        (replace(device, gamma_m_hz=1.2 * device.gamma_m_hz), cfg, "fft"),
+        (device, _curve_config(device, 0.5 * gc, 0.003), "fft"),
+        (device, cfg, "ode"),
+    ]
+    uncached = []
+    for params, config, method in cases:
+        _clear_caches()
+        uncached.append(pulses.extract_delay(params, 2.0 * gc, config, method=method).hex())
+    assert len(set(uncached)) == len(cases)
+    for _ in range(2):  # every case after every other, on warm caches
+        for (params, config, method), expected in zip(cases, uncached):
+            assert pulses.extract_delay(params, 2.0 * gc, config, method=method).hex() == expected
+
+
+def test_cached_probe_is_read_only():
+    cfg = small_config()
+    pulse, x, f = pulses._probe(cfg)
+    assert pulses._probe(cfg)[1] is x
+    for array in (pulse.samples, x, f):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
 
