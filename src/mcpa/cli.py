@@ -24,7 +24,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
@@ -393,7 +393,11 @@ def cmd_pulse(cfg: RunConfig) -> int:
     # before any file is written: a device with no critical coupling fails here
     regime = model.classify_regime(device, g).regime.value
     pulse, out, ref = pulses._route_waveforms(device, g, pulse_cfg, method)
-    tau = pulses.center_time(out) - pulses.center_time(ref)
+    # both arrivals timed from the probe's center, as `delay_curve` times
+    # them, so a small delay keeps its digits; the CSVs keep the record times
+    start = pulse.t0_s - pulse_cfg.center_s
+    tau = (pulses.center_time(replace(out, t0_s=start))
+           - pulses.center_time(replace(ref, t0_s=start)))
     meta = _header(cfg, g_hz=g, carrier_detuning_hz=carrier, method=method,
                    sigma_t_s=pulse_cfg.sigma_t_s, dt_s=pulse_cfg.dt_s)
     columns = ["time_s", "re", "im", "abs"]

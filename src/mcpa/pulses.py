@@ -26,22 +26,35 @@ transmission; that equivalence is this module's core self-check and is
 pinned in the tests.
 
 Each route is one private helper that returns output samples:
-`_spectral_product` (the padded-spectrum product, given the input's
-transform from `_padded_spectrum`) and `_stepped` (the exact step).
+`_spectral_product` (the padded-spectrum product, given a band of the
+input's transform from `_padded_spectrum`) and `_stepped` (the exact step).
 `propagate` and `integrate_langevin` wrap them and attach the band check
 ("bandwidth", "singular-band") from the input's own spectrum; the band
 check runs only where a waveform is returned (those two functions and the
 `pulse` command of the CLI). `delay_curve` measures the delay at one or
 many couplings, with no band check; `extract_delay` is `delay_curve` at one
 coupling. What is the same at every coupling is made once and reused across
-calls: the probe with its padded transform (`_probe`, the last probe only)
-and the pump-off arrival time (`_pump_off_arrival`, floats only), so a loop
-of `extract_delay` calls costs one output and one centroid per coupling.
-The probe kept between calls holds 112 n bytes for n samples: 3.7 MB at
-2^15, about 470 MB at the CLI's largest count 2^22, no more than one call
-allocates at its peak. `band_averaged_delay` is the exact prediction on the
-same probe transform: the mean of the analytic group delay over the
-output's power spectrum, minus the same mean with the pump off.
+calls: the probe (`_probe`, the last probe only) and the pump-off arrival
+time (`_pump_off_arrival`, floats only), so a loop of `extract_delay` calls
+costs one output and one centroid per coupling.
+
+The delay path's fft route works at the probe's bandwidth, not at the
+record's sample rate. `_probe` keeps the probe samples (16 n bytes for n
+samples, for the ode route) and the band of their m-point padded
+transform: the signed bins |j| <= K outside which at most 1e-28 of the
+probe's power lies, with a decimation L, the largest power of two that
+divides n with m/L >= 8 (K + 1). Per coupling the fft route then evaluates
+the kernel on 2K + 1 points, runs one m/L-point inverse FFT and times the
+n/L samples at every L-th record time, which are exact samples of the
+full-rate output (K = 100 and L = 128 for a 2^15-sample probe in a
+20-width record: 201 kernel points and a 1024-point inverse FFT, against
+2^17 of each at the full rate). A probe cut by the record start
+(`center_s` < 8 sigma) leaks power into every bin, so its band widens: at
+`center_s` <= 6 sigma it is every bin with L = 1, which is the
+full-rate product. `propagate` and the CLI keep the full-rate product.
+`band_averaged_delay` is the exact prediction on the same band: the mean
+of the analytic group delay over the output's power spectrum, minus the
+same mean with the pump off.
 
 Times are seconds, rates ordinary Hz as everywhere in this package.
 
@@ -244,13 +257,56 @@ def _padded_spectrum(w: PulseWaveform):
     return np.fft.fft(w.samples, m), np.fft.fftfreq(m, w.dt_s)
 
 
-def _spectral_product(
-    w: PulseWaveform, x, f, params: DeviceParams, g
-) -> NDArray[np.complexfloating]:
-    """The spectral route's output samples on the grid of `w`, from its
-    padded spectrum (x, f): the first n of ifft(X(f) * t(carrier + f))."""
-    h = model.transmission_curve(params, g, w.carrier_detuning_hz + f)
-    return np.fft.ifft(x * h)[: len(w.samples)]
+@dataclass(frozen=True, eq=False)
+class _Probe:
+    """An input waveform with a band of its padded transform: what the
+    spectral route takes, and what `_probe` keeps of a delay probe.
+
+    Attributes
+    ----------
+    pulse : PulseWaveform
+        The input samples.
+    x, f : ndarray
+        The band of the input's padded transform (`_padded_spectrum`, m
+        points): the signed bins 0..K, then -K..-1, and their frequencies;
+        or every bin, in fft order.
+    step : int
+        Decimation L: the output is sampled at every L-th sample.
+    points : int
+        m / L, the length of the decimated inverse transform.
+    """
+
+    pulse: PulseWaveform
+    x: NDArray[np.complexfloating]
+    f: NDArray[np.floating]
+    step: int
+    points: int
+
+
+def _spectral_product(probe: _Probe, params: DeviceParams, g) -> NDArray[np.complexfloating]:
+    """The spectral route's output at samples 0, L, 2L, ... of the input's
+    record: ifft(X(f) * t(carrier + f)) on the band of its padded spectrum.
+
+    Unless the band is every bin, the product goes into an m/L-point array
+    at the same signed bins; its inverse transform, divided by L, holds
+    samples 0, L, 2L, ... of the m-point inverse transform (the polyphase
+    identity of the DFT, exact when the band fits in m/L bins, so that
+    nothing aliases).
+    """
+    pulse = probe.pulse
+    h = model.transmission_curve(params, g, pulse.carrier_detuning_hz + probe.f)
+    # x * h with h named, the order the full-rate product has always used:
+    # on a temporary h numpy would reuse its buffer and compute h * x, and
+    # complex products round differently with the operands swapped (the
+    # `pulse` command's CSVs would change in their last digits)
+    y = probe.x * h
+    if len(y) < probe.points:
+        z = np.zeros(probe.points, dtype=complex)
+        cut = len(y) - len(y) // 2  # bins 0..K lead; the bins -K..-1 close the array
+        z[:cut] = y[:cut]
+        z[probe.points - (len(y) - cut) :] = y[cut:]
+        y = z
+    return np.fft.ifft(y)[: len(pulse.samples) // probe.step] / probe.step
 
 
 def propagate(
@@ -272,7 +328,8 @@ def propagate(
     """
     g = model._scalar_g_hz(coupling)
     x, f = _padded_spectrum(w)
-    return _output(w, _spectral_product(w, x, f, params, g), params, g)
+    samples = _spectral_product(_Probe(w, x, f, 1, len(x)), params, g)
+    return _output(w, samples, params, g)
 
 
 # ---------------------------------------------------------------------------
@@ -635,29 +692,70 @@ def _route_waveforms(
     return pulse, run(pulse, params, g), run(pulse, params, 0.0)
 
 
+#: Share of the probe's power that the fft delay path may drop: the band
+#: of `_probe` is the fewest bins around zero that hold all but this much.
+_BAND_POWER_TOL = 1e-28
+
+
+def _band_edge(x: NDArray[np.complexfloating]) -> int:
+    """The least K for which the bins |j| > K of the m-point transform `x`
+    hold at most `_BAND_POWER_TOL` of its power, or m/2 (every bin, the
+    Nyquist bin included) when no smaller K does."""
+    m = len(x)
+    power = np.square(np.abs(x))
+    # power at |j| = 0, 1, ..., m/2: bins j and -j together, Nyquist alone
+    pair = power[: m // 2 + 1].copy()
+    pair[1 : m // 2] += power[: m // 2 : -1]
+    # summed from the outside in, so the tail keeps its relative digits
+    tail = np.cumsum(pair[::-1])[::-1]
+    return int(np.count_nonzero(tail[1:] > _BAND_POWER_TOL * tail[0]))
+
+
 @functools.lru_cache(maxsize=1)
-def _probe(config: PulseConfig):
-    """The probe of `config` and its padded transform: (pulse, x, f), as
-    made by `gaussian_pulse` and `_padded_spectrum`. Cached for the last
-    config, so a sweep over couplings synthesizes and transforms its probe
-    once; the arrays are shared by every caller and so are read-only."""
+def _probe(config: PulseConfig) -> _Probe:
+    """The probe of `config` with the band of its padded transform.
+
+    The band is the signed bins |j| <= K of the m-point padded transform,
+    with K the least value that leaves at most `_BAND_POWER_TOL` of the
+    probe's power outside. K is read off the computed transform, not off
+    the analytic Gaussian: a probe cut by the record start (`center_s` <
+    8 sigma) leaks power into every bin, and by `center_s` = 6 sigma the
+    band is every bin, the Nyquist bin included, at L = 1: the full-rate
+    product. The decimation L is the largest power of two that divides n
+    with m/L >= 8 (K + 1), or 1.
+
+    Cached for the last config, so a sweep over couplings synthesizes and
+    transforms its probe once. It keeps the probe samples (16 n bytes for n
+    samples) and the band; the arrays are shared by every caller and so
+    are read-only.
+    """
     pulse = gaussian_pulse(config)
     x, f = _padded_spectrum(pulse)
+    m, n = len(x), len(pulse.samples)
+    k = _band_edge(x)
+    if 2 * k < m:
+        bins = np.r_[0 : k + 1, m - k : m]
+        x, f = x[bins], f[bins]
+    step = 1
+    while n % (2 * step) == 0 and m // (2 * step) >= 8 * (k + 1):
+        step *= 2
     for array in (pulse.samples, x, f):
         array.flags.writeable = False
-    return pulse, x, f
+    return _Probe(pulse, x, f, step, m // step)
 
 
 def _arrival(params: DeviceParams, g: float, config: PulseConfig, method: str) -> float:
     """(s) arrival time of the probe of `config` through the device at
-    coupling `g` by the named route, timed from the probe's own center."""
-    pulse, x, f = _probe(config)
+    coupling `g` by the named route, timed from the probe's own center.
+    The fft route times the output on its decimated grid of step L dt."""
+    probe = _probe(config)
+    pulse = probe.pulse
     if method == "fft":
-        samples = _spectral_product(pulse, x, f, params, g)
+        samples, dt = _spectral_product(probe, params, g), probe.step * pulse.dt_s
     else:
-        samples = _stepped(pulse, params, g)
+        samples, dt = _stepped(pulse, params, g), pulse.dt_s
     t0 = pulse.t0_s - config.center_s
-    return center_time(PulseWaveform(t0_s=t0, dt_s=pulse.dt_s, samples=samples))
+    return center_time(PulseWaveform(t0_s=t0, dt_s=dt, samples=samples))
 
 
 @functools.lru_cache(maxsize=16)
@@ -684,9 +782,13 @@ def delay_curve(
     """Pulse group delay at each coupling: the arrival-time shift of the
     configured Gaussian relative to the pump-off run.
 
-    Each coupling costs one output (one kernel pass and one inverse FFT on
-    the "fft" route, one banded solve on the "ode" route) and one centroid.
-    The probe with its transform and the pump-off reference (coupling 0,
+    Each coupling costs one output and one centroid. On the "fft" route the
+    output is the band's product, 2K + 1 kernel points and one m/L-point
+    inverse FFT, timed at every L-th sample (see `_probe`: K and L follow
+    from the probe, and a probe cut by the record start widens the band up
+    to every bin at L = 1); on the "ode" route it is one banded solve at
+    every sample.
+    The probe with its band and the pump-off reference (coupling 0,
     bare cavity) are the same at every coupling; they are made once and
     kept across calls (the last probe, and a few pump-off arrival times),
     so a loop of calls costs what one call over the same couplings does.
@@ -759,10 +861,10 @@ def band_averaged_delay(
 
     By Parseval, the centroid of |y|^2 is the mean of the analytic group
     delay tau(carrier + f) over the output's power spectrum
-    |X(f)|^2 |t(carrier + f)|^2. This evaluates that mean on the probe
-    transform the "fft" route uses (the same cached arrays), minus the same
-    mean at G = 0, with zero weight where tau is undefined (a transmission
-    zero).
+    |X(f)|^2 |t(carrier + f)|^2. This evaluates that mean on the band of
+    the probe transform that the "fft" route uses (the same cached
+    arrays), minus the same mean at G = 0, with zero weight where tau is
+    undefined (a transmission zero).
     It needs no time-domain waveform, so it exists where `center_time`
     refuses two lobes, and it gives the bias of a finite-bandwidth probe
     against tau(0): the measurable side of the diverging delay at G_c.
@@ -774,9 +876,9 @@ def band_averaged_delay(
         (a scalar in gives a scalar out).
     """
     g = model._g_hz(couplings)
-    pulse, x, f = _probe(config)
-    power = np.square(np.abs(x))
-    detuning = pulse.carrier_detuning_hz + f
+    probe = _probe(config)
+    power = np.square(np.abs(probe.x))
+    detuning = probe.pulse.carrier_detuning_hz + probe.f
 
     def mean_delay(gi: float) -> float:
         t, tau = model._response(

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from mcpa import cli
+from mcpa import cli, pulses, reference_device
 from mcpa.errors import ConfigError
 
 
@@ -322,6 +322,23 @@ def test_pulse_command_ode_route(tmp_path, capsys):
     extracted = float(out.split("extracted_delay_s=")[1].splitlines()[0])
     analytic = float(out.split("analytic_delay_s=")[1].splitlines()[0])
     assert extracted == pytest.approx(analytic, rel=0.05)
+
+
+@pytest.mark.parametrize("method", ["fft", "ode"])
+def test_pulse_command_delay_is_extract_delay(tmp_path, capsys, method):
+    # at G_c / 10 the delay is under a tenth of the probe width: timed from
+    # the record start, the two arrivals would cost its last digits
+    g = 1.75
+    path = write_config(
+        tmp_path / "c.json", reference_doc(pulse={"g": g, "samples": 1024, "method": method})
+    )
+    assert cli.main(["--config", path, "--out", str(tmp_path / "out")]) == 0
+    out = capsys.readouterr().out
+    extracted = float(out.split("extracted_delay_s=")[1].splitlines()[0])
+    device = reference_device()
+    config = pulses.delay_pulse_config(device, g, n_samples=1024)
+    expected = pulses.extract_delay(device, g, config, method=method)
+    assert extracted == pytest.approx(expected, rel=1e-13, abs=0)
 
 
 def test_pulse_unknown_method_is_config_error(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Property tests over random over-coupled devices near the reference device,
-a fuzz test of the command line over random config documents, and a
-round trip of the calibration fits over a wider device range.
+fuzz tests of the command line over random config documents and random
+fit data files, and a round trip of the calibration fits over a wider
+device range.
 
 Each device scales the reference cavity linewidth and mechanical linewidth
 by up to a factor of 3 either way and draws an over-coupled eta, so every
@@ -191,6 +192,83 @@ def test_cli_config_fuzz_ends_in_exit_code(tmp_path, monkeypatch, version, devic
     path.write_text(json.dumps(doc))
     code = cli.main(["--config", str(path), "--out", str(tmp_path / "out")])
     assert code in (0, 2, 3, 4)
+
+
+# ---------------------------------------------------------------------------
+# data-file fuzzing: every fit of a random CSV ends in an exit code
+# ---------------------------------------------------------------------------
+
+# zeros, non-finite values, the extremes of a double, and any float at all
+odd_cells = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324]),
+    st.floats(),
+)
+VALUE_COLUMNS = {"bare": [("re", "im"), ("amp_db",), ("amp_db", "phase_rad")],
+                 "critical_sweep": [("t_z",), ("amp_db",)]}
+VALUE_COLUMNS["mechanical"] = VALUE_COLUMNS["bare"]
+
+
+def clean_columns(kind, header, rows):
+    """The reference device's trace of this kind, one array per header
+    column: the cavity dip, the window at 2 G_c, or a coupling sweep."""
+    gc = model.critical_coupling(REFERENCE)
+    if kind == "critical_sweep":
+        axis = np.geomspace(0.5, 2.0, rows) * gc
+        t = model.transmission_curve(REFERENCE, axis, 0.0)
+    else:
+        g = 0.0 if kind == "bare" else 2.0 * gc
+        span = REFERENCE.kappa_hz if kind == "bare" else model.effective_window_hz(REFERENCE, g)
+        axis = np.linspace(-3.0, 3.0, rows) * span
+        t = model.transmission_curve(REFERENCE, g, axis)
+    channels = {"g_hz": axis, "detuning_hz": axis, "frequency_hz": REFERENCE.cavity_freq_hz + axis,
+                "re": t.real, "im": t.imag, "t_z": np.abs(t), "amp_db": 20.0 * np.log10(np.abs(t)),
+                "phase_rad": np.angle(t)}
+    return [channels[name] for name in header]
+
+
+@st.composite
+def data_files(draw):
+    """A fit kind and a CSV with a valid header for it: its reference trace
+    of 1-60 rows, where a column may be one repeated value and up to three
+    cells take an odd value."""
+    kind = draw(st.sampled_from(sorted(VALUE_COLUMNS)))
+    axes = ["g_hz"] if kind == "critical_sweep" else ["detuning_hz", "frequency_hz"]
+    axis = draw(st.sampled_from(axes))
+    header = [axis, *draw(st.sampled_from(VALUE_COLUMNS[kind]))]
+    rows = draw(st.integers(1, 60))
+    table = np.column_stack(clean_columns(kind, header, rows))
+    for j in range(len(header)):
+        if draw(st.integers(0, 7)) == 0:  # one column in eight: one repeated value
+            table[:, j] = draw(odd_cells | st.floats(-10.0, 10.0))
+    for _ in range(draw(st.integers(0, 3))):
+        row, column = draw(st.integers(0, rows - 1)), draw(st.integers(0, len(header) - 1))
+        table[row, column] = draw(odd_cells)
+    lines = [",".join(header)] + [",".join(map(repr, row)) for row in table.tolist()]
+    return kind, "\n".join(lines) + "\n"
+
+
+def no_constant(name):
+    raise AssertionError(f"{name} in the fit report")
+
+
+@settings(PROPERTY, max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=data_files())
+def test_cli_data_fuzz_ends_in_exit_code(tmp_path, case):
+    kind, text = case
+    data = tmp_path / "data.csv"
+    data.write_text(text)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"version": "1", "device": "reference",
+                                  "fit": {"kind": kind, "data": str(data)}}))
+    out = tmp_path / "out"
+    report = out / "fit_report.json"
+    if report.exists():
+        report.unlink()
+    code = cli.main(["--config", str(config), "--out", str(out)])
+    assert code in (0, 2, 3)
+    if code == 0:
+        # json writes a non-finite float as NaN or Infinity, outside JSON
+        json.loads(report.read_text(), parse_constant=no_constant)
 
 
 # ---------------------------------------------------------------------------

@@ -436,12 +436,13 @@ def test_extract_delay_unknown_method(device):
 # delay curves and the band-averaged oracle
 # ---------------------------------------------------------------------------
 
-def _curve_config(device, g_min, carrier_detuning_hz=0.0):
-    """One probe for a whole curve at 2^14 samples: rms bandwidth 1/32 of
-    the narrowest window, centered in a 20-sigma record."""
+def _curve_config(device, g_min, carrier_detuning_hz=0.0, samples=2**14):
+    """One probe for a whole curve, at 2^14 samples unless told otherwise:
+    rms bandwidth 1/32 of the narrowest window, centered in a 20-sigma
+    record."""
     sigma = 32.0 / (2.0 * math.pi * model.effective_window_hz(device, g_min))
     return small_config(sigma=sigma, center=10.0 * sigma, record=20.0 * sigma,
-                        dt=20.0 * sigma / 2**14, carrier_detuning_hz=carrier_detuning_hz)
+                        dt=20.0 * sigma / samples, carrier_detuning_hz=carrier_detuning_hz)
 
 
 def test_delay_curve_matches_band_averaged_delay(device):
@@ -531,9 +532,77 @@ def test_warm_caches_keep_devices_probes_and_routes_apart(device):
 
 def test_cached_probe_is_read_only():
     cfg = small_config()
-    pulse, x, f = pulses._probe(cfg)
-    assert pulses._probe(cfg)[1] is x
-    for array in (pulse.samples, x, f):
+    probe = pulses._probe(cfg)
+    assert pulses._probe(cfg).x is probe.x
+    for array in (probe.pulse.samples, probe.x, probe.f):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
+
+
+# ---------------------------------------------------------------------------
+# the fft delay path on the probe's band
+# ---------------------------------------------------------------------------
+
+def _full_rate_delays(device, g, cfg):
+    """Delays from `propagate`, which keeps the full m-point product, with
+    both arrivals timed from the probe's center as `delay_curve` times them."""
+    pulse = pulses.gaussian_pulse(cfg)
+
+    def arrival(coupling):
+        out = pulses.propagate(pulse, device, coupling)
+        return pulses.center_time(replace(out, t0_s=-cfg.center_s))
+
+    pump_off = arrival(0.0)
+    return np.array([arrival(gi) - pump_off for gi in g])
+
+
+def test_band_route_matches_full_rate_route(device):
+    gc = model.critical_coupling(device)
+    g = np.array([0.5, 1.1, 2.0]) * gc
+    for carrier in (0.0, 0.003, -0.003):
+        cfg = _curve_config(device, g[0], carrier)
+        probe = pulses._probe(cfg)
+        assert probe.step > 1 and len(probe.x) < probe.points
+        band, full = pulses.delay_curve(device, g, cfg), _full_rate_delays(device, g, cfg)
+        np.testing.assert_allclose(band, full, rtol=1e-13, atol=0)
+    # an odd sample count: the band, at every sample (L = 1)
+    cfg = _curve_config(device, g[0], samples=2**12 + 1)
+    probe = pulses._probe(cfg)
+    assert probe.step == 1 and len(probe.x) < probe.points
+    band, full = pulses.delay_curve(device, g, cfg), _full_rate_delays(device, g, cfg)
+    np.testing.assert_allclose(band, full, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("center_sigmas", [2.0, 6.0])
+def test_truncated_probe_falls_back_to_every_bin(device, center_sigmas):
+    # the record start cuts the probe: its power leaks into every bin, so
+    # the band is every bin at L = 1, the full-rate product itself
+    gc = model.critical_coupling(device)
+    g = np.array([1.1, 2.0]) * gc
+    cfg = _curve_config(device, 0.5 * gc)
+    cfg = replace(cfg, center_s=center_sigmas * cfg.sigma_t_s)
+    probe = pulses._probe(cfg)
+    assert probe.step == 1 and len(probe.x) == probe.points
+    assert _hex(pulses.delay_curve(device, g, cfg)) == _hex(_full_rate_delays(device, g, cfg))
+
+
+def test_fft_delay_evaluates_the_kernel_on_the_band_only(device, monkeypatch):
+    # the probe of a benchmark curve: 2^15 samples, 2^17 padded bins
+    gc = model.critical_coupling(device)
+    g = np.array([0.5, 1.1, 2.0]) * gc
+    cfg = _curve_config(device, g[0], samples=2**15)
+    _clear_caches()
+    points = []
+    kernel = model.transmission_curve
+
+    def counted(params, coupling, detuning_hz):
+        points.append(np.size(detuning_hz))
+        return kernel(params, coupling, detuning_hz)
+
+    monkeypatch.setattr(model, "transmission_curve", counted)
+    pulses.delay_curve(device, g, cfg)
+    probe = pulses._probe(cfg)
+    band = len(probe.x)  # 2 K + 1 bins
+    assert len(points) == len(g) + 1  # the pump-off reference, then each coupling
+    assert max(points) <= band < 0.01 * probe.points * probe.step
 
