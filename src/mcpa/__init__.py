@@ -45,7 +45,6 @@ from .pulses import (
     band_averaged_delay,
     center_time,
     center_time_estimates,
-    cw_response,
     delay_curve,
     delay_pulse_config,
     extract_delay,
@@ -89,7 +88,6 @@ __all__ = [
     "center_time_estimates",
     "classify_regime",
     "critical_coupling",
-    "cw_response",
     "delay_curve",
     "delay_pulse_config",
     "detuning_span",

@@ -17,6 +17,7 @@ report the runner-up as `alternate`; phase data breaks the tie.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -76,6 +77,18 @@ class MeasuredSpectrum:
                 raise ParameterError(f"{name} must match the frequency axis shape")
             if not np.all(np.isfinite(arr)):
                 raise ParameterError(f"{name} contains non-finite values")
+        # a fit sums 2 rows squared residuals, each up to pi times the data's
+        # linear amplitude (or complex component): above `limit` it overflows
+        limit = math.sqrt(sys.float_info.max / (32.0 * len(freq)))
+        if self.t is not None:
+            name, peak = "t", float(np.maximum(abs(self.t.real), abs(self.t.imag)).max())
+        else:
+            name, peak = "amplitude_db", float(self.amplitude_db.max())
+            limit = 20.0 * math.log10(limit)
+        if peak > limit:
+            raise ParameterError(
+                f"{name} reaches {peak:.6g}; a fit's sum of squares overflows above {limit:.6g}"
+            )
 
     @property
     def has_phase(self) -> bool:

@@ -433,11 +433,17 @@ def cmd_fit(cfg: RunConfig) -> int:
             raise ConfigError(f"{data_path} has no g_hz column")
         g = table[:, cols["g_hz"]]
         if "t_z" in cols:
-            power = np.square(table[:, cols["t_z"]])
+            name, top = "t_z", math.sqrt(sys.float_info.max)
         elif "amp_db" in cols:
-            power = 10.0 ** (table[:, cols["amp_db"]] / 10.0)
+            name, top = "amp_db", 10.0 * sys.float_info.max_10_exp
         else:
             raise ConfigError(f"{data_path} needs a t_z or amp_db column")
+        values = table[:, cols[name]]
+        # the power |t_z|^2 or 10^(amp_db / 10) must be a finite float (a
+        # very negative amp_db only underflows to 0)
+        if not np.all((np.abs(values) if name == "t_z" else values) <= top):
+            raise ConfigError(f"{data_path} {name} values must be numbers up to {top:.6g}")
+        power = np.square(values) if name == "t_z" else 10.0 ** (values / 10.0)
         report["critical_coupling_hz"] = calibrate.infer_critical_from_sweep(g, power)
     else:
         snr_db = options.get("add_noise_snr_db")

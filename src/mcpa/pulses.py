@@ -22,17 +22,18 @@ by 1/|t| near the absorption dip; the linear hold keeps them aligned at
 every sample time.
 
 The steady-state response of the integrator reproduces the closed-form
-transmission; that equivalence is this module's core self-check and is
-pinned in the tests.
+transmission; that equivalence is this module's core self-check, pinned in
+the tests by stepping `_foh_propagator` under constant drive.
 
 Each route is one private helper that returns output samples:
-`_spectral_product` (the padded-spectrum product, given a band of the
-input's transform from `_padded_spectrum`) and `_stepped` (the exact step).
+`_spectral_product` (the product on a band of the input's padded
+transform, which `_padded` makes) and `_stepped` (the exact step).
 `propagate` and `integrate_langevin` wrap them and attach the band check
-("bandwidth", "singular-band") from the input's own spectrum; the band
-check runs only where a waveform is returned (those two functions and the
-`pulse` command of the CLI). `delay_curve` measures the delay at one or
-many couplings, with no band check; `extract_delay` is `delay_curve` at one
+("bandwidth", "singular-band") from the one transform of the input each
+makes (the padded one, or an n-point one), with the kernel evaluated on
+its bins above 1e-3 of the peak alone; only they and the `pulse` command
+run the check. `delay_curve` measures the delay at one or many
+couplings, with no band check; `extract_delay` is `delay_curve` at one
 coupling. What is the same at every coupling is made once and reused across
 calls: the probe (`_probe`, the last probe only) and the pump-off arrival
 time (`_pump_off_arrival`, floats only), so a loop of `extract_delay` calls
@@ -58,10 +59,10 @@ same mean with the pump off.
 
 Times are seconds, rates ordinary Hz as everywhere in this package.
 
-This module needs numpy, plus `scipy.linalg` for the time-domain route
+This module needs numpy, plus `scipy.linalg` for the time-domain step
 alone: `_integrate` imports its banded triangular solve on first use, so
-the spectral route, the lobe check of `center_time` and every command but
-an ode pulse run without scipy.
+the spectral route, the band check of either route, the lobe check of
+`center_time` and every command but an ode pulse run without scipy.
 """
 
 from __future__ import annotations
@@ -134,11 +135,6 @@ class PulseConfig:
             raise ParameterError(
                 f"dt_s = {self.dt_s} undersamples sigma_t = {self.sigma_t_s}"
             )
-
-    @property
-    def rms_bandwidth_hz(self) -> float:
-        """(Hz) spectral width 1/(2*pi*sigma_t) of the envelope."""
-        return 1.0 / (TWO_PI * self.sigma_t_s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,18 +223,19 @@ def waveform_rms_sigma(w: PulseWaveform) -> float:
 
 
 def _output(
-    w: PulseWaveform, samples: NDArray[np.complexfloating], params: DeviceParams, g: float
+    w: PulseWaveform, samples: NDArray[np.complexfloating], params: DeviceParams, g: float, x, f
 ) -> PulseWaveform:
     """Either route's output: `samples` on the grid of the input `w`, with
-    its warnings plus the band checks on its own n-point spectrum."""
+    its warnings plus the band checks on `x`, the transform of its samples
+    that the route made, at the frequencies `f`. The kernel is evaluated on
+    the bins of `x` above 1e-3 of its peak alone."""
     tags: list[str] = []
     if w.energy > 0.0:
         if 1.0 / (TWO_PI * waveform_rms_sigma(w)) > 0.5 * model.effective_window_hz(params, g):
             tags.append("bandwidth")
-        x = np.abs(np.fft.fft(w.samples))
-        f = np.fft.fftfreq(len(x), w.dt_s)
-        h = np.abs(model.transmission_curve(params, g, w.carrier_detuning_hz + f))
-        if np.any(h[x > 1e-3 * x.max()] < SINGULAR_BAND_TOL):
+        x = np.abs(x)
+        band = w.carrier_detuning_hz + f[x > 1e-3 * x.max()]
+        if np.any(np.abs(model.transmission_curve(params, g, band)) < SINGULAR_BAND_TOL):
             tags.append("singular-band")
     return PulseWaveform(
         t0_s=w.t0_s,
@@ -247,14 +244,6 @@ def _output(
         carrier_detuning_hz=w.carrier_detuning_hz,
         warnings=w.warnings + tuple(tag for tag in tags if tag not in w.warnings),
     )
-
-
-def _padded_spectrum(w: PulseWaveform):
-    """Transform X of the record zero-padded to m >= 4n points (a power of
-    two), and its frequency grid f; the padding keeps the periodic wrap of
-    a delayed (or advanced) pulse out of the physical window."""
-    m = 1 << max(int(math.ceil(math.log2(4 * len(w.samples)))), 4)
-    return np.fft.fft(w.samples, m), np.fft.fftfreq(m, w.dt_s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,9 +256,9 @@ class _Probe:
     pulse : PulseWaveform
         The input samples.
     x, f : ndarray
-        The band of the input's padded transform (`_padded_spectrum`, m
-        points): the signed bins 0..K, then -K..-1, and their frequencies;
-        or every bin, in fft order.
+        The band of the input's padded transform (`_padded`, m points):
+        the signed bins 0..K, then -K..-1, and their frequencies; or every
+        bin, in fft order.
     step : int
         Decimation L: the output is sampled at every L-th sample.
     points : int
@@ -281,6 +270,14 @@ class _Probe:
     f: NDArray[np.floating]
     step: int
     points: int
+
+
+def _padded(w: PulseWaveform) -> _Probe:
+    """`w` with every bin of its transform zero-padded to m >= 4n points (a
+    power of two), at L = 1; the padding keeps the periodic wrap of a
+    delayed (or advanced) pulse out of the physical window."""
+    m = 1 << max(int(math.ceil(math.log2(4 * len(w.samples)))), 4)
+    return _Probe(w, np.fft.fft(w.samples, m), np.fft.fftfreq(m, w.dt_s), 1, m)
 
 
 def _spectral_product(probe: _Probe, params: DeviceParams, g) -> NDArray[np.complexfloating]:
@@ -309,9 +306,7 @@ def _spectral_product(probe: _Probe, params: DeviceParams, g) -> NDArray[np.comp
     return np.fft.ifft(y)[: len(pulse.samples) // probe.step] / probe.step
 
 
-def propagate(
-    w: PulseWaveform, params: DeviceParams, coupling: float
-) -> PulseWaveform:
+def propagate(w: PulseWaveform, params: DeviceParams, coupling: float) -> PulseWaveform:
     """Frequency-domain propagation: Y(f) = t(carrier + f) * X(f).
 
     The record is zero-padded to at least four times its length before the
@@ -321,15 +316,14 @@ def propagate(
     Returns
     -------
     PulseWaveform
-        Output envelope on the input grid. Warnings, from the input's
-        n-point spectrum: "bandwidth" when the pulse's rms bandwidth exceeds
-        half the effective window, "singular-band" when |t| falls below
-        SINGULAR_BAND_TOL on a bin holding over 1e-3 of the spectral peak.
+        Output envelope on the input grid. Warnings: "bandwidth" when the
+        pulse's rms bandwidth exceeds half the effective window,
+        "singular-band" when |t| falls below SINGULAR_BAND_TOL on a bin of
+        the padded spectrum holding over 1e-3 of its peak.
     """
     g = model._scalar_g_hz(coupling)
-    x, f = _padded_spectrum(w)
-    samples = _spectral_product(_Probe(w, x, f, 1, len(x)), params, g)
-    return _output(w, samples, params, g)
+    probe = _padded(w)
+    return _output(w, _spectral_product(probe, params, g), params, g, probe.x, probe.f)
 
 
 # ---------------------------------------------------------------------------
@@ -453,38 +447,11 @@ def integrate_langevin(w: PulseWaveform, params: DeviceParams, coupling: float) 
     -------
     PulseWaveform
         Output envelope s_in - sqrt(eta*kappa) a on the input grid, with the
-        warnings of `propagate`.
+        warnings of `propagate`, read off the input's n-point spectrum.
     """
     g = model._scalar_g_hz(coupling)
-    return _output(w, _stepped(w, params, g), params, g)
-
-
-# cw_response steps the exact propagator with a stride of _CW_SETTLE slow
-# time constants, _CW_STEPS times, so every transient decays by e^-320.
-_CW_SETTLE = 8.0
-_CW_STEPS = 40
-
-
-def cw_response(params: DeviceParams, coupling: float, detuning_hz: float) -> complex:
-    """Steady-state output/input ratio under constant drive, by integration.
-
-    Drives the two-mode system with a constant unit input at the given
-    carrier detuning, steps the exact propagator until every transient has
-    decayed, and returns s_out / s_in. Up to rounding this equals the
-    closed-form transmission; the agreement is the module's core oracle.
-    """
-    g = model._scalar_g_hz(coupling)
-    a_mat, b_vec = _system_matrix(params, g, detuning_hz)
-    slow = float(np.min(-np.real(np.linalg.eigvals(a_mat))))
-    if slow <= 0.0:
-        raise ParameterError("system is not dissipative; no steady state")
-    e, p, q = _foh_propagator(a_mat, b_vec, _CW_SETTLE / slow)
-    drive = p + q  # constant drive: the hold order is irrelevant
-    x = np.zeros(2, dtype=complex)
-    for _ in range(_CW_STEPS):
-        x = e @ x + drive
-    root = math.sqrt(params.eta * TWO_PI * params.kappa_hz)
-    return complex(1.0 - root * x[0])
+    x, f = np.fft.fft(w.samples), np.fft.fftfreq(len(w.samples), w.dt_s)
+    return _output(w, _stepped(w, params, g), params, g, x, f)
 
 
 # ---------------------------------------------------------------------------
@@ -729,9 +696,9 @@ def _probe(config: PulseConfig) -> _Probe:
     samples) and the band; the arrays are shared by every caller and so
     are read-only.
     """
-    pulse = gaussian_pulse(config)
-    x, f = _padded_spectrum(pulse)
-    m, n = len(x), len(pulse.samples)
+    full = _padded(gaussian_pulse(config))
+    pulse, x, f, m = full.pulse, full.x, full.f, full.points
+    n = len(pulse.samples)
     k = _band_edge(x)
     if 2 * k < m:
         bins = np.r_[0 : k + 1, m - k : m]
@@ -782,22 +749,15 @@ def delay_curve(
     """Pulse group delay at each coupling: the arrival-time shift of the
     configured Gaussian relative to the pump-off run.
 
-    Each coupling costs one output and one centroid. On the "fft" route the
-    output is the band's product, 2K + 1 kernel points and one m/L-point
-    inverse FFT, timed at every L-th sample (see `_probe`: K and L follow
-    from the probe, and a probe cut by the record start widens the band up
-    to every bin at L = 1); on the "ode" route it is one banded solve at
-    every sample.
-    The probe with its band and the pump-off reference (coupling 0,
-    bare cavity) are the same at every coupling; they are made once and
-    kept across calls (the last probe, and a few pump-off arrival times),
-    so a loop of calls costs what one call over the same couplings does.
-    Referencing against the pump-off run removes offsets
-    common to both runs, such as the sampling and interpolation bias of the
-    chosen route. Both arrivals are timed from the probe's own center, not
-    from the record start, so their difference keeps its digits when the
-    delay is a small fraction of the width. No band check runs: the outputs
-    are not returned, so their warnings would be dropped.
+    Each coupling costs one output and one centroid: on the "fft" route the
+    band's product at every L-th sample (see `_probe`), on the "ode" route
+    one banded solve. The probe and the pump-off reference (coupling 0,
+    bare cavity) are made once and kept across calls. Referencing against
+    the pump-off run removes offsets common to both runs, such as the
+    sampling and interpolation bias of the chosen route. Both arrivals are
+    timed from the probe's own center, so their difference keeps its
+    digits when the delay is a small fraction of the width. No band check
+    runs: the outputs are not returned, so their warnings would be dropped.
 
     Parameters
     ----------
@@ -826,18 +786,10 @@ def delay_curve(
 
 
 def extract_delay(
-    params: DeviceParams,
-    coupling: float,
-    config: PulseConfig,
-    *,
-    method: str = "fft",
+    params: DeviceParams, coupling: float, config: PulseConfig, *, method: str = "fft"
 ) -> float:
-    """Pulse group delay at one coupling: :func:`delay_curve` at `coupling`.
-
-    Sends the configured Gaussian through the device at the requested
-    coupling and returns the shift of its arrival-time centroid against the
-    pump-off run, which, like the probe, is made once and reused across
-    calls.
+    """Pulse group delay at one coupling: :func:`delay_curve` at `coupling`,
+    the shift of the arrival-time centroid against the pump-off run.
 
     Parameters
     ----------

@@ -9,11 +9,12 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from mcpa import cli, pulses, reference_device
+from mcpa import cli, model, pulses, reference_device
 from mcpa.errors import ConfigError
 
 
@@ -597,6 +598,51 @@ def test_fit_option_of_wrong_type_is_config_error(tmp_path, capsys, fit):
     path = write_config(tmp_path / "c.json", reference_doc(fit=fit))
     assert cli.main(["--config", path, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("config error")
+
+
+def _reference_table(kind, header):
+    """The reference device's trace for a fit of `kind`: 30 rows of its
+    cavity dip, or six rows of a coupling sweep around G_c."""
+    device = reference_device()
+    if kind == "critical_sweep":
+        axis = np.geomspace(0.5, 2.0, 6) * model.critical_coupling(device)
+        t = model.transmission_curve(device, axis, 0.0)
+    else:
+        axis = np.linspace(-3.0, 3.0, 30) * device.kappa_hz
+        t = model.transmission_curve(device, 0.0, axis)
+    channels = {"re": t.real, "im": t.imag, "t_z": np.abs(t), "amp_db": 20.0 * np.log10(np.abs(t))}
+    return np.column_stack([axis, *(channels[name] for name in header[1:])])
+
+
+@pytest.mark.parametrize(
+    "kind,header,cell,named",
+    [
+        ("bare", ["detuning_hz", "re", "im"], 1e160, "t reaches"),
+        ("bare", ["detuning_hz", "amp_db"], 1e308, "amplitude_db"),
+        ("critical_sweep", ["g_hz", "amp_db"], 1e308, "amp_db"),
+        ("critical_sweep", ["g_hz", "t_z"], 1e200, "t_z"),
+    ],
+    ids=["bare-re", "bare-amp-db", "sweep-amp-db", "sweep-t-z"],
+)
+def test_out_of_range_fit_data_is_config_error(tmp_path, capsys, kind, header, cell, named):
+    # values whose power or squared residual overflows a float: a config
+    # error that names the column, before numpy can warn of the overflow
+    table = _reference_table(kind, header)
+    table[3, 1] = cell
+    data = tmp_path / "data.csv"
+    rows = [",".join(header)] + [",".join(map(repr, row)) for row in table.tolist()]
+    data.write_text("\n".join(rows) + "\n")
+    path = write_config(tmp_path / "c.json", reference_doc(fit={"kind": kind, "data": str(data)}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["--config", path, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error") and named in err
+    if named == "amp_db":
+        assert "t_z" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "RuntimeWarning" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -117,7 +117,6 @@ SCALAR_ONLY = {
     "effective_window_hz": lambda d: model.effective_window_hz(d, np.array([10.0])),
     "propagate": lambda d: _probe(d, pulses.propagate, np.array([10.0, 20.0])),
     "integrate_langevin": lambda d: _probe(d, pulses.integrate_langevin, [10.0]),
-    "cw_response": lambda d: pulses.cw_response(d, np.array([10.0, 20.0]), 0.0),
 }
 
 

@@ -41,11 +41,6 @@ def test_pulse_config_validation():
         small_config(carrier_detuning_hz=math.inf)
 
 
-def test_rms_bandwidth():
-    cfg = small_config(sigma=2.0)
-    assert cfg.rms_bandwidth_hz == pytest.approx(1.0 / (2.0 * math.pi * 2.0), rel=1e-15)
-
-
 def test_gaussian_pulse_samples():
     w = pulses.gaussian_pulse(small_config())
     assert len(w.samples) == 300
@@ -166,6 +161,86 @@ def test_routes_attach_the_same_warnings(device):
         assert pulses.integrate_langevin(w, device, g).warnings == tags
         seen.update(tags)
     assert seen == {"bandwidth", "singular-band"}
+
+
+def _n_point_band_rule(w, params, g):
+    """The band check on every bin of the input's own n-point spectrum: an
+    oracle for the tags that the routes read off the transforms they make."""
+    tags = []
+    rms_bandwidth = 1.0 / (2.0 * math.pi * pulses.waveform_rms_sigma(w))
+    if rms_bandwidth > 0.5 * model.effective_window_hz(params, g):
+        tags.append("bandwidth")
+    x = np.abs(np.fft.fft(w.samples))
+    f = np.fft.fftfreq(len(x), w.dt_s)
+    h = np.abs(model.transmission_curve(params, g, w.carrier_detuning_hz + f))
+    if np.any(h[x > 1e-3 * x.max()] < pulses.SINGULAR_BAND_TOL):
+        tags.append("singular-band")
+    return tuple(tags)
+
+
+def test_route_warnings_match_the_n_point_band_rule(device):
+    # 1.01 G_c at -10 mHz with half-window probes sits at the edge of the
+    # bandwidth rule; n = 1000 is no power of two, so the padded spectrum's
+    # bins are not a superset of the n-point ones
+    gc = model.critical_coupling(device)
+    seen = set()
+    for ratio in (1.0, 1.01, 8.84):
+        for carrier in (0.0, -1e-2):
+            for fraction in (1.0 / 32.0, 0.5):
+                for n in (256, 1000):
+                    cfg = pulses.delay_pulse_config(
+                        device, ratio * gc, carrier_detuning_hz=carrier,
+                        bandwidth_fraction=fraction, n_samples=n,
+                    )
+                    w = pulses.gaussian_pulse(cfg)
+                    for g in (ratio * gc, 0.0):
+                        expected = _n_point_band_rule(w, device, g)
+                        assert pulses.propagate(w, device, g).warnings == expected
+                        assert pulses.integrate_langevin(w, device, g).warnings == expected
+                        seen.update(expected)
+    assert seen == {"bandwidth", "singular-band"}
+
+
+@pytest.mark.parametrize("n", [256, 1000])
+def test_propagate_is_the_padded_product(device, n):
+    # bit for bit, so that the `pulse` command's CSVs stay byte-identical
+    cfg = pulses.delay_pulse_config(device, 23.93, carrier_detuning_hz=1e-3, n_samples=n)
+    w = pulses.gaussian_pulse(cfg)
+    m = 1 << math.ceil(math.log2(4 * n))
+    x = np.fft.fft(w.samples, m)
+    h = model.transmission_curve(device, 23.93, w.carrier_detuning_hz + np.fft.fftfreq(m, w.dt_s))
+    expected = np.fft.ifft(x * h)[:n]
+    np.testing.assert_array_equal(pulses.propagate(w, device, 23.93).samples, expected)
+
+
+def test_each_route_call_makes_one_transform(device, monkeypatch):
+    n = 1000
+    cfg = pulses.delay_pulse_config(device, 23.93, carrier_detuning_hz=1e-3, n_samples=n)
+    w = pulses.gaussian_pulse(cfg)
+    m = 4096
+    band = {}
+    for points in (n, m):
+        x = np.abs(np.fft.fft(w.samples, points))
+        band[points] = int(np.count_nonzero(x > 1e-3 * x.max()))
+    log = []
+
+    def counted(name, fn, points):
+        def call(*args, **kwargs):
+            log.append((name, points(*args)))
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(np.fft, "fft", counted("fft", np.fft.fft, lambda x, m=None: m or len(x)))
+    monkeypatch.setattr(np.fft, "ifft", counted("ifft", np.fft.ifft, len))
+    monkeypatch.setattr(
+        model, "transmission_curve",
+        counted("kernel", model.transmission_curve, lambda p, g, d: np.size(d)),
+    )
+    pulses.propagate(w, device, 23.93)
+    assert log == [("fft", m), ("kernel", m), ("ifft", m), ("kernel", band[m])]
+    log.clear()
+    pulses.integrate_langevin(w, device, 23.93)
+    assert log == [("fft", n), ("kernel", band[n])]
 
 
 def test_propagate_preserves_grid(device):
@@ -308,7 +383,7 @@ def test_cw_response_matches_closed_form(device):
     for g in (0.0, 11.87, 23.93, 155.1):
         for d in (0.0, 0.004, -3.7, 2.1e5):
             closed = model.transmission_curve(device, g, d)
-            stepped = pulses.cw_response(device, g, d)
+            stepped = reference.cw_response(device, g, d)
             assert abs(stepped - complex(closed)) < 1e-10 * abs(complex(closed))
 
 
