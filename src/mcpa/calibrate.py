@@ -160,8 +160,10 @@ def _fd_jacobian(residual, x, r0, scale):
 def _levenberg_marquardt(residual, x0, scale):
     """Damped least squares with acceptance-gated steps.
 
-    Returns (x, cov, history, n_iter, converged); `history` is the rms
-    residual after each accepted step, first entry at the start point.
+    Returns (x, sigma, history, n_iter, converged); `sigma` holds the
+    square roots of the diagonal of the covariance s^2 (J^T J)^-1, with s^2
+    the residual variance, and `history` the rms residual after each
+    accepted step, first entry at the start point.
     """
     x = np.asarray(x0, dtype=float).copy()
     scale = np.asarray(scale, dtype=float)
@@ -220,12 +222,18 @@ def _levenberg_marquardt(residual, x0, scale):
             converged = True
             break
     dof = max(m - len(x), 1)
-    sigma2 = 2.0 * cost / dof
     try:
-        cov = sigma2 * np.linalg.inv(jac.T @ jac)
+        spread = np.diag(np.linalg.inv(jac.T @ jac))
     except np.linalg.LinAlgError:
-        cov = np.full((len(x), len(x)), np.nan)
-    return x, cov, history, n_iter, converged
+        spread = np.full(len(x), np.nan)
+    # sqrt(s^2 d) for the diagonal d of (J^T J)^-1 alone, the only part of
+    # the covariance read, with s^2 = m 4^k split exactly (m in [1/2, 2)):
+    # 2^k sqrt(m d) rounds as the root of the product does, but overflows
+    # only where sigma itself does, not for residuals far below the data bound
+    s2 = 2.0 * cost / dof
+    k = math.frexp(s2)[1] // 2
+    sigma = np.ldexp(np.sqrt(np.clip(spread, 0.0, None) * math.ldexp(s2, -2 * k)), k)
+    return x, sigma, history, n_iter, converged
 
 
 def _make_residual(spectrum: MeasuredSpectrum, model_fn):
@@ -274,8 +282,7 @@ def _multistart(residual, starts, names, report, distinct):
     """
     results = []
     for x0, scale in starts:
-        x, cov, history, n_iter, converged = _levenberg_marquardt(residual, x0, scale)
-        sigma = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+        x, sigma, history, n_iter, converged = _levenberg_marquardt(residual, x0, scale)
         results.append(FitResult(
             params={k: float(v) for k, v in zip(names, report(x))},
             sigma={k: float(s) for k, s in zip(names, sigma)},

@@ -24,7 +24,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -393,11 +393,9 @@ def cmd_pulse(cfg: RunConfig) -> int:
     # before any file is written: a device with no critical coupling fails here
     regime = model.classify_regime(device, g).regime.value
     pulse, out, ref = pulses._route_waveforms(device, g, pulse_cfg, method)
-    # both arrivals timed from the probe's center, as `delay_curve` times
-    # them, so a small delay keeps its digits; the CSVs keep the record times
-    start = pulse.t0_s - pulse_cfg.center_s
-    tau = (pulses.center_time(replace(out, t0_s=start))
-           - pulses.center_time(replace(ref, t0_s=start)))
+    # the library's delay, timed on the probe's decimated grid; the CSVs
+    # keep every sample
+    tau = pulses.extract_delay(device, g, pulse_cfg, method=method)
     meta = _header(cfg, g_hz=g, carrier_detuning_hz=carrier, method=method,
                    sigma_t_s=pulse_cfg.sigma_t_s, dt_s=pulse_cfg.dt_s)
     columns = ["time_s", "re", "im", "abs"]
@@ -414,6 +412,16 @@ def cmd_pulse(cfg: RunConfig) -> int:
     _print_values(values)
     print(f"wrote {cfg.out_dir}/pulse_input.csv, pulse_output.csv, pulse_reference.csv")
     return 0
+
+
+def _finite_or_null(value: Any) -> Any:
+    """`value` with each non-finite float, in it or in its nested dicts, as
+    None: JSON has no NaN or Infinity, so the report writes null there."""
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
 
 
 def cmd_fit(cfg: RunConfig) -> int:
@@ -478,7 +486,9 @@ def cmd_fit(cfg: RunConfig) -> int:
         if fit.alternate is not None:
             report["alternate_params"] = fit.alternate.params
             report["alternate_residual_rms"] = fit.alternate.residual_rms
-    report_text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    report_text = json.dumps(
+        _finite_or_null(report), indent=2, sort_keys=True, allow_nan=False
+    ) + "\n"
     _atomic_write(os.path.join(cfg.out_dir, "fit_report.json"), report_text)
     _print_values(report)
     return 0

@@ -13,13 +13,16 @@ of the samples, and the step across each sample interval is integrated in
 closed form from one matrix exponential, so it holds for any rate spread
 (kappa/gamma_m reaches ~4e7 for the reference device, far outside any
 explicit integrator's budget) and at the exceptional point, where the two
-modes' eigenvalues coincide. Per record the step reduces to one
-second-order recurrence, solved as one banded triangular system. The hold
-order matters: since the output is the small difference
-s_in - sqrt(eta*kappa) a, holding the input constant across each interval
-would misalign the two terms by a sample and the error would be amplified
-by 1/|t| near the absorption dip; the linear hold keeps them aligned at
-every sample time.
+modes' eigenvalues coincide. Lifted to every L-th sample (the state L
+samples on follows from E^L and a fixed (L + 1)-tap filter of the input),
+the step is exact again, so the route returns samples 0, L, 2L, ...: every
+sample for `integrate_langevin` (L = 1), every L-th on the delay path. Per
+record the lifted step reduces to one second-order recurrence, solved as
+one banded triangular system of n/L - 2 rows. The hold order matters:
+since the output is the small difference s_in - sqrt(eta*kappa) a,
+holding the input constant across each interval would misalign the two
+terms by a sample and the error would be amplified by 1/|t| near the
+absorption dip; the linear hold keeps them aligned at every sample time.
 
 The steady-state response of the integrator reproduces the closed-form
 transmission; that equivalence is this module's core self-check, pinned in
@@ -39,20 +42,25 @@ calls: the probe (`_probe`, the last probe only) and the pump-off arrival
 time (`_pump_off_arrival`, floats only), so a loop of `extract_delay` calls
 costs one output and one centroid per coupling.
 
-The delay path's fft route works at the probe's bandwidth, not at the
-record's sample rate. `_probe` keeps the probe samples (16 n bytes for n
+The delay path works at the probe's bandwidth, not at the record's sample
+rate, on both routes. `_probe` keeps the probe samples (16 n bytes for n
 samples, for the ode route) and the band of their m-point padded
 transform: the signed bins |j| <= K outside which at most 1e-28 of the
 probe's power lies, with a decimation L, the largest power of two that
-divides n with m/L >= 8 (K + 1). Per coupling the fft route then evaluates
-the kernel on 2K + 1 points, runs one m/L-point inverse FFT and times the
-n/L samples at every L-th record time, which are exact samples of the
-full-rate output (K = 100 and L = 128 for a 2^15-sample probe in a
-20-width record: 201 kernel points and a 1024-point inverse FFT, against
-2^17 of each at the full rate). A probe cut by the record start
+divides n with m/L >= 8 (K + 1). Both routes time the output on one grid,
+its n/L samples at every L-th record time, which are exact samples of the
+full-rate output. Per coupling the fft route evaluates the kernel on
+2K + 1 points and runs one m/L-point inverse FFT; the ode route filters
+the record with 2L + 1 taps at every L-th sample (two (n/L - 2) x L
+matrix-vector products) and solves n/L - 2 rows. For a 2^15-sample probe
+in a 20-width record, K = 100 and L = 128: 201 kernel points and a
+1024-point inverse FFT, against 2^17 of each at the full rate, and a
+254-row solve against 32 766. A probe cut by the record start
 (`center_s` < 8 sigma) leaks power into every bin, so its band widens: at
-`center_s` <= 6 sigma it is every bin with L = 1, which is the
-full-rate product. `propagate` and the CLI keep the full-rate product.
+`center_s` <= 6 sigma it is every bin with L = 1, which is the full-rate
+product and the full-rate step.
+`propagate`, `integrate_langevin` and the CSVs of the `pulse` command keep
+every sample; the command reports the delay of `extract_delay`.
 `band_averaged_delay` is the exact prediction on the same band: the mean
 of the analytic group delay over the output's power spectrum, minus the
 same mean with the pump off.
@@ -349,7 +357,7 @@ def _system_matrix(params: DeviceParams, g: float, carrier_detuning_hz: float):
 
 def _foh_propagator(a_mat, b_vec, h):
     """Exact one-sample step x_k = E x_{k-1} + P s_{k-1} + Q s_k for a drive
-    that is linear across the interval; returns (E, P, Q).
+    that is linear across the interval; returns (F, P, Q) with F = E - I.
 
     exp([[A, B, 0], [0, 0, 1], [0, 0, 0]] h) carries E = e^(Ah) in its
     top-left block and the two hold integrals int e^(A(h-s)) B ds and
@@ -362,7 +370,8 @@ def _foh_propagator(a_mat, b_vec, h):
     would hold the slow mechanical decay per sub-step as 1 - tiny and lose
     about kappa/gamma_m ulps of it (5 digits for the reference device,
     amplified by 1/|t| in the output near the critical coupling); F keeps
-    that small part to full relative precision.
+    that small part to full relative precision, and so does every power of
+    E formed from it the same way.
     """
     m = np.zeros((4, 4), dtype=complex)
     m[:2, :2] = a_mat * h
@@ -379,35 +388,71 @@ def _foh_propagator(a_mat, b_vec, h):
         f = 2.0 * f + f @ f
     j0 = f[:2, 2]
     j1 = f[:2, 3]
-    return f[:2, :2] + np.eye(2), j0 - j1 / h, j1 / h
+    return f[:2, :2], j0 - j1 / h, j1 / h
 
 
-def _integrate(a_mat, b_vec, h, s, initial_state):
-    """Intracavity field a at every sample of the drive `s` (spacing h),
-    from the exact step of `_foh_propagator`.
+def _integrate(a_mat, b_vec, h, s, initial_state, step):
+    """Intracavity field a at samples 0, L, 2L, ... of the drive `s`
+    (spacing h; L = `step`, a power of two), from the exact step of
+    `_foh_propagator`.
 
-    By Cayley-Hamilton, E^2 = tr(E) E - det(E) I, so the first component of
-    the step obeys one second-order recurrence,
+    Lifted to every L-th sample, the step is exact again (the standard
+    lifting of a discrete linear time-invariant system):
 
-        a_k - tr(E) a_{k-1} + det(E) a_{k-2}
-            = Q0 s_k + (P0 - e11 Q0 + e01 Q1) s_{k-1} + (e01 P1 - e11 P0) s_{k-2},
+        x_{(b+1)L} = E^L x_{bL} + sum_{j=0..L} W_j s_{bL+j},
 
-    valid from k = 2 on. Stacked over k, with a_0 (the initial state) and
-    a_1 (one explicit step) moved to the right-hand side of its first two
-    rows, the recurrence is one unit lower-triangular system of bandwidth 2,
-    solved in a single LAPACK banded triangular solve (`ztbtrs`).
+    with W_0 = E^(L-1) P, W_j = E^(L-1-j) P + E^(L-j) Q for 0 < j < L and
+    W_L = Q; at L = 1 it is the one-sample step. E^L = I + F_L and the
+    powers E^i P, E^i Q come from log2 L doublings, F_2k = 2 F_k + F_k^2
+    and E^(k+i) v = E^i v + F_k E^i v, so the slow mechanical decay keeps
+    its digits as it does in F.
+
+    By Cayley-Hamilton, E_L^2 = tr(E_L) E_L - det(E_L) I with E_L = E^L,
+    so the first component of the lifted step obeys one second-order
+    recurrence,
+
+        a_b - tr(E_L) a_{b-1} + det(E_L) a_{b-2} = sum_{i=0..2L} c_i s_{(b-2)L+i},
+
+    valid from b = 2 on, where c_i is the first component of
+    (E_L - tr(E_L) I) W_i plus that of W_{i-L} (each where defined); at
+    L = 1 the taps are e01 P1 - e11 P0, P0 - e11 Q0 + e01 Q1 and Q0. The
+    right-hand side is two products of the record, cut into rows of L
+    samples, with the two L-tap halves of c. Stacked over b, with a_0 (the
+    initial state) and a_1 (one explicit lifted step) moved to the
+    right-hand side of its first two rows, the recurrence is one unit
+    lower-triangular system of bandwidth 2 and (n - 1) // L - 1 rows,
+    solved in a single LAPACK banded triangular solve (`ztbtrs`). The
+    record needs at least 3 L + 1 samples.
     """
     from scipy.linalg.lapack import ztbtrs
 
-    e, p, q = _foh_propagator(a_mat, b_vec, h)
+    f, p, q = _foh_propagator(a_mat, b_vec, h)
+    # row i holds E^i P and E^i Q, for i < L: each doubling fills rows
+    # k .. 2k - 1 from the first k and turns F_k into F_2k
+    powers = np.empty((step, 4), dtype=complex)
+    powers[0] = np.concatenate((p, q))
+    k = 1
+    while k < step:
+        done = powers[:k]
+        powers[k : 2 * k] = done + (done.reshape(-1, 2) @ f.T).reshape(k, 4)
+        f = 2.0 * f + f @ f
+        k *= 2
+    e = f + np.eye(2)
+    w = np.zeros((step + 1, 2), dtype=complex)  # the taps W_0 .. W_L
+    w[:-1] = powers[::-1, :2]
+    w[1:] += powers[::-1, 2:]
+    c = np.empty(2 * step + 1, dtype=complex)
+    c[:step] = e[0, 1] * w[:-1, 1] - e[1, 1] * w[:-1, 0]
+    c[step] = w[0, 0] - e[1, 1] * w[step, 0] + e[0, 1] * w[step, 1]
+    c[step + 1 :] = w[1:, 0]
     x0 = np.asarray(initial_state, dtype=complex)
     a0 = x0[0]
-    a1 = (e @ x0 + p * s[0] + q * s[1])[0]
-    c1 = p[0] - e[1, 1] * q[0] + e[0, 1] * q[1]
-    c2 = e[0, 1] * p[1] - e[1, 1] * p[0]
+    a1 = (e @ x0 + s[:step] @ w[:-1] + w[step] * s[step])[0]
     d1 = -(e[0, 0] + e[1, 1])
     d2 = e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0]
-    r = q[0] * s[2:] + c1 * s[1:-1] + c2 * s[:-2]
+    rows = (len(s) - 1) // step  # lifted samples after the first
+    blocks = s[: rows * step].reshape(rows, step)
+    r = c[-1] * s[2 * step :: step] + (blocks[1:] @ c[step:-1]) + (blocks[:-1] @ c[:step])
     r[0] -= d1 * a1 + d2 * a0
     r[1] -= d2 * a1
     # band storage of the lower triangle, in Fortran order so that it is
@@ -419,13 +464,14 @@ def _integrate(a_mat, b_vec, h, s, initial_state):
     return np.concatenate(([a0, a1], a_rest[:, 0]))
 
 
-def _stepped(w: PulseWaveform, params: DeviceParams, g) -> NDArray[np.complexfloating]:
-    """The time-domain route's output samples s_in - sqrt(eta*kappa) a on
-    the grid of `w`, from rest, by the exact step of `_integrate`."""
+def _stepped(w: PulseWaveform, params: DeviceParams, g, step: int) -> NDArray[np.complexfloating]:
+    """The time-domain route's output samples s_in - sqrt(eta*kappa) a at
+    samples 0, L, 2L, ... of the grid of `w` (L = `step`), from rest, by
+    the exact lifted step of `_integrate`."""
     a_mat, b_vec = _system_matrix(params, g, w.carrier_detuning_hz)
-    a_out = _integrate(a_mat, b_vec, w.dt_s, w.samples, (0j, 0j))
+    a_out = _integrate(a_mat, b_vec, w.dt_s, w.samples, (0j, 0j), step)
     root = math.sqrt(params.eta * TWO_PI * params.kappa_hz)
-    return w.samples - root * a_out
+    return w.samples[::step] - root * a_out
 
 
 def integrate_langevin(w: PulseWaveform, params: DeviceParams, coupling: float) -> PulseWaveform:
@@ -451,7 +497,7 @@ def integrate_langevin(w: PulseWaveform, params: DeviceParams, coupling: float) 
     """
     g = model._scalar_g_hz(coupling)
     x, f = np.fft.fft(w.samples), np.fft.fftfreq(len(w.samples), w.dt_s)
-    return _output(w, _stepped(w, params, g), params, g, x, f)
+    return _output(w, _stepped(w, params, g, 1), params, g, x, f)
 
 
 # ---------------------------------------------------------------------------
@@ -714,15 +760,16 @@ def _probe(config: PulseConfig) -> _Probe:
 def _arrival(params: DeviceParams, g: float, config: PulseConfig, method: str) -> float:
     """(s) arrival time of the probe of `config` through the device at
     coupling `g` by the named route, timed from the probe's own center.
-    The fft route times the output on its decimated grid of step L dt."""
+    Both routes time the output on the probe's decimated grid of step
+    L dt."""
     probe = _probe(config)
     pulse = probe.pulse
     if method == "fft":
-        samples, dt = _spectral_product(probe, params, g), probe.step * pulse.dt_s
+        samples = _spectral_product(probe, params, g)
     else:
-        samples, dt = _stepped(pulse, params, g), pulse.dt_s
+        samples = _stepped(pulse, params, g, probe.step)
     t0 = pulse.t0_s - config.center_s
-    return center_time(PulseWaveform(t0_s=t0, dt_s=dt, samples=samples))
+    return center_time(PulseWaveform(t0_s=t0, dt_s=probe.step * pulse.dt_s, samples=samples))
 
 
 @functools.lru_cache(maxsize=16)
@@ -749,12 +796,13 @@ def delay_curve(
     """Pulse group delay at each coupling: the arrival-time shift of the
     configured Gaussian relative to the pump-off run.
 
-    Each coupling costs one output and one centroid: on the "fft" route the
-    band's product at every L-th sample (see `_probe`), on the "ode" route
-    one banded solve. The probe and the pump-off reference (coupling 0,
-    bare cavity) are made once and kept across calls. Referencing against
-    the pump-off run removes offsets common to both runs, such as the
-    sampling and interpolation bias of the chosen route. Both arrivals are
+    Each coupling costs one output and one centroid, both at every L-th
+    sample (see `_probe`): on the "fft" route the band's product, on the
+    "ode" route the lifted step's banded solve of n/L - 2 rows. The probe
+    and the pump-off reference (coupling 0, bare cavity) are made once and
+    kept across calls. Referencing against the pump-off run removes offsets
+    common to both runs, such as the sampling and interpolation bias of the
+    chosen route. Both arrivals are
     timed from the probe's own center, so their difference keeps its
     digits when the delay is a small fraction of the width. No band check
     runs: the outputs are not returned, so their warnings would be dropped.

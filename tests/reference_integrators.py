@@ -1,15 +1,19 @@
 """Reference integrators for the two-mode equations of motion.
 
-The package has one time-domain propagator, `pulses._integrate`. The tests
-check it against these independent routes on the same state matrix A and
-drive vector B (angular rates, state [a, b]), with the drive s linearly
-interpolated between samples spaced h apart:
+The package has one time-domain propagator, `pulses._integrate`, which
+steps every L-th sample. The tests check it against these independent
+routes on the same state matrix A and drive vector B (angular rates, state
+[a, b]), with the drive s linearly interpolated between samples spaced h
+apart:
 
 - `rk4`: classic fixed-step RK4, only usable for mild rate spreads;
 - `eigen_step` / `eigen`: the exact step in the eigenbasis of A, which
   needs A to be diagonalizable (it refuses at the exceptional point);
 - `expm_loop`: the exact step from scipy's matrix exponential of the
-  augmented matrix, applied one sample at a time in a Python loop.
+  augmented matrix, applied one sample at a time in a Python loop;
+- `recurrence`: the package's one-sample step (`_foh_propagator`) run at
+  every sample as one second-order recurrence and banded solve: the
+  full-rate oracle of the lifted step.
 
 Each returns the intracavity field a at every sample time. `cw_response`
 is the steady-state oracle: the package's exact step driven by a constant
@@ -122,6 +126,32 @@ def expm_loop(a_mat, b_vec, h, s, initial_state):
     return a_out
 
 
+def recurrence(a_mat, b_vec, h, s, initial_state):
+    """Full-rate stepping of x_k = E x_{k-1} + P s_{k-1} + Q s_k.
+
+    By Cayley-Hamilton the first component obeys
+    a_k - tr(E) a_{k-1} + det(E) a_{k-2}
+    = Q0 s_k + (P0 - e11 Q0 + e01 Q1) s_{k-1} + (e01 P1 - e11 P0) s_{k-2}
+    from k = 2 on; with a_0 and a_1 on the right-hand side of the first two
+    rows it is one unit lower-triangular banded system.
+    """
+    f, p, q = pulses._foh_propagator(a_mat, b_vec, h)
+    e = f + np.eye(2)
+    x0 = np.asarray(initial_state, dtype=complex)
+    a0 = x0[0]
+    a1 = (e @ x0 + p * s[0] + q * s[1])[0]
+    c1 = p[0] - e[1, 1] * q[0] + e[0, 1] * q[1]
+    c2 = e[0, 1] * p[1] - e[1, 1] * p[0]
+    d1 = -(e[0, 0] + e[1, 1])
+    d2 = e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0]
+    r = q[0] * s[2:] + c1 * s[1:-1] + c2 * s[:-2]
+    r[0] -= d1 * a1 + d2 * a0
+    r[1] -= d2 * a1
+    band = np.tile([0.0, d1, d2], (len(r), 1)).T
+    a_rest, _ = scipy.linalg.lapack.ztbtrs(band, r[:, None], uplo="L", diag="U")
+    return np.concatenate(([a0, a1], a_rest[:, 0]))
+
+
 # cw_response steps the exact propagator with a stride of _CW_SETTLE slow
 # time constants, _CW_STEPS times, so every transient decays by e^-320.
 _CW_SETTLE = 8.0
@@ -141,7 +171,8 @@ def cw_response(params, coupling, detuning_hz):
     slow = float(np.min(-np.real(np.linalg.eigvals(a_mat))))
     if slow <= 0.0:
         raise ValueError("system is not dissipative; no steady state")
-    e, p, q = pulses._foh_propagator(a_mat, b_vec, _CW_SETTLE / slow)
+    f, p, q = pulses._foh_propagator(a_mat, b_vec, _CW_SETTLE / slow)
+    e = f + np.eye(2)
     drive = p + q  # constant drive: the hold order is irrelevant
     x = np.zeros(2, dtype=complex)
     for _ in range(_CW_STEPS):

@@ -5,6 +5,7 @@ monkeypatching work; the console entry point is the same function.
 """
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -14,7 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mcpa import cli, model, pulses, reference_device
+from mcpa import calibrate, cli, model, pulses, reference_device
 from mcpa.errors import ConfigError
 
 
@@ -645,6 +646,65 @@ def test_out_of_range_fit_data_is_config_error(tmp_path, capsys, kind, header, c
     assert "RuntimeWarning" not in err
 
 
+def _strict_json(text):
+    """json.loads that refuses the NaN, Infinity and -Infinity tokens."""
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_fit_report_is_strict_json(tmp_path, capsys):
+    # every row 1e100 - 1e100 i: the window fit converges at once with no
+    # sigma (NaN), which the report writes as null and stdout as nan
+    axis = np.linspace(-3.0, 3.0, 30) * reference_device().kappa_hz
+    data = tmp_path / "data.csv"
+    rows = [f"{d!r},1e100,-1e100" for d in axis.tolist()]
+    data.write_text("\n".join(["detuning_hz,re,im", *rows]) + "\n")
+    path = write_config(tmp_path / "c.json", reference_doc(fit={"kind": "mechanical", "data": str(data)}))
+    out_dir = tmp_path / "o"
+    assert cli.main(["--config", path, "--out", str(out_dir)]) == 0
+    report = _strict_json((out_dir / "fit_report.json").read_text())
+    assert report["converged"] is True
+    assert set(report["sigma"]) == {"gamma_m_hz", "g_hz", "center_offset_hz"}
+    assert all(value is None for value in report["sigma"].values())
+    assert all(math.isfinite(value) for value in report["params"].values())
+    out = capsys.readouterr().out
+    for name in report["sigma"]:
+        assert f"sigma.{name}=nan\n" in out
+
+
+def test_fit_sigma_of_a_huge_residual_is_finite(tmp_path, capsys, monkeypatch):
+    # one re cell of 1e150, below the data bound: the residual variance
+    # times diag((J^T J)^-1) overflowed (a RuntimeWarning, which pytest
+    # raises); every seed's sigma must now be a finite float
+    header = ["detuning_hz", "re", "im"]
+    table = _reference_table("bare", header)
+    table[3, 1] = 1e150
+    data = tmp_path / "data.csv"
+    rows = [",".join(header)] + [",".join(map(repr, row)) for row in table.tolist()]
+    data.write_text("\n".join(rows) + "\n")
+    path = write_config(tmp_path / "c.json", reference_doc(fit={"kind": "bare", "data": str(data)}))
+    sigmas = []
+    solve = calibrate._levenberg_marquardt
+
+    def recorded(*args):
+        result = solve(*args)
+        sigmas.append(result[1])
+        return result
+
+    monkeypatch.setattr(calibrate, "_levenberg_marquardt", recorded)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["--config", path, "--out", str(tmp_path / "o")])
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert sigmas and all(np.all(np.isfinite(sigma)) for sigma in sigmas)
+    # the outlier still stalls every seed: a typed error, not a traceback
+    assert code == 3
+    assert "no seed met the gradient tolerance" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # startup imports
 # ---------------------------------------------------------------------------
@@ -674,16 +734,12 @@ print(json.dumps(steps))
 def test_scipy_loads_only_for_ode_pulses(tmp_path):
     # scipy.signal never loads; scipy.linalg loads for the ode route's
     # banded solve, and nothing else needs scipy
-    ode = write_config(
-        tmp_path / "ode.json",
-        reference_doc(pulse={"g": 155.1, "samples": 1024, "method": "ode"}),
-    )
     configs = [
         ("critical", "configs/critical.json"),
         ("spectrum", "configs/spectrum.json"),
         ("sweep_g", "configs/sweep_g.json"),
         ("pulse-fft", "configs/pulse.json"),
-        ("pulse-ode", ode),
+        ("pulse-ode", "configs/pulse_ode.json"),
     ]
     env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
     argv = [sys.executable, "-c", _IMPORT_PROBE, str(tmp_path / "out")]

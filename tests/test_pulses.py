@@ -1,11 +1,13 @@
 """Unit tests for pulse synthesis, propagation, and delay extraction."""
 
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack
 
 import reference_integrators as reference
 from mcpa import (
@@ -272,6 +274,14 @@ def _reference_output(w, params, g, integrator, *args, initial_state=(0j, 0j)):
     return w.samples - math.sqrt(params.eta * 2.0 * math.pi * params.kappa_hz) * a
 
 
+def _lifted_output(w, params, g, step, initial_state=(0j, 0j)):
+    """s_in - sqrt(eta*kappa) a from the package's step at every `step`-th
+    sample (`pulses._stepped`, but from any initial state)."""
+    a_mat, b_vec = pulses._system_matrix(params, g, w.carrier_detuning_hz)
+    a = pulses._integrate(a_mat, b_vec, w.dt_s, w.samples, initial_state, step)
+    return w.samples[::step] - math.sqrt(params.eta * 2.0 * math.pi * params.kappa_hz) * a
+
+
 def test_rk4_matches_exact_on_mild_system(toy_device):
     cfg = small_config(sigma=2.0, center=14.0, record=60.0, dt=0.05)
     w = pulses.gaussian_pulse(cfg)
@@ -303,7 +313,7 @@ def test_exact_integrator_free_decay_matches_expm(device):
     dt = 3e-6
     w = PulseWaveform(t0_s=0.0, dt_s=dt, samples=np.zeros(n, dtype=complex))
     x0 = np.array([1.0, 0.25j])
-    out = _reference_output(w, device, 23.93, pulses._integrate, initial_state=x0)
+    out = _lifted_output(w, device, 23.93, 1, initial_state=x0)
     a_mat, _ = pulses._system_matrix(device, 23.93, 0.0)
     root = math.sqrt(device.eta * 2.0 * math.pi * device.kappa_hz)
     for k in (0, 1, 7, 39):
@@ -323,28 +333,30 @@ def test_foh_fallback_matches_eigen_step():
     b_vec = np.array([1.3 + 0.0j, 0.0j])
     h = 0.37
     mu, alpha, beta, v = reference.eigen_step(a_mat, b_vec, h)
-    e_mat, av, bv = pulses._foh_propagator(a_mat, b_vec, h)
+    f_mat, av, bv = pulses._foh_propagator(a_mat, b_vec, h)
     z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     s0, s1 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     via_eigen = v @ (mu * np.linalg.solve(v, z) + alpha * s0 + beta * s1)
-    via_expm = e_mat @ z + av * s0 + bv * s1
+    via_expm = z + f_mat @ z + av * s0 + bv * s1
     np.testing.assert_allclose(via_eigen, via_expm, rtol=1e-12)
     # the single path: the same step as one banded solve over a whole record
     s = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    single = pulses._integrate(a_mat, b_vec, h, s, z)
+    single = pulses._integrate(a_mat, b_vec, h, s, z, 1)
     np.testing.assert_allclose(single, reference.eigen(a_mat, b_vec, h, s, z), rtol=1e-12)
 
 
 def test_single_path_matches_eigen_reference_near_critical(device):
     # near G_c the output is a small difference amplified by 1/|t|, and the
     # step spans kappa/gamma_m ~ 4e7 in rates: the exact step must keep the
-    # slow mechanical decay to full precision for the two routes to agree
+    # slow mechanical decay to full precision for the two routes to agree,
+    # at every sample and lifted to every 128th
     for g in (17.66, 1.04 * model.critical_coupling(device), 23.93):
         cfg = pulses.delay_pulse_config(device, g, n_samples=1024)
         w = pulses.gaussian_pulse(cfg)
-        single = pulses.integrate_langevin(w, device, g).samples
         eigen = _reference_output(w, device, g, reference.eigen)
-        assert np.max(np.abs(single - eigen)) < 1e-11 * np.abs(eigen).max()
+        for step in (1, 128):
+            single = pulses._stepped(w, device, g, step)
+            assert np.max(np.abs(single - eigen[::step])) < 1e-11 * np.abs(eigen[::step]).max()
 
 
 def test_exceptional_point_matches_reference(device):
@@ -358,9 +370,29 @@ def test_exceptional_point_matches_reference(device):
     cfg = small_config(sigma=8e-6, center=40e-6, record=204.8e-6, dt=1e-7)
     w = pulses.gaussian_pulse(cfg)
     for x0 in ((0j, 0j), (1.0 + 0.0j, 0.25j)):
-        out = _reference_output(w, device, g_ep, pulses._integrate, initial_state=x0)
         ref = _reference_output(w, device, g_ep, reference.expm_loop, initial_state=x0)
-        assert np.max(np.abs(out - ref)) < 1e-10 * np.abs(ref).max()
+        for step in (1, 128):  # every sample, and lifted to every 128th
+            out = _lifted_output(w, device, g_ep, step, initial_state=x0)
+            assert np.max(np.abs(out - ref[::step])) < 1e-10 * np.abs(ref[::step]).max()
+
+
+def test_lifted_step_matches_full_rate_recurrence(device):
+    # every L-th sample of the lifted step against the one-sample step run
+    # at every sample: across G_c, at the exceptional point, off the
+    # carrier, and for records of 2^15 and 3 * 2^10 samples
+    gc = model.critical_coupling(device)
+    couplings = [r * gc for r in (0.0, 0.5, 0.97, 1.0, 1.03, 2.0, 8.84)]
+    couplings.append((device.kappa_hz - device.gamma_m_hz) / 4.0)
+    for n in (2**15, 3 * 2**10):
+        for carrier in (0.0, 0.003, -0.003):
+            w = pulses.gaussian_pulse(_curve_config(device, 0.5 * gc, carrier, samples=n))
+            for g in couplings:
+                full = _reference_output(w, device, g, reference.recurrence)
+                bound = 1e-11 * np.abs(full).max()
+                for step in (1, 8, 128):
+                    lifted = pulses._stepped(w, device, g, step)
+                    assert len(lifted) == len(full[::step])
+                    assert np.max(np.abs(lifted - full[::step])) < bound, (n, carrier, g, step)
 
 
 def test_phi_helpers_branch_agreement():
@@ -618,14 +650,19 @@ def test_cached_probe_is_read_only():
 # the fft delay path on the probe's band
 # ---------------------------------------------------------------------------
 
-def _full_rate_delays(device, g, cfg):
-    """Delays from `propagate`, which keeps the full m-point product, with
-    both arrivals timed from the probe's center as `delay_curve` times them."""
+def _full_rate_delays(device, g, cfg, method="fft"):
+    """Delays timed at every sample of the record, from `propagate` (which
+    keeps the full m-point product) or from the one-sample step run at every
+    sample (`reference.recurrence`), with both arrivals timed from the
+    probe's center as `delay_curve` times them."""
     pulse = pulses.gaussian_pulse(cfg)
 
     def arrival(coupling):
-        out = pulses.propagate(pulse, device, coupling)
-        return pulses.center_time(replace(out, t0_s=-cfg.center_s))
+        if method == "fft":
+            out = pulses.propagate(pulse, device, coupling).samples
+        else:
+            out = _reference_output(pulse, device, coupling, reference.recurrence)
+        return pulses.center_time(PulseWaveform(t0_s=-cfg.center_s, dt_s=pulse.dt_s, samples=out))
 
     pump_off = arrival(0.0)
     return np.array([arrival(gi) - pump_off for gi in g])
@@ -681,3 +718,47 @@ def test_fft_delay_evaluates_the_kernel_on_the_band_only(device, monkeypatch):
     assert len(points) == len(g) + 1  # the pump-off reference, then each coupling
     assert max(points) <= band < 0.01 * probe.points * probe.step
 
+
+
+# ---------------------------------------------------------------------------
+# the ode delay path on the probe's decimated grid
+# ---------------------------------------------------------------------------
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+
+
+def test_ode_delays_match_full_rate_recurrence(device, monkeypatch):
+    # the benchmark's curves (2^15 samples, L = 128): the lifted route
+    # against the one-sample step timed at every sample of the record
+    monkeypatch.syspath_prepend(BENCH)
+    import inputs
+
+    for seed in (1, 2, 3):
+        curve = inputs.delay_curve(seed)
+        cfg = PulseConfig(**curve["pulse"])
+        g = np.array(curve["g_hz"])
+        assert pulses._probe(cfg).step == 128
+        lifted = pulses.delay_curve(device, g, cfg, method="ode")
+        full = _full_rate_delays(device, g, cfg, method="ode")
+        np.testing.assert_allclose(lifted, full, rtol=1e-11, atol=0)
+
+
+def test_ode_delay_solves_n_over_l_rows(device, monkeypatch):
+    # at a 2^15-sample probe each coupling, and the pump-off reference,
+    # solves one banded system of n/L - 2 rows
+    gc = model.critical_coupling(device)
+    g = np.array([0.5, 1.1, 2.0]) * gc
+    cfg = _curve_config(device, g[0], samples=2**15)
+    _clear_caches()
+    rows = []
+    solve = scipy.linalg.lapack.ztbtrs
+
+    def counted(band, rhs, **kw):
+        rows.append(rhs.shape[0])
+        return solve(band, rhs, **kw)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "ztbtrs", counted)
+    pulses.delay_curve(device, g, cfg, method="ode")
+    step = pulses._probe(cfg).step
+    assert step == 128
+    assert rows == [2**15 // step - 2] * (len(g) + 1)
