@@ -45,7 +45,6 @@ from .pulses import (
     band_averaged_delay,
     center_time,
     center_time_estimates,
-    delay_curve,
     delay_pulse_config,
     extract_delay,
     gaussian_pulse,
@@ -88,7 +87,6 @@ __all__ = [
     "center_time_estimates",
     "classify_regime",
     "critical_coupling",
-    "delay_curve",
     "delay_pulse_config",
     "detuning_span",
     "effective_window_hz",

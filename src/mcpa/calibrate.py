@@ -269,9 +269,26 @@ def _make_residual(spectrum: MeasuredSpectrum, model_fn):
     return residual
 
 
-def _multistart(residual, starts, names, report, distinct):
-    """Run the solver from each (x0, scale) start and return the
-    lowest-residual converged fit, carrying the runner-up as `alternate`
+def _outlier(spectrum: MeasuredSpectrum, r) -> str:
+    """Text naming the spectrum row whose one residual in `r` holds more
+    than 1 - 1e-6 of the cost r.r, to append to an error; '' if none does."""
+    square = np.square(r)
+    i = int(np.argmax(square))
+    if not square[i] > (1.0 - 1e-6) * square.sum():
+        return ""
+    rows = len(spectrum.frequency_hz)
+    part = (("re", "im") if spectrum.t is not None else ("amplitude", "phase"))[i // rows]
+    row = i % rows
+    return (
+        f"; spectrum row {row + 1} (counted from 1, at {spectrum.frequency_hz[row]:.9g} Hz) "
+        f"holds all but 1e-6 of the final cost: its {part} residual (model minus data) "
+        f"is {r[i]:.6g}"
+    )
+
+
+def _multistart(spectrum, model_fn, starts, names, report, distinct):
+    """Fit `model_fn` to `spectrum` from each (x0, scale) start and return
+    the lowest-residual converged fit, carrying the runner-up as `alternate`
     when `distinct(primary, runner_up)` says it is another solution and its
     every sigma is finite (a NaN sigma marks a runner-up that the data do
     not constrain, such as the mechanics decoupled at G ~ 0).
@@ -279,10 +296,16 @@ def _multistart(residual, starts, names, report, distinct):
 
     A start that stalls (the mirror seed of amplitude-only data often starts
     far from any minimum) is dropped; the fit fails only if every start does.
+    The error then names the spectrum row that holds all but 1e-6 of the
+    best seed's final cost, if one does: a single outlier, not the model,
+    stalled the fit.
     """
+    residual = _make_residual(spectrum, model_fn)
     results = []
+    ends = []
     for x0, scale in starts:
         x, sigma, history, n_iter, converged = _levenberg_marquardt(residual, x0, scale)
+        ends.append(x)
         results.append(FitResult(
             params={k: float(v) for k, v in zip(names, report(x))},
             sigma={k: float(s) for k, s in zip(names, sigma)},
@@ -294,8 +317,10 @@ def _multistart(residual, starts, names, report, distinct):
     done = sorted((r for r in results if r.converged), key=lambda r: r.residual_rms)
     if not done:
         worst = max(r.n_iterations for r in results)
+        best = min(range(len(results)), key=lambda i: results[i].residual_rms)
         raise ConvergenceError(
             f"no seed met the gradient tolerance (up to {worst} iterations per seed)"
+            + _outlier(spectrum, residual(ends[best]))
         )
     if len(done) > 1 and distinct(done[0], done[1]) and all(
         map(math.isfinite, done[1].sigma.values())
@@ -386,7 +411,8 @@ def fit_bare_cavity(spectrum: MeasuredSpectrum) -> FitResult:
     detuning = (center0 - freq) if spectrum.absolute_frequency else (freq + center0)
     name0 = "cavity_freq_hz" if spectrum.absolute_frequency else "center_offset_hz"
     return _multistart(
-        _make_residual(spectrum, _bare_model_fn(detuning)),
+        spectrum,
+        _bare_model_fn(detuning),
         starts,
         (name0, "kappa_hz", "eta"),
         lambda x: (x[0] + center0, x[1], x[2]),
@@ -451,7 +477,8 @@ def fit_mechanical_window(spectrum: MeasuredSpectrum, cavity: DeviceParams) -> F
         return model._response(cavity.kappa_hz, cavity.eta, gamma_hz, g_hz, delta_axis, offset_hz)
 
     return _multistart(
-        _make_residual(spectrum, evaluate),
+        spectrum,
+        evaluate,
         _window_starts(spectrum, cavity, delta_axis),
         ("gamma_m_hz", "g_hz", "center_offset_hz"),
         lambda x: (abs(x[0]), abs(x[1]), x[2]),

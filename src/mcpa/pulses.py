@@ -35,12 +35,12 @@ transform, which `_padded` makes) and `_stepped` (the exact step).
 ("bandwidth", "singular-band") from the one transform of the input each
 makes (the padded one, or an n-point one), with the kernel evaluated on
 its bins above 1e-3 of the peak alone; only they and the `pulse` command
-run the check. `delay_curve` measures the delay at one or many
-couplings, with no band check; `extract_delay` is `delay_curve` at one
-coupling. What is the same at every coupling is made once and reused across
-calls: the probe (`_probe`, the last probe only) and the pump-off arrival
-time (`_pump_off_arrival`, floats only), so a loop of `extract_delay` calls
-costs one output and one centroid per coupling.
+run the check. `extract_delay` measures the delay at one coupling (a
+float) or many (an array), with no band check. What is the same at every
+coupling is made once and reused across calls: the probe (`_probe`, the
+last probe only) and the pump-off arrival time (`_pump_off_arrival`,
+floats only), so a loop of `extract_delay` calls costs one output and one
+centroid per coupling, as one call on an array does.
 
 The delay path works at the probe's bandwidth, not at the record's sample
 rate, on both routes. `_probe` keeps the probe samples (16 n bytes for n
@@ -134,6 +134,8 @@ class PulseConfig:
             raise ParameterError(f"dt_s must be positive, got {self.dt_s!r}")
         if not math.isfinite(self.carrier_detuning_hz):
             raise ParameterError("carrier_detuning_hz must be finite")
+        if not math.isfinite(self.record_s):
+            raise ParameterError(f"record_s must be finite, got {self.record_s!r}")
         if self.record_s < self.center_s + 8.0 * self.sigma_t_s:
             raise ParameterError(
                 f"record_s = {self.record_s} truncates the pulse; need >= "
@@ -142,6 +144,12 @@ class PulseConfig:
         if self.dt_s > self.sigma_t_s / 4.0:
             raise ParameterError(
                 f"dt_s = {self.dt_s} undersamples sigma_t = {self.sigma_t_s}"
+            )
+        # the |envelope|^2 moments sum t^2 over the record/dt samples
+        if not math.isfinite(self.record_s * self.record_s * (self.record_s / self.dt_s)):
+            raise ParameterError(
+                f"record_s = {self.record_s} is too long: its squared sample times "
+                "summed over the record overflow a float"
             )
 
 
@@ -170,6 +178,8 @@ class PulseWaveform:
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.t0_s):
+            raise ParameterError(f"t0_s must be finite, got {self.t0_s!r}")
         if not (math.isfinite(self.dt_s) and self.dt_s > 0.0):
             raise ParameterError(f"dt_s must be positive, got {self.dt_s!r}")
         samples = np.asarray(self.samples, dtype=complex)
@@ -671,6 +681,11 @@ def delay_pulse_config(
     margin = min(abs(tau) * 1.5, 20.0 * sigma_t)
     lead = 8.0 * sigma_t + (margin if tau < 0.0 else 0.0)
     record = lead + 8.0 * sigma_t + (margin if tau > 0.0 else 0.0)
+    if not math.isfinite(record):
+        raise ParameterError(
+            f"bandwidth_fraction = {bandwidth_fraction} makes the probe record "
+            "longer than a float holds"
+        )
     if record / n_samples > sigma_t / 4.0:  # the PulseConfig sampling rule
         need = math.floor(4.0 * record / sigma_t)
         while record / need > sigma_t / 4.0:  # after rounding, one more may be due
@@ -781,18 +796,18 @@ def _pump_off_arrival(params: DeviceParams, config: PulseConfig, method: str) ->
 
 def _minus_pump_off(value, pump_off: float, g):
     """value(G) - pump_off at each coupling of `g` (a float or a float
-    array), shaped like `g`: a scalar in gives a scalar out."""
+    array), shaped like `g`: a float in gives a float out."""
     out = np.array([value(gi) - pump_off for gi in np.ravel(g).tolist()])
-    return out.reshape(np.shape(g))[()]
+    return float(out[0]) if np.ndim(g) == 0 else out.reshape(np.shape(g))
 
 
-def delay_curve(
+def extract_delay(
     params: DeviceParams,
     couplings: NDArray[np.floating] | float,
     config: PulseConfig,
     *,
     method: str = "fft",
-) -> NDArray[np.floating]:
+) -> NDArray[np.floating] | float:
     """Pulse group delay at each coupling: the arrival-time shift of the
     configured Gaussian relative to the pump-off run.
 
@@ -802,24 +817,24 @@ def delay_curve(
     and the pump-off reference (coupling 0, bare cavity) are made once and
     kept across calls. Referencing against the pump-off run removes offsets
     common to both runs, such as the sampling and interpolation bias of the
-    chosen route. Both arrivals are
-    timed from the probe's own center, so their difference keeps its
-    digits when the delay is a small fraction of the width. No band check
-    runs: the outputs are not returned, so their warnings would be dropped.
+    chosen route. Both arrivals are timed from the probe's own center, so
+    their difference keeps its digits when the delay is a small fraction of
+    the width. No band check runs: the outputs are not returned, so their
+    warnings would be dropped.
 
     Parameters
     ----------
     couplings : array_like
-        (Hz) one field-enhanced coupling rate, or a 1-d array of them.
+        (Hz) one field-enhanced coupling rate, or an array of them.
     method : {"fft", "ode"}
         Propagation route; "ode" integrates the equations of motion.
 
     Returns
     -------
-    ndarray of float
-        (s) extracted delay at each coupling, shaped like `couplings` (a
-        scalar in gives a scalar out); negative means the pulse arrived
-        early.
+    float or ndarray of float
+        (s) extracted delay at each coupling: a float for one coupling, an
+        array shaped like `couplings` for an array; negative means the
+        pulse arrived early.
 
     Raises
     ------
@@ -833,31 +848,12 @@ def delay_curve(
     return _minus_pump_off(lambda gi: _arrival(params, gi, config, method), pump_off, g)
 
 
-def extract_delay(
-    params: DeviceParams, coupling: float, config: PulseConfig, *, method: str = "fft"
-) -> float:
-    """Pulse group delay at one coupling: :func:`delay_curve` at `coupling`,
-    the shift of the arrival-time centroid against the pump-off run.
-
-    Parameters
-    ----------
-    method : {"fft", "ode"}
-        Propagation route; "ode" integrates the equations of motion.
-
-    Returns
-    -------
-    float
-        (s) extracted delay; negative means the pulse arrived early.
-    """
-    return float(delay_curve(params, model._scalar_g_hz(coupling), config, method=method))
-
-
 def band_averaged_delay(
     params: DeviceParams,
     couplings: NDArray[np.floating] | float,
     config: PulseConfig,
-) -> NDArray[np.floating]:
-    """Exact finite-bandwidth prediction of :func:`delay_curve`.
+) -> NDArray[np.floating] | float:
+    """Exact finite-bandwidth prediction of :func:`extract_delay`.
 
     By Parseval, the centroid of |y|^2 is the mean of the analytic group
     delay tau(carrier + f) over the output's power spectrum
@@ -871,9 +867,9 @@ def band_averaged_delay(
 
     Returns
     -------
-    ndarray of float
-        (s) band-averaged delay at each coupling, shaped like `couplings`
-        (a scalar in gives a scalar out).
+    float or ndarray of float
+        (s) band-averaged delay at each coupling, shaped like
+        `extract_delay`'s: a float for one coupling, else like `couplings`.
     """
     g = model._g_hz(couplings)
     probe = _probe(config)

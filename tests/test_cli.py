@@ -4,6 +4,7 @@ All invocations run in-process through cli.main so coverage and
 monkeypatching work; the console entry point is the same function.
 """
 
+import glob
 import json
 import math
 import os
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 from mcpa import calibrate, cli, model, pulses, reference_device
-from mcpa.errors import ConfigError
+from mcpa.errors import ConfigError, ConvergenceError
 
 
 def write_config(path, doc):
@@ -269,15 +270,26 @@ def test_too_few_samples_names_the_smallest_count(tmp_path, capsys):
     assert run(need)[0] == 0
 
 
-def test_spectrum_rerun_byte_identical(tmp_path):
-    path = write_config(
-        tmp_path / "c.json", reference_doc(spectrum={"g": 17.66, "points": 101})
-    )
-    assert cli.main(["--config", path, "--out", str(tmp_path / "a")]) == 0
-    assert cli.main(["--config", path, "--out", str(tmp_path / "b")]) == 0
-    a = (tmp_path / "a" / "spectrum.csv").read_bytes()
-    b = (tmp_path / "b" / "spectrum.csv").read_bytes()
-    assert a == b
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CONFIGS = sorted(glob.glob(os.path.join(REPO, "configs", "*.json")))
+
+
+@pytest.mark.parametrize(
+    "config", CONFIGS, ids=[os.path.basename(c)[: -len(".json")] for c in CONFIGS]
+)
+def test_rerun_byte_identical(tmp_path, capsys, config):
+    # the first run starts from cleared caches; the second reads the warm
+    # probe and pump-off caches of a pulse config
+    pulses._probe.cache_clear()
+    pulses._pump_off_arrival.cache_clear()
+    runs = []
+    for name in ("a", "b"):
+        out_dir = tmp_path / name
+        assert cli.main(["--config", config, "--out", str(out_dir)]) == 0
+        stdout = capsys.readouterr().out.replace(str(out_dir), "<out>")
+        written = sorted(out_dir.iterdir()) if out_dir.exists() else []  # critical writes none
+        runs.append((stdout, {p.name: p.read_bytes() for p in written}))
+    assert runs[0] == runs[1]
 
 
 def test_sweep_command_and_critical_sweep_fit(tmp_path, capsys):
@@ -341,6 +353,19 @@ def test_pulse_command_delay_is_extract_delay(tmp_path, capsys, method):
     config = pulses.delay_pulse_config(device, g, n_samples=1024)
     expected = pulses.extract_delay(device, g, config, method=method)
     assert extracted == pytest.approx(expected, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("fraction", [1e-308, 1e-300])
+def test_pulse_record_beyond_float_is_config_error(tmp_path, capsys, fraction):
+    # 1e-308 overflowed the record (a traceback); 1e-300 overflowed the
+    # probe's moments (a RuntimeWarning and a delay of 2.3e283 s)
+    path = write_config(
+        tmp_path / "c.json", reference_doc(pulse={"g": "155.1 Hz", "bandwidth_fraction": fraction})
+    )
+    out_dir = tmp_path / "o"
+    assert cli.main(["--config", path, "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not list(out_dir.glob("*.csv"))
 
 
 def test_pulse_unknown_method_is_config_error(tmp_path, capsys):
@@ -705,11 +730,46 @@ def test_fit_sigma_of_a_huge_residual_is_finite(tmp_path, capsys, monkeypatch):
     assert "no seed met the gradient tolerance" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cell", [1e20, 1e100])
+def test_fit_stalled_by_one_outlier_names_its_row(tmp_path, capsys, cell):
+    # one re cell stalls every seed; the error keeps its text and names the
+    # row that holds nearly all of the final cost, with its residual
+    header = ["detuning_hz", "re", "im"]
+    table = _reference_table("bare", header)
+    table[3, 1] = cell
+    data = tmp_path / "data.csv"
+    rows = [",".join(header)] + [",".join(map(repr, row)) for row in table.tolist()]
+    data.write_text("\n".join(rows) + "\n")
+    path = write_config(tmp_path / "c.json", reference_doc(fit={"kind": "bare", "data": str(data)}))
+    assert cli.main(["--config", path, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: no seed met the gradient tolerance (up to ")
+    where = f"spectrum row 4 (counted from 1, at {table[3, 0]:.9g} Hz)"
+    assert where in err and f"its re residual (model minus data) is {-cell:.6g}" in err
+
+
+def test_fit_stall_without_an_outlier_names_no_row(monkeypatch):
+    # a stall whose cost no single residual dominates keeps the plain text
+    device = reference_device()
+    axis = np.linspace(-3.0, 3.0, 30) * device.kappa_hz
+    spectrum = calibrate.MeasuredSpectrum.from_complex(
+        axis, model.transmission_curve(device, 0.0, axis) + 0.1, absolute_frequency=False
+    )
+    solve = calibrate._levenberg_marquardt
+
+    def stalled(*args):
+        x, sigma, history, n_iter, _ = solve(*args)
+        return x, sigma, history, n_iter, False
+
+    monkeypatch.setattr(calibrate, "_levenberg_marquardt", stalled)
+    with pytest.raises(ConvergenceError) as caught:
+        calibrate.fit_bare_cavity(spectrum)
+    assert "row" not in str(caught.value)
+
+
 # ---------------------------------------------------------------------------
 # startup imports
 # ---------------------------------------------------------------------------
-
-REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # Runs in a fresh interpreter and prints, after each step, its exit code,
 # whether scipy.signal has been imported and whether any scipy module has.

@@ -107,8 +107,8 @@ def test_routes_match_band_averaged_delay(dev, x):
     cfg = pulses.PulseConfig(sigma_t_s=sigma, center_s=8.0 * sigma,
                              record_s=16.0 * sigma, dt_s=16.0 * sigma / 2**14)
     try:
-        fft = pulses.delay_curve(dev, g, cfg)
-        ode = pulses.delay_curve(dev, g, cfg, method="ode")
+        fft = pulses.extract_delay(dev, g, cfg)
+        ode = pulses.extract_delay(dev, g, cfg, method="ode")
     except PulseEstimationError:
         assume(False)  # two comparable lobes: no arrival time to compare
     oracle = pulses.band_averaged_delay(dev, g, cfg)

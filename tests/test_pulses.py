@@ -41,6 +41,13 @@ def test_pulse_config_validation():
         small_config(dt=0.5)  # undersamples sigma/4
     with pytest.raises(ParameterError):
         small_config(carrier_detuning_hz=math.inf)
+    # a record that is not finite, or whose t^2 summed over its samples
+    # overflows (the |envelope|^2 moments; pytest raises their RuntimeWarning)
+    for record in (math.nan, math.inf):
+        with pytest.raises(ParameterError, match="record_s must be finite"):
+            small_config(record=record)
+    with pytest.raises(ParameterError, match="overflow"):
+        small_config(sigma=1e152, center=1e153, record=2e153, dt=2e153 / 2**16)
 
 
 def test_gaussian_pulse_samples():
@@ -72,6 +79,9 @@ def test_waveform_validation():
         )
     with pytest.raises(ParameterError):
         PulseWaveform(t0_s=0.0, dt_s=-0.1, samples=np.ones(32, dtype=complex))
+    for t0 in (math.nan, -math.inf):
+        with pytest.raises(ParameterError, match="t0_s"):
+            PulseWaveform(t0_s=t0, dt_s=0.1, samples=np.ones(32, dtype=complex))
 
 
 def test_waveform_accepts_strided_samples():
@@ -521,6 +531,11 @@ def test_delay_pulse_config_fraction_validation(device):
         pulses.delay_pulse_config(device, 23.93, bandwidth_fraction=0.0)
     with pytest.raises(ParameterError):
         pulses.delay_pulse_config(device, 23.93, bandwidth_fraction=0.8)
+    # 1e-308 made the record inf (a traceback from the sampling rule); at
+    # 1e-300 the probe's moments overflowed into a wrong delay
+    for fraction in (1e-308, 1e-300):
+        with pytest.raises(ParameterError, match="record"):
+            pulses.delay_pulse_config(device, 155.1, bandwidth_fraction=fraction)
 
 
 def test_extract_delay_route_consistency(device):
@@ -531,6 +546,31 @@ def test_extract_delay_route_consistency(device):
     assert tau_fft > 0.0
     assert abs(tau_fft - tau_ode) < 0.01 * abs(analytic)
     assert tau_fft == pytest.approx(analytic, rel=0.05)
+
+
+def test_extract_delay_checks_the_couplings_once(device, monkeypatch):
+    # one coupling or many: one validation of the couplings per call; the
+    # ode route calls no kernel, the fft route's kernel checks each one
+    cfg = pulses.delay_pulse_config(device, 155.1, n_samples=1024)
+    calls = []
+    check = model._g_hz
+
+    def counted(coupling):
+        calls.append(np.shape(coupling))
+        return check(coupling)
+
+    monkeypatch.setattr(model, "_g_hz", counted)
+    for method in ("ode", "fft"):
+        pulses.extract_delay(device, 155.1, cfg, method=method)  # warm caches
+    for couplings in (155.1, np.array([150.0, 155.1, 160.0])):
+        calls.clear()
+        pulses.extract_delay(device, couplings, cfg, method="ode")
+        assert calls == [np.shape(couplings)]
+        calls.clear()
+        pulses.extract_delay(device, couplings, cfg, method="fft")
+        assert calls == [np.shape(couplings)] + [()] * np.size(couplings)
+    with pytest.raises(ParameterError):
+        pulses.extract_delay(device, [155.1, -1.0], cfg)
 
 
 def test_extract_delay_unknown_method(device):
@@ -559,11 +599,11 @@ def test_delay_curve_matches_band_averaged_delay(device):
         cfg = _curve_config(device, g[0], carrier)
         oracle = pulses.band_averaged_delay(device, g, cfg)
         assert oracle.shape == g.shape and np.all(np.isfinite(oracle))
-        fft = pulses.delay_curve(device, g, cfg)
+        fft = pulses.extract_delay(device, g, cfg)
         np.testing.assert_allclose(fft, oracle, rtol=1e-12, atol=0)
-        ode = pulses.delay_curve(device, g, cfg, method="ode")
+        ode = pulses.extract_delay(device, g, cfg, method="ode")
         np.testing.assert_allclose(ode, oracle, rtol=1e-5, atol=0)
-    # one coupling in, one float out: extract_delay is the curve at one point
+    # one coupling in, one float out: the array's entry at that coupling
     single = pulses.extract_delay(device, g[4], cfg, method="ode")
     assert isinstance(single, float)
     assert single == pytest.approx(ode[4], rel=1e-14)
@@ -574,7 +614,7 @@ def test_delay_curve_matches_band_averaged_delay(device):
     for carrier in (0.0, 0.003):
         cfg = _curve_config(device, g[0], carrier)
         oracle = pulses.band_averaged_delay(device, g, cfg)
-        np.testing.assert_allclose(pulses.delay_curve(device, g, cfg), oracle, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(pulses.extract_delay(device, g, cfg), oracle, rtol=1e-12, atol=0)
 
 
 def test_delay_curve_two_lobes_where_band_average_is_finite(device):
@@ -586,7 +626,7 @@ def test_delay_curve_two_lobes_where_band_average_is_finite(device):
         pulses.extract_delay(device, 0.5 * gc, cfg, method=method)  # warm caches
         for _ in range(2):  # a refusal is never cached: every call raises it
             with pytest.raises(PulseEstimationError, match="lobes"):
-                pulses.delay_curve(device, 0.985 * gc, cfg, method=method)
+                pulses.extract_delay(device, 0.985 * gc, cfg, method=method)
     oracle = pulses.band_averaged_delay(device, 0.985 * gc, cfg)
     assert math.isfinite(oracle) and oracle < 0.0
 
@@ -613,7 +653,7 @@ def test_delays_same_with_warm_and_cleared_caches(device, method):
     for _ in range(2):
         _clear_caches()
         for _ in range(2):  # cold, then warm
-            runs.append(_hex(pulses.delay_curve(device, g, cfg, method=method)))
+            runs.append(_hex(pulses.extract_delay(device, g, cfg, method=method)))
             runs.append(_hex([pulses.extract_delay(device, gi, cfg, method=method) for gi in g]))
     assert all(run == runs[0] for run in runs)
 
@@ -654,7 +694,7 @@ def _full_rate_delays(device, g, cfg, method="fft"):
     """Delays timed at every sample of the record, from `propagate` (which
     keeps the full m-point product) or from the one-sample step run at every
     sample (`reference.recurrence`), with both arrivals timed from the
-    probe's center as `delay_curve` times them."""
+    probe's center as `extract_delay` times them."""
     pulse = pulses.gaussian_pulse(cfg)
 
     def arrival(coupling):
@@ -675,13 +715,13 @@ def test_band_route_matches_full_rate_route(device):
         cfg = _curve_config(device, g[0], carrier)
         probe = pulses._probe(cfg)
         assert probe.step > 1 and len(probe.x) < probe.points
-        band, full = pulses.delay_curve(device, g, cfg), _full_rate_delays(device, g, cfg)
+        band, full = pulses.extract_delay(device, g, cfg), _full_rate_delays(device, g, cfg)
         np.testing.assert_allclose(band, full, rtol=1e-13, atol=0)
     # an odd sample count: the band, at every sample (L = 1)
     cfg = _curve_config(device, g[0], samples=2**12 + 1)
     probe = pulses._probe(cfg)
     assert probe.step == 1 and len(probe.x) < probe.points
-    band, full = pulses.delay_curve(device, g, cfg), _full_rate_delays(device, g, cfg)
+    band, full = pulses.extract_delay(device, g, cfg), _full_rate_delays(device, g, cfg)
     np.testing.assert_allclose(band, full, rtol=1e-13, atol=0)
 
 
@@ -695,7 +735,7 @@ def test_truncated_probe_falls_back_to_every_bin(device, center_sigmas):
     cfg = replace(cfg, center_s=center_sigmas * cfg.sigma_t_s)
     probe = pulses._probe(cfg)
     assert probe.step == 1 and len(probe.x) == probe.points
-    assert _hex(pulses.delay_curve(device, g, cfg)) == _hex(_full_rate_delays(device, g, cfg))
+    assert _hex(pulses.extract_delay(device, g, cfg)) == _hex(_full_rate_delays(device, g, cfg))
 
 
 def test_fft_delay_evaluates_the_kernel_on_the_band_only(device, monkeypatch):
@@ -712,7 +752,7 @@ def test_fft_delay_evaluates_the_kernel_on_the_band_only(device, monkeypatch):
         return kernel(params, coupling, detuning_hz)
 
     monkeypatch.setattr(model, "transmission_curve", counted)
-    pulses.delay_curve(device, g, cfg)
+    pulses.extract_delay(device, g, cfg)
     probe = pulses._probe(cfg)
     band = len(probe.x)  # 2 K + 1 bins
     assert len(points) == len(g) + 1  # the pump-off reference, then each coupling
@@ -738,7 +778,7 @@ def test_ode_delays_match_full_rate_recurrence(device, monkeypatch):
         cfg = PulseConfig(**curve["pulse"])
         g = np.array(curve["g_hz"])
         assert pulses._probe(cfg).step == 128
-        lifted = pulses.delay_curve(device, g, cfg, method="ode")
+        lifted = pulses.extract_delay(device, g, cfg, method="ode")
         full = _full_rate_delays(device, g, cfg, method="ode")
         np.testing.assert_allclose(lifted, full, rtol=1e-11, atol=0)
 
@@ -758,7 +798,7 @@ def test_ode_delay_solves_n_over_l_rows(device, monkeypatch):
         return solve(band, rhs, **kw)
 
     monkeypatch.setattr(scipy.linalg.lapack, "ztbtrs", counted)
-    pulses.delay_curve(device, g, cfg, method="ode")
+    pulses.extract_delay(device, g, cfg, method="ode")
     step = pulses._probe(cfg).step
     assert step == 128
     assert rows == [2**15 // step - 2] * (len(g) + 1)
