@@ -17,8 +17,8 @@ modes' eigenvalues coincide. Lifted to every L-th sample (the state L
 samples on follows from E^L and a fixed (L + 1)-tap filter of the input),
 the step is exact again, so the route returns samples 0, L, 2L, ...: every
 sample for `integrate_langevin` (L = 1), every L-th on the delay path. Per
-record the lifted step reduces to one second-order recurrence, solved as
-one banded triangular system of n/L - 2 rows. The hold order matters:
+record the lifted step reduces to one second-order recurrence, solved by
+forward substitution over its n/L - 2 rows. The hold order matters:
 since the output is the small difference s_in - sqrt(eta*kappa) a,
 holding the input constant across each interval would misalign the two
 terms by a sample and the error would be amplified by 1/|t| near the
@@ -67,10 +67,9 @@ same mean with the pump off.
 
 Times are seconds, rates ordinary Hz as everywhere in this package.
 
-This module needs numpy, plus `scipy.linalg` for the time-domain step
-alone: `_integrate` imports its banded triangular solve on first use, so
-the spectral route, the band check of either route, the lobe check of
-`center_time` and every command but an ode pulse run without scipy.
+This module needs numpy alone: the time-domain route's banded solve is a
+two-term recurrence, run as a Python loop, and the lobe check of
+`center_time` follows `scipy.signal.find_peaks`'s rules without calling it.
 """
 
 from __future__ import annotations
@@ -97,6 +96,13 @@ DELAY_BANDWIDTH_FRACTION = 1.0 / 32.0
 
 #: |t| below this inside the pulse band triggers the singular-band warning.
 SINGULAR_BAND_TOL = 1e-6
+
+#: Largest share of the expected |delay| that one ulp of the probe record
+#: (eps * record, eps = 2^-52) may be. Both arrivals are centroids over the
+#: record, and on the reference device each route's extracted delay moved
+#: by at most 0.05 eps * record from rounding alone, so at this share the
+#: rounding stays below about 5e-5 of the delay.
+_RECORD_ROUNDING_SHARE = 1e-3
 
 
 @dataclass(frozen=True)
@@ -431,11 +437,10 @@ def _integrate(a_mat, b_vec, h, s, initial_state, step):
     initial state) and a_1 (one explicit lifted step) moved to the
     right-hand side of its first two rows, the recurrence is one unit
     lower-triangular system of bandwidth 2 and (n - 1) // L - 1 rows,
-    solved in a single LAPACK banded triangular solve (`ztbtrs`). The
-    record needs at least 3 L + 1 samples.
+    solved by forward substitution in the order of LAPACK's banded solve
+    (`ztbsv`): a_b = (r_b - d2 a_{b-2}) - d1 a_{b-1}, from zero, since a_0
+    and a_1 already sit in r. The record needs at least 3 L + 1 samples.
     """
-    from scipy.linalg.lapack import ztbtrs
-
     f, p, q = _foh_propagator(a_mat, b_vec, h)
     # row i holds E^i P and E^i Q, for i < L: each doubling fills rows
     # k .. 2k - 1 from the first k and turns F_k into F_2k
@@ -465,13 +470,13 @@ def _integrate(a_mat, b_vec, h, s, initial_state, step):
     r = c[-1] * s[2 * step :: step] + (blocks[1:] @ c[step:-1]) + (blocks[:-1] @ c[:step])
     r[0] -= d1 * a1 + d2 * a0
     r[1] -= d2 * a1
-    # band storage of the lower triangle, in Fortran order so that it is
-    # passed without a copy: row 0 is the unit diagonal (not read), rows 1
-    # and 2 the first and second subdiagonals
-    band = np.tile([0.0, d1, d2], (len(r), 1)).T
-    # with a unit diagonal the solve cannot fail: info is 0
-    a_rest, _ = ztbtrs(band, r[:, None], uplo="L", diag="U")
-    return np.concatenate(([a0, a1], a_rest[:, 0]))
+    # on Python complexes: numpy scalar arithmetic costs several times more
+    a = [a0, a1]
+    d1, d2, back2, back1 = complex(d1), complex(d2), 0j, 0j
+    for rb in r.tolist():
+        back2, back1 = back1, (rb - d2 * back2) - d1 * back1
+        a.append(back1)
+    return np.array(a)
 
 
 def _stepped(w: PulseWaveform, params: DeviceParams, g, step: int) -> NDArray[np.complexfloating]:
@@ -587,7 +592,7 @@ def _count_lobes(env: NDArray[np.floating], bound: float) -> int:
     # every sample that can be a peak of height >= bound, with a neighbour
     lo, hi = max(int(above[0]) - 1, 0), min(int(above[-1]) + 2, len(env))
     x = env[lo:hi]
-    starts = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])  # runs of equal values
+    starts = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))  # runs of equal values
     ends = np.append(starts[1:], len(x)) - 1
     v = x[starts]
     # a run with lower runs on both sides; the first and last runs of x hold
@@ -609,6 +614,23 @@ def _count_lobes(env: NDArray[np.floating], bound: float) -> int:
     return count
 
 
+def _centroid(t0_s: float, dt_s: float, samples: NDArray[np.complexfloating]) -> float:
+    """`center_time` of the samples `samples` at the times t0_s + k dt_s."""
+    env = np.abs(samples)
+    peak = float(env.max())
+    if not math.isfinite(peak):  # a nan or an infinite sample
+        raise ParameterError("waveform samples must be finite")
+    centroid, _ = _power_moments(t0_s + dt_s * np.arange(len(env)), env)
+    # on a non-negative envelope a prominence never exceeds its height: the
+    # height bound drops no lobe and skips the tails' rounding-noise maxima
+    lobes = _count_lobes(env, peak / 3.0)
+    if lobes > 1:
+        raise PulseEstimationError(
+            f"{lobes} comparable lobes found; arrival time undefined"
+        )
+    return centroid
+
+
 def center_time(w: PulseWaveform) -> float:
     """(s) arrival time of a single-lobe waveform: the centroid of |envelope|^2.
 
@@ -619,17 +641,7 @@ def center_time(w: PulseWaveform) -> float:
         peak in both height and prominence (no single arrival time exists
         then).
     """
-    env = np.abs(w.samples)
-    centroid, _ = _power_moments(w.times_s, env)
-    # on a non-negative envelope a prominence never exceeds its height: the
-    # height bound drops no lobe and skips the tails' rounding-noise maxima
-    third = float(env.max()) / 3.0
-    lobes = _count_lobes(env, third)
-    if lobes > 1:
-        raise PulseEstimationError(
-            f"{lobes} comparable lobes found; arrival time undefined"
-        )
-    return centroid
+    return _centroid(w.t0_s, w.dt_s, w.samples)
 
 
 def center_time_estimates(w: PulseWaveform) -> CenterTimeEstimate:
@@ -667,6 +679,13 @@ def delay_pulse_config(
     The width is chosen so the pulse's rms bandwidth is `bandwidth_fraction`
     of the effective window, and the record is padded on whichever side the
     analytically expected group delay will shift the pulse toward.
+
+    Raises
+    ------
+    ParameterError
+        When the record is so long that its rounding (eps * record) exceeds
+        `_RECORD_ROUNDING_SHARE` of the expected |delay|, where that delay
+        is finite: the extracted delay would be mostly rounding noise.
     """
     g = model._scalar_g_hz(coupling)
     if not 0.0 < bandwidth_fraction <= 0.5:
@@ -676,7 +695,8 @@ def delay_pulse_config(
     window = model.effective_window_hz(params, g)
     sigma_t = 1.0 / (TWO_PI * bandwidth_fraction * window)
     tau = float(model.group_delay_curve(params, g, carrier_detuning_hz))
-    if not math.isfinite(tau):
+    timed = math.isfinite(tau)
+    if not timed:
         tau = 0.0
     margin = min(abs(tau) * 1.5, 20.0 * sigma_t)
     lead = 8.0 * sigma_t + (margin if tau < 0.0 else 0.0)
@@ -685,6 +705,12 @@ def delay_pulse_config(
         raise ParameterError(
             f"bandwidth_fraction = {bandwidth_fraction} makes the probe record "
             "longer than a float holds"
+        )
+    if timed and math.ulp(1.0) * record > _RECORD_ROUNDING_SHARE * abs(tau):
+        raise ParameterError(
+            f"bandwidth_fraction = {bandwidth_fraction} makes the probe record "
+            f"({record:.3g} s) too long to time the expected delay of {tau:.3g} s: "
+            f"the record's rounding exceeds {_RECORD_ROUNDING_SHARE:g} of the delay"
         )
     if record / n_samples > sigma_t / 4.0:  # the PulseConfig sampling rule
         need = math.floor(4.0 * record / sigma_t)
@@ -783,8 +809,7 @@ def _arrival(params: DeviceParams, g: float, config: PulseConfig, method: str) -
         samples = _spectral_product(probe, params, g)
     else:
         samples = _stepped(pulse, params, g, probe.step)
-    t0 = pulse.t0_s - config.center_s
-    return center_time(PulseWaveform(t0_s=t0, dt_s=probe.step * pulse.dt_s, samples=samples))
+    return _centroid(pulse.t0_s - config.center_s, probe.step * pulse.dt_s, samples)
 
 
 @functools.lru_cache(maxsize=16)
@@ -813,7 +838,7 @@ def extract_delay(
 
     Each coupling costs one output and one centroid, both at every L-th
     sample (see `_probe`): on the "fft" route the band's product, on the
-    "ode" route the lifted step's banded solve of n/L - 2 rows. The probe
+    "ode" route the lifted step's recurrence over n/L - 2 rows. The probe
     and the pump-off reference (coupling 0, bare cavity) are made once and
     kept across calls. Referencing against the pump-off run removes offsets
     common to both runs, such as the sampling and interpolation bias of the

@@ -274,6 +274,11 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIGS = sorted(glob.glob(os.path.join(REPO, "configs", "*.json")))
 
 
+def _written(out_dir):
+    # critical writes no file
+    return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())} if out_dir.exists() else {}
+
+
 @pytest.mark.parametrize(
     "config", CONFIGS, ids=[os.path.basename(c)[: -len(".json")] for c in CONFIGS]
 )
@@ -287,8 +292,7 @@ def test_rerun_byte_identical(tmp_path, capsys, config):
         out_dir = tmp_path / name
         assert cli.main(["--config", config, "--out", str(out_dir)]) == 0
         stdout = capsys.readouterr().out.replace(str(out_dir), "<out>")
-        written = sorted(out_dir.iterdir()) if out_dir.exists() else []  # critical writes none
-        runs.append((stdout, {p.name: p.read_bytes() for p in written}))
+        runs.append((stdout, _written(out_dir)))
     assert runs[0] == runs[1]
 
 
@@ -365,6 +369,20 @@ def test_pulse_record_beyond_float_is_config_error(tmp_path, capsys, fraction):
     out_dir = tmp_path / "o"
     assert cli.main(["--config", path, "--out", str(out_dir)]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
+    assert not list(out_dir.glob("*.csv"))
+
+
+@pytest.mark.parametrize("fraction", [1e-14, 1e-20])
+def test_pulse_probe_too_wide_for_its_delay_is_config_error(tmp_path, capsys, fraction):
+    # the record's rounding would pass for the delay (1e-20 printed -3167 s
+    # for a delay of 1.758 s, with exit 0)
+    path = write_config(
+        tmp_path / "c.json", reference_doc(pulse={"g": "155.1 Hz", "bandwidth_fraction": fraction})
+    )
+    out_dir = tmp_path / "o"
+    assert cli.main(["--config", path, "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "rounding" in err
     assert not list(out_dir.glob("*.csv"))
 
 
@@ -771,46 +789,36 @@ def test_fit_stall_without_an_outlier_names_no_row(monkeypatch):
 # startup imports
 # ---------------------------------------------------------------------------
 
-# Runs in a fresh interpreter and prints, after each step, its exit code,
-# whether scipy.signal has been imported and whether any scipy module has.
-# A pulse step that succeeds also shows that the function-local import in
-# `pulses` is in place: without it the name `ztbtrs` would be unbound there.
-_IMPORT_PROBE = """
-import contextlib, io, json, sys
-import mcpa, mcpa.cli
+# Runs every config named on the command line in a fresh interpreter in
+# which `import scipy` fails, each into its own directory under argv[1], and
+# prints each one's exit code and stdout (the output directory masked).
+_NO_SCIPY_RUN = """
+import contextlib, io, json, os, sys
+sys.modules["scipy"] = None  # any import of scipy or a submodule fails
+import mcpa.cli
 
-def loaded():
-    return ["scipy.signal" in sys.modules, any(m.split(".")[0] == "scipy" for m in sys.modules)]
-
-steps = [["import", 0, *loaded()]]
-for name, config in zip(sys.argv[2::2], sys.argv[3::2]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = mcpa.cli.main(["--config", config, "--out", sys.argv[1]])
-    steps.append([name, code, *loaded()])
-print(json.dumps(steps))
+runs = []
+for config in sys.argv[2:]:
+    out_dir = os.path.join(sys.argv[1], os.path.basename(config))
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        code = mcpa.cli.main(["--config", config, "--out", out_dir])
+    runs.append([code, stdout.getvalue().replace(out_dir, "<out>")])
+print(json.dumps(runs))
 """
 
 
-def test_scipy_loads_only_for_ode_pulses(tmp_path):
-    # scipy.signal never loads; scipy.linalg loads for the ode route's
-    # banded solve, and nothing else needs scipy
-    configs = [
-        ("critical", "configs/critical.json"),
-        ("spectrum", "configs/spectrum.json"),
-        ("sweep_g", "configs/sweep_g.json"),
-        ("pulse-fft", "configs/pulse.json"),
-        ("pulse-ode", "configs/pulse_ode.json"),
-    ]
+def test_every_config_runs_without_scipy(tmp_path, capsys):
+    # the package needs numpy alone: with scipy unimportable every command
+    # succeeds and prints and writes what a normal run does
     env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
-    argv = [sys.executable, "-c", _IMPORT_PROBE, str(tmp_path / "out")]
-    argv += [item for pair in configs for item in pair]
+    argv = [sys.executable, "-c", _NO_SCIPY_RUN, str(tmp_path / "blocked"), *CONFIGS]
     proc = subprocess.run(argv, cwd=REPO, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [
-        ["import", 0, False, False],
-        ["critical", 0, False, False],
-        ["spectrum", 0, False, False],
-        ["sweep_g", 0, False, False],
-        ["pulse-fft", 0, False, False],
-        ["pulse-ode", 0, False, True],
-    ]
+    blocked = json.loads(proc.stdout)
+    assert len(blocked) == len(CONFIGS) > 0
+    for config, (code, stdout) in zip(CONFIGS, blocked):
+        name = os.path.basename(config)
+        out_dir = tmp_path / "normal" / name
+        assert cli.main(["--config", config, "--out", str(out_dir)]) == 0
+        assert (code, stdout) == (0, capsys.readouterr().out.replace(str(out_dir), "<out>")), name
+        assert _written(tmp_path / "blocked" / name) == _written(out_dir), name

@@ -7,7 +7,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.linalg.lapack
 
 import reference_integrators as reference
 from mcpa import (
@@ -538,6 +537,24 @@ def test_delay_pulse_config_fraction_validation(device):
             pulses.delay_pulse_config(device, 155.1, bandwidth_fraction=fraction)
 
 
+def test_delay_pulse_config_refuses_a_delay_below_the_records_rounding(device):
+    # at 155.1 Hz (delay 1.758 s) a fraction of 1e-14 gave 1.7506 s, 1e-16
+    # gave 2.2013 s and 1e-20 gave -3167 s: rounding noise of the centroids,
+    # about eps * record, passed as the delay
+    tau = float(model.group_delay_curve(device, 155.1, 0.0))
+    for fraction in (pulses.DELAY_BANDWIDTH_FRACTION, 1e-8):
+        cfg = pulses.delay_pulse_config(device, 155.1, bandwidth_fraction=fraction)
+        assert math.ulp(1.0) * cfg.record_s <= 1e-3 * tau
+        assert pulses.extract_delay(device, 155.1, cfg) == pytest.approx(tau, rel=1e-2)
+    for fraction in (1e-14, 1e-16, 1e-20):
+        with pytest.raises(ParameterError, match="rounding"):
+            pulses.delay_pulse_config(device, 155.1, bandwidth_fraction=fraction)
+    # no finite delay to compare with at the critical coupling: no refusal
+    gc = model.critical_coupling(device)
+    assert math.isnan(float(model.group_delay_curve(device, gc, 0.0)))
+    assert pulses.delay_pulse_config(device, gc, bandwidth_fraction=1e-14).record_s > 1e15
+
+
 def test_extract_delay_route_consistency(device):
     cfg = pulses.delay_pulse_config(device, 155.1, n_samples=1024)
     tau_fft = pulses.extract_delay(device, 155.1, cfg, method="fft")
@@ -571,6 +588,24 @@ def test_extract_delay_checks_the_couplings_once(device, monkeypatch):
         assert calls == [np.shape(couplings)] + [()] * np.size(couplings)
     with pytest.raises(ParameterError):
         pulses.extract_delay(device, [155.1, -1.0], cfg)
+
+
+@pytest.mark.parametrize("bad", [complex("nan"), complex("inf"), complex(0.0, float("-inf"))])
+def test_extract_delay_refuses_a_non_finite_output(device, monkeypatch, bad):
+    # either route's output is timed without a waveform around it: a
+    # non-finite sample still ends in the waveform check's error
+    cfg = pulses.delay_pulse_config(device, 155.1, n_samples=1024)
+    for method, route in (("fft", "_spectral_product"), ("ode", "_stepped")):
+        run = getattr(pulses, route)
+
+        def broken(*args, run=run):
+            out = run(*args).copy()
+            out[len(out) // 2] = bad
+            return out
+
+        monkeypatch.setattr(pulses, route, broken)
+        with pytest.raises(ParameterError, match="samples must be finite"):
+            pulses.extract_delay(device, 155.1, cfg, method=method)
 
 
 def test_extract_delay_unknown_method(device):
@@ -785,19 +820,21 @@ def test_ode_delays_match_full_rate_recurrence(device, monkeypatch):
 
 def test_ode_delay_solves_n_over_l_rows(device, monkeypatch):
     # at a 2^15-sample probe each coupling, and the pump-off reference,
-    # solves one banded system of n/L - 2 rows
+    # solves one banded system of n/L - 2 rows: the lifted samples past a_0
+    # and a_1
     gc = model.critical_coupling(device)
     g = np.array([0.5, 1.1, 2.0]) * gc
     cfg = _curve_config(device, g[0], samples=2**15)
     _clear_caches()
     rows = []
-    solve = scipy.linalg.lapack.ztbtrs
+    solve = pulses._integrate
 
-    def counted(band, rhs, **kw):
-        rows.append(rhs.shape[0])
-        return solve(band, rhs, **kw)
+    def counted(*args):
+        a = solve(*args)
+        rows.append(len(a) - 2)
+        return a
 
-    monkeypatch.setattr(scipy.linalg.lapack, "ztbtrs", counted)
+    monkeypatch.setattr(pulses, "_integrate", counted)
     pulses.extract_delay(device, g, cfg, method="ode")
     step = pulses._probe(cfg).step
     assert step == 128
