@@ -228,14 +228,13 @@ def gaussian_pulse(config: PulseConfig) -> PulseWaveform:
     )
 
 
-def _power_moments(t: NDArray[np.floating], env: NDArray[np.floating]) -> tuple[float, float]:
-    """Mean and variance of the times `t` weighted by |envelope|^2 = env^2."""
-    power = env * env
+def _power_mean(t: NDArray[np.floating], power: NDArray[np.floating]) -> tuple[float, float]:
+    """Mean of the times `t` weighted by the power |envelope|^2, and the
+    total power."""
     total = float(power.sum())
     if total <= 0.0:
         raise PulseEstimationError("waveform has no energy")
-    mean = float((t * power).sum() / total)
-    return mean, float((np.square(t - mean) * power).sum() / total)
+    return float((t * power).sum() / total), total
 
 
 def waveform_rms_sigma(w: PulseWaveform) -> float:
@@ -243,7 +242,10 @@ def waveform_rms_sigma(w: PulseWaveform) -> float:
 
     For a true Gaussian envelope this equals its sigma_t.
     """
-    return math.sqrt(2.0 * _power_moments(w.times_s, np.abs(w.samples))[1])
+    t, env = w.times_s, np.abs(w.samples)
+    power = env * env
+    mean, total = _power_mean(t, power)
+    return math.sqrt(2.0 * float((np.square(t - mean) * power).sum() / total))
 
 
 def _output(
@@ -371,6 +373,17 @@ def _system_matrix(params: DeviceParams, g: float, carrier_detuning_hz: float):
     return a_mat, b_vec
 
 
+def _doubled(f00, f01, f10, f11):
+    """F -> 2F + F^2 (E -> E^2 for E = I + F) on the entries of a 2x2 F,
+    in Python complex scalars."""
+    return (
+        2.0 * f00 + (f00 * f00 + f01 * f10),
+        2.0 * f01 + (f00 * f01 + f01 * f11),
+        2.0 * f10 + (f10 * f00 + f11 * f10),
+        2.0 * f11 + (f10 * f01 + f11 * f11),
+    )
+
+
 def _foh_propagator(a_mat, b_vec, h):
     """Exact one-sample step x_k = E x_{k-1} + P s_{k-1} + Q s_k for a drive
     that is linear across the interval; returns (F, P, Q) with F = E - I.
@@ -388,23 +401,59 @@ def _foh_propagator(a_mat, b_vec, h):
     amplified by 1/|t| in the output near the critical coupling); F keeps
     that small part to full relative precision, and so does every power of
     E formed from it the same way.
+
+    Both phases run on the blocks of the augmented matrix, in Python
+    complex scalars: a numpy product of 4x4 arrays costs more in call
+    overhead than in arithmetic. Scaled, Mh / 2^n is x = [[X, v, 0],
+    [0, 0, beta], [0, 0, 0]], whose lower-right block is nilpotent, so
+    e^x - I holds three blocks: the 2x2 F = sum_(k>=1) X^k/k!, the column
+    j0 = sum_(k>=0) X^k v/(k+1)! and the column
+    j1 = beta sum_(k>=0) X^k v/(k+2)!. One doubling reads F -> 2F + F^2,
+    j0 -> 2 j0 + F j0, j1 -> 2 j1 + F j1 + beta j0 and beta -> 2 beta.
     """
-    m = np.zeros((4, 4), dtype=complex)
-    m[:2, :2] = a_mat * h
-    m[:2, 2] = b_vec * h
-    m[2, 3] = h
-    n = max(0, math.ceil(math.log2(2.0 * np.abs(m).sum(axis=0).max())))
-    x = m / 2.0**n
-    f = x.copy()
-    term = x
+    (x00, x01), (x10, x11) = (a_mat * h).tolist()
+    v0, v1 = (b_vec * h).tolist()
+    # the column 1-norm of Mh: its columns are those of Ah, Bh and h
+    norm = max(abs(x00) + abs(x10), abs(x01) + abs(x11), abs(v0) + abs(v1), h)
+    n = max(0, math.ceil(math.log2(2.0 * norm)))
+    scale = 2.0**-n
+    x00, x01, x10, x11, v0, v1 = (z * scale for z in (x00, x01, x10, x11, v0, v1))
+    beta = h * scale
+    # the degree-1 term x, then term_k = term_(k-1) x / k by blocks: the
+    # columns of j0 and j1 in term_k are X^(k-1) v/k! and beta X^(k-2) v/k!
+    t00, t01, t10, t11, u0, u1, w0, w1 = x00, x01, x10, x11, v0, v1, 0j, 0j
+    f00, f01, f10, f11, j00, j01, j10, j11 = t00, t01, t10, t11, u0, u1, w0, w1
     for k in range(2, 20):  # ||x|| <= 1/2: the tail is below 1e-24
-        term = term @ x / k
-        f += term
+        r = 1.0 / k
+        t00, t01, t10, t11, u0, u1, w0, w1 = (
+            (t00 * x00 + t01 * x10) * r,
+            (t00 * x01 + t01 * x11) * r,
+            (t10 * x00 + t11 * x10) * r,
+            (t10 * x01 + t11 * x11) * r,
+            (t00 * v0 + t01 * v1) * r,
+            (t10 * v0 + t11 * v1) * r,
+            u0 * beta * r,
+            u1 * beta * r,
+        )
+        f00 += t00
+        f01 += t01
+        f10 += t10
+        f11 += t11
+        j00 += u0
+        j01 += u1
+        j10 += w0
+        j11 += w1
     for _ in range(n):
-        f = 2.0 * f + f @ f
-    j0 = f[:2, 2]
-    j1 = f[:2, 3]
-    return f[:2, :2], j0 - j1 / h, j1 / h
+        j00, j01, j10, j11 = (
+            2.0 * j00 + (f00 * j00 + f01 * j01),
+            2.0 * j01 + (f10 * j00 + f11 * j01),
+            2.0 * j10 + (f00 * j10 + f01 * j11 + beta * j00),
+            2.0 * j11 + (f10 * j10 + f11 * j11 + beta * j01),
+        )
+        f00, f01, f10, f11 = _doubled(f00, f01, f10, f11)
+        beta *= 2.0
+    q0, q1 = j10 / h, j11 / h
+    return np.array([[f00, f01], [f10, f11]]), np.array([j00 - q0, j01 - q1]), np.array([q0, q1])
 
 
 def _integrate(a_mat, b_vec, h, s, initial_state, step):
@@ -421,7 +470,9 @@ def _integrate(a_mat, b_vec, h, s, initial_state, step):
     W_L = Q; at L = 1 it is the one-sample step. E^L = I + F_L and the
     powers E^i P, E^i Q come from log2 L doublings, F_2k = 2 F_k + F_k^2
     and E^(k+i) v = E^i v + F_k E^i v, so the slow mechanical decay keeps
-    its digits as it does in F.
+    its digits as it does in F. As in `_foh_propagator`, F_k doubles on its
+    four entries in Python complex scalars (`_doubled`); the rows of powers
+    take one numpy product per doubling.
 
     By Cayley-Hamilton, E_L^2 = tr(E_L) E_L - det(E_L) I with E_L = E^L,
     so the first component of the lifted step obeys one second-order
@@ -442,29 +493,31 @@ def _integrate(a_mat, b_vec, h, s, initial_state, step):
     and a_1 already sit in r. The record needs at least 3 L + 1 samples.
     """
     f, p, q = _foh_propagator(a_mat, b_vec, h)
-    # row i holds E^i P and E^i Q, for i < L: each doubling fills rows
-    # k .. 2k - 1 from the first k and turns F_k into F_2k
-    powers = np.empty((step, 4), dtype=complex)
-    powers[0] = np.concatenate((p, q))
+    (f00, f01), (f10, f11) = f.tolist()
+    # rows 2i and 2i + 1 hold E^i P and E^i Q, for i < L: each doubling
+    # fills rows 2k .. 4k - 1 from the first 2k and turns F_k into F_2k
+    powers = np.empty((2 * step, 2), dtype=complex)
+    powers[0], powers[1] = p, q
     k = 1
     while k < step:
-        done = powers[:k]
-        powers[k : 2 * k] = done + (done.reshape(-1, 2) @ f.T).reshape(k, 4)
-        f = 2.0 * f + f @ f
+        done = powers[: 2 * k]
+        powers[2 * k : 4 * k] = done + done @ np.array([[f00, f10], [f01, f11]])
+        f00, f01, f10, f11 = _doubled(f00, f01, f10, f11)
         k *= 2
-    e = f + np.eye(2)
+    powers = powers.reshape(step, 4)  # row i: E^i P, then E^i Q
+    e00, e01, e10, e11 = f00 + 1.0, f01, f10, f11 + 1.0  # E_L = I + F_L
     w = np.zeros((step + 1, 2), dtype=complex)  # the taps W_0 .. W_L
     w[:-1] = powers[::-1, :2]
     w[1:] += powers[::-1, 2:]
     c = np.empty(2 * step + 1, dtype=complex)
-    c[:step] = e[0, 1] * w[:-1, 1] - e[1, 1] * w[:-1, 0]
-    c[step] = w[0, 0] - e[1, 1] * w[step, 0] + e[0, 1] * w[step, 1]
+    c[:step] = e01 * w[:-1, 1] - e11 * w[:-1, 0]
+    c[step] = w[0, 0] - e11 * w[step, 0] + e01 * w[step, 1]
     c[step + 1 :] = w[1:, 0]
     x0 = np.asarray(initial_state, dtype=complex)
     a0 = x0[0]
-    a1 = (e @ x0 + s[:step] @ w[:-1] + w[step] * s[step])[0]
-    d1 = -(e[0, 0] + e[1, 1])
-    d2 = e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0]
+    a1 = (np.array([[e00, e01], [e10, e11]]) @ x0 + s[:step] @ w[:-1] + w[step] * s[step])[0]
+    d1 = -(e00 + e11)
+    d2 = e00 * e11 - e01 * e10
     rows = (len(s) - 1) // step  # lifted samples after the first
     blocks = s[: rows * step].reshape(rows, step)
     r = c[-1] * s[2 * step :: step] + (blocks[1:] @ c[step:-1]) + (blocks[:-1] @ c[:step])
@@ -472,7 +525,7 @@ def _integrate(a_mat, b_vec, h, s, initial_state, step):
     r[1] -= d2 * a1
     # on Python complexes: numpy scalar arithmetic costs several times more
     a = [a0, a1]
-    d1, d2, back2, back1 = complex(d1), complex(d2), 0j, 0j
+    back2, back1 = 0j, 0j
     for rb in r.tolist():
         back2, back1 = back1, (rb - d2 * back2) - d1 * back1
         a.append(back1)
@@ -592,6 +645,15 @@ def _count_lobes(env: NDArray[np.floating], bound: float) -> int:
     # every sample that can be a peak of height >= bound, with a neighbour
     lo, hi = max(int(above[0]) - 1, 0), min(int(above[-1]) + 2, len(env))
     x = env[lo:hi]
+    # unimodal x (a non-strict rise to a one-sample top, then a non-strict
+    # fall): the top is the only peak, and nothing is higher, so both walks
+    # reach the edges. A top on an edge of x or on a plateau takes the walk
+    # below.
+    q = int(x.argmax())
+    d = np.diff(x)
+    if 0 < q < len(d) and d[q] < 0.0 and d[:q].min() >= 0.0 and d[q:].max() <= 0.0:
+        p = lo + q
+        return int(env[p] - max(env[: p + 1].min(), env[p:].min()) >= bound)
     starts = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))  # runs of equal values
     ends = np.append(starts[1:], len(x)) - 1
     v = x[starts]
@@ -620,7 +682,7 @@ def _centroid(t0_s: float, dt_s: float, samples: NDArray[np.complexfloating]) ->
     peak = float(env.max())
     if not math.isfinite(peak):  # a nan or an infinite sample
         raise ParameterError("waveform samples must be finite")
-    centroid, _ = _power_moments(t0_s + dt_s * np.arange(len(env)), env)
+    centroid, _ = _power_mean(t0_s + dt_s * np.arange(len(env)), env * env)
     # on a non-negative envelope a prominence never exceeds its height: the
     # height bound drops no lobe and skips the tails' rounding-noise maxima
     lobes = _count_lobes(env, peak / 3.0)

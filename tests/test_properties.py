@@ -77,17 +77,32 @@ def test_cw_response_matches_transmission(dev, x, d):
     assert abs(stepped - closed) <= 1e-4 * abs(closed)
 
 
+def _unimodal(values):
+    """A rise then a fall: an ascending then a descending sorted list, with
+    ties and plateau tops, a top on the first or last sample where either
+    list is empty, and low tails."""
+    return st.tuples(st.lists(values, max_size=20), st.lists(values, max_size=20)).filter(
+        lambda a: a[0] or a[1]
+    ).map(lambda a: sorted(a[0]) + sorted(a[1], reverse=True))
+
+
 # envelopes with plateaus, ties and maxima at the edges (small integers),
-# generic ones, and all-equal and all-zero arrays
+# generic ones, all-equal and all-zero arrays, and unimodal and two-lobed
+# ones, which random lists rarely are
 envelopes = st.one_of(
     st.lists(st.integers(0, 3), min_size=1, max_size=40),
     st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
     st.tuples(st.integers(1, 40), st.sampled_from([0.0, 0.5])).map(lambda a: [a[1]] * a[0]),
+    _unimodal(st.integers(0, 6)),
+    _unimodal(st.floats(0.0, 1.0)),
+    st.tuples(_unimodal(st.integers(0, 6)), _unimodal(st.integers(0, 6))).map(
+        lambda a: a[0] + a[1]
+    ),
 ).map(lambda v: np.array(v, dtype=float))
 
 
-@settings(PROPERTY, max_examples=60)
-@given(env=envelopes, share=st.one_of(st.just(1.0 / 3.0), st.floats(0.0, 1.2)))
+@settings(PROPERTY, max_examples=100)
+@given(env=envelopes, share=st.one_of(st.sampled_from([0.0, 1.0 / 3.0]), st.floats(0.0, 1.2)))
 def test_lobe_count_matches_find_peaks(env, share):
     bound = share * float(env.max())
     peaks, _ = scipy.signal.find_peaks(env, height=bound, prominence=bound)

@@ -336,6 +336,69 @@ def test_zero_input_zero_state_stays_zero(device):
     assert np.all(out.samples == 0.0)
 
 
+# F = e^(Ah) - I, P and Q of the one-sample step, frozen from a 50-digit
+# evaluation of e^M - I for the augmented M = [[Ah, Bh, 0], [0, 0, h],
+# [0, 0, 0]] (mpmath's expm, which agreed with a 90-digit one to 1e-48),
+# done independently of the package code, on the float inputs below:
+# the reference device near G_c at the benchmark's step (n = 20 doublings),
+# and, with n = 0, the exceptional point at h = 1e-7 and a mild system
+# driven in both modes
+FOH_ORACLE = {
+    "near-critical": (
+        [[-1.000000006988062 + 0j, -8.309699642742922e-05j],
+         [-8.309699642742922e-05j, -0.011870400717410598 + 0j]],
+        [-1.3768691478776552e-06 + 0j, -0.01640257674131132j],
+        [0.0009919708916821589 + 0j, -0.016467913289745107j],
+    ),
+    "exceptional-point": (
+        [[-0.12560569578328346 + 0j, -0.06176141725460266j],
+         [-0.06176141725460266j, -0.0020828612740781387 + 0j]],
+        [5.9979482787774456e-05 + 0j, -2.7434662423587936e-06j],
+        [6.272294909454968e-05 + 0j, -1.3945827356476042e-06j],
+    ),
+    "mild": (
+        [[-0.09575371035223439 + 0.02713800478923823j,
+          0.00018244792201110822 - 0.01855343160802161j],
+         [0.00018244792201110822 - 0.01855343160802161j,
+          -0.04900523548815814 - 0.00951273862177722j]],
+        [0.06105743534545988 + 0.0012079644521425694j,
+         0.00013447591369284017 + 0.01852398057436441j],
+        [0.0630082224296935 + 0.0006190369904631626j,
+         6.70765619378392e-05 + 0.019252556391830804j],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(FOH_ORACLE))
+def test_foh_propagator_matches_50_digit_exponential(device, case):
+    if case == "near-critical":
+        (a_mat, b_vec), h = pulses._system_matrix(device, 17.66, 0.0), 0.3
+    elif case == "exceptional-point":
+        g_ep = (device.kappa_hz - device.gamma_m_hz) / 4.0
+        (a_mat, b_vec), h = pulses._system_matrix(device, g_ep, 0.0), 1e-7
+    else:
+        a_mat = np.array([[-1.0 + 0.3j, -0.2j], [-0.2j, -0.5 - 0.1j]])
+        b_vec, h = np.array([1.3 + 0.0j, 0.4j]), 0.1
+    f_mat, p, q = pulses._foh_propagator(a_mat, b_vec, h)
+    want_f, want_p, want_q = (np.array(v) for v in FOH_ORACLE[case])
+
+    def parts(z):
+        return np.concatenate((np.real(z).ravel(), np.imag(z).ravel()))
+
+    # entry by entry, real and imaginary parts apart: 2e-15 relative
+    # (about 10 ulps), and a floor of 1e-300 that leaves the exact zeros of
+    # the oracle (real and imaginary blocks at zero detuning) no slack. P =
+    # j0 - Q cancels digits of the hold integral j0 = P + Q, so its bound
+    # scales with |P| + |Q|
+    for got, want, scale in (
+        (f_mat, want_f, np.abs(parts(want_f))),
+        (q, want_q, np.abs(parts(want_q))),
+        (p, want_p, np.abs(parts(want_p)) + np.abs(parts(want_q))),
+    ):
+        assert got.shape == want.shape
+        assert np.all(np.abs(parts(got) - parts(want)) <= 2e-15 * np.maximum(scale, 1e-300))
+
+
 def test_foh_fallback_matches_eigen_step():
     rng = np.random.default_rng(11)
     a_mat = np.array([[-1.0 + 0.3j, -0.2j], [-0.2j, -0.5 - 0.1j]])
