@@ -22,6 +22,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import sys
 from dataclasses import dataclass
@@ -47,6 +48,8 @@ COMMANDS = tuple(OPTIONS)
 DEVICE_KEYS = ("cavity_freq", "mech_freq", "kappa", "eta", "gamma_m", "vacuum_coupling")
 #: the largest `points` or `samples` count a config or `--points` may ask for
 MAX_COUNT = 2**22
+#: data rows `write_csv` formats and writes at a time
+CSV_BLOCK_ROWS = 1024
 
 _UNIT_SCALE = {"mHz": 1e-3, "Hz": 1.0, "kHz": 1e3, "MHz": 1e6, "GHz": 1e9}
 _FREQ_RE = re.compile(r"^\s*([-+0-9.eE]+)\s*(mHz|Hz|kHz|MHz|GHz)?\s*$")
@@ -206,13 +209,14 @@ def _print_values(values: dict[str, Any]) -> None:
             print(f"{key}={_fmt(value)}")
 
 
-def _atomic_write(path: str, text: str) -> None:
-    """Write `text` to a temp file, then rename it over `path`, so a failed
-    write leaves no partial file behind."""
+def _atomic_write(path: str, pieces) -> None:
+    """Write the text `pieces`, in order, to a temp file, then rename it
+    over `path`, so a failed write leaves no partial file behind."""
     tmp = path + ".tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            for piece in pieces:
+                fh.write(piece)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -221,16 +225,24 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def write_csv(path: str, meta: dict[str, Any], columns: list[str], rows) -> None:
-    """Atomic CSV write: header comment block, column row, data rows."""
-    buf = io.StringIO()
-    buf.write(f"# format={CSV_FORMAT_TAG}\n")
+    """Atomic CSV write: header comment block, column row, data rows. The
+    rows are formatted CSV_BLOCK_ROWS at a time, so the text of the whole
+    table is never held in memory."""
+    head = io.StringIO()
+    head.write(f"# format={CSV_FORMAT_TAG}\n")
     for key, value in meta.items():
-        buf.write(f"# {key}={_fmt(value)}\n")
-    csv.writer(buf, lineterminator="\n").writerow(columns)
+        head.write(f"# {key}={_fmt(value)}\n")
+    csv.writer(head, lineterminator="\n").writerow(columns)
+    table = np.asarray(rows, dtype=float)
     cell = "{:.17g}".format
-    table = np.asarray(rows, dtype=float).tolist()
-    buf.write("".join(",".join(map(cell, row)) + "\n" for row in table))
-    _atomic_write(path, buf.getvalue())
+
+    def pieces():
+        yield head.getvalue()
+        for start in range(0, len(table), CSV_BLOCK_ROWS):
+            block = table[start : start + CSV_BLOCK_ROWS].tolist()
+            yield "".join(",".join(map(cell, row)) + "\n" for row in block)
+
+    _atomic_write(path, pieces())
 
 
 def _read_table(path: str) -> tuple[dict[str, int], np.ndarray]:
@@ -464,12 +476,14 @@ def cmd_fit(cfg: RunConfig) -> int:
         if snr_db is not None:
             report["add_noise_snr_db"] = snr_db
             report["seed"] = cfg.seed
-            rng = np.random.default_rng(cfg.seed)
+            # the standard library's generator: numpy.random costs every
+            # process that imports it about 5 MB
+            gauss = random.Random(cfg.seed).gauss
             level = 10.0 ** (-snr_db / 20.0)
             values = measured.complex_values()
-            noise = level / math.sqrt(2.0) * (
-                rng.standard_normal(len(values)) + 1j * rng.standard_normal(len(values))
-            )
+            re_part = np.array([gauss(0.0, 1.0) for _ in range(len(values))])
+            im_part = np.array([gauss(0.0, 1.0) for _ in range(len(values))])
+            noise = level / math.sqrt(2.0) * (re_part + 1j * im_part)
             measured = calibrate.MeasuredSpectrum.from_complex(
                 measured.frequency_hz, values + noise,
                 absolute_frequency=measured.absolute_frequency,
@@ -489,7 +503,7 @@ def cmd_fit(cfg: RunConfig) -> int:
     report_text = json.dumps(
         _finite_or_null(report), indent=2, sort_keys=True, allow_nan=False
     ) + "\n"
-    _atomic_write(os.path.join(cfg.out_dir, "fit_report.json"), report_text)
+    _atomic_write(os.path.join(cfg.out_dir, "fit_report.json"), (report_text,))
     _print_values(report)
     return 0
 

@@ -515,7 +515,7 @@ def _integrate(a_mat, b_vec, h, s, initial_state, step):
     c[step + 1 :] = w[1:, 0]
     x0 = np.asarray(initial_state, dtype=complex)
     a0 = x0[0]
-    a1 = (np.array([[e00, e01], [e10, e11]]) @ x0 + s[:step] @ w[:-1] + w[step] * s[step])[0]
+    a1 = e00 * a0 + e01 * x0[1] + s[:step] @ w[:-1, 0] + w[step, 0] * s[step]
     d1 = -(e00 + e11)
     d2 = e00 * e11 - e01 * e10
     rows = (len(s) - 1) // step  # lifted samples after the first

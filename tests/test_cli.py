@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -442,6 +443,9 @@ def test_fit_noise_reproducible_with_seed(tmp_path):
     assert reports[0] == reports[1]
     assert reports[0] != reports[2]
     assert json.loads(reports[0])["seed"] == 11
+    # each of re and im carries noise of rms 10^(-30/20) / sqrt(2)
+    rms = json.loads(reports[0])["residual_rms"]
+    assert rms == pytest.approx(10.0 ** (-30.0 / 20.0) / math.sqrt(2.0), rel=0.15)
 
 
 def test_fit_amplitude_only_csv(tmp_path):
@@ -523,12 +527,39 @@ def test_atomic_write_leaves_no_partial_file(tmp_path, monkeypatch):
         raise OSError("simulated rename failure")
 
     monkeypatch.setattr(cli.os, "replace", broken_replace)
-    path = write_config(
-        tmp_path / "c.json", reference_doc(spectrum={"g": 23.93, "points": 51})
-    )
-    out_dir = tmp_path / "out"
-    assert cli.main(["--config", path, "--out", str(out_dir)]) == 4
-    assert list(out_dir.iterdir()) == []
+    # one block of rows, and several: the rename fails after the last
+    for points in (51, 3000):
+        path = write_config(
+            tmp_path / "c.json", reference_doc(spectrum={"g": 23.93, "points": points})
+        )
+        out_dir = tmp_path / f"out{points}"
+        assert cli.main(["--config", path, "--out", str(out_dir)]) == 4
+        assert list(out_dir.iterdir()) == []
+
+
+def test_write_csv_blocks_match_whole_table(tmp_path):
+    # a table that ends one row into a third block, with the extreme cells
+    specials = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308]
+    rows = np.random.default_rng(5).normal(size=(2 * cli.CSV_BLOCK_ROWS + 1, 3))
+    rows.flat[: len(specials)] = specials
+    rows.flat[-len(specials):] = specials
+    path = tmp_path / "t.csv"
+    cli.write_csv(str(path), {"n": 1}, ["a", "b", "c"], rows)
+    table = "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in rows.tolist())
+    expected = "# format=mcpa-csv/1\n# n=1\na,b,c\n" + table
+    assert path.read_bytes() == expected.encode()
+
+
+def test_write_csv_memory_follows_the_array(tmp_path):
+    rows = np.random.default_rng(6).normal(size=(65536, 6))
+    tracemalloc.start()
+    try:
+        cli.write_csv(str(tmp_path / "t.csv"), {}, list("abcdef"), rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # building the whole text (7.6 MB) at once peaked at 35 MB
+    assert peak < 2 * 2**20
 
 
 def test_missing_config_flag_is_argparse_error():
@@ -790,11 +821,16 @@ def test_fit_stall_without_an_outlier_names_no_row(monkeypatch):
 # ---------------------------------------------------------------------------
 
 # Runs every config named on the command line in a fresh interpreter in
-# which `import scipy` fails, each into its own directory under argv[1], and
-# prints each one's exit code and stdout (the output directory masked).
+# which `import scipy` fails, and so does `import numpy.random` where
+# `import numpy` leaves it unloaded (numpy 2 on), each into its own
+# directory under argv[1], and prints each one's exit code and stdout (the
+# output directory masked).
 _NO_SCIPY_RUN = """
 import contextlib, io, json, os, sys
 sys.modules["scipy"] = None  # any import of scipy or a submodule fails
+import numpy
+if "numpy.random" not in sys.modules:
+    sys.modules["numpy.random"] = None
 import mcpa.cli
 
 runs = []
@@ -808,15 +844,24 @@ print(json.dumps(runs))
 
 
 def test_every_config_runs_without_scipy(tmp_path, capsys):
-    # the package needs numpy alone: with scipy unimportable every command
-    # succeeds and prints and writes what a normal run does
+    # the package needs numpy alone: with scipy and numpy.random unimportable
+    # every command, a seeded noisy fit too, succeeds and prints and writes
+    # what a normal run does
+    gen = write_config(tmp_path / "gen.json", reference_doc(
+        spectrum={"g": 0, "start": "-1.2 MHz", "stop": "1.2 MHz", "points": 201}))
+    assert cli.main(["--config", gen, "--out", str(tmp_path / "data")]) == 0
+    capsys.readouterr()
+    noisy_fit = write_config(tmp_path / "noisy_fit.json", dict(reference_doc(fit={
+        "kind": "bare", "data": str(tmp_path / "data" / "spectrum.csv"),
+        "add_noise_snr_db": 30}), seed=3))
+    configs = [*CONFIGS, noisy_fit]
     env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
-    argv = [sys.executable, "-c", _NO_SCIPY_RUN, str(tmp_path / "blocked"), *CONFIGS]
+    argv = [sys.executable, "-c", _NO_SCIPY_RUN, str(tmp_path / "blocked"), *configs]
     proc = subprocess.run(argv, cwd=REPO, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     blocked = json.loads(proc.stdout)
-    assert len(blocked) == len(CONFIGS) > 0
-    for config, (code, stdout) in zip(CONFIGS, blocked):
+    assert len(blocked) == len(configs) > 1
+    for config, (code, stdout) in zip(configs, blocked):
         name = os.path.basename(config)
         out_dir = tmp_path / "normal" / name
         assert cli.main(["--config", config, "--out", str(out_dir)]) == 0
