@@ -17,6 +17,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import array
 import csv
 import io
 import json
@@ -248,29 +249,37 @@ def write_csv(path: str, meta: dict[str, Any], columns: list[str], rows) -> None
 def _read_table(path: str) -> tuple[dict[str, int], np.ndarray]:
     """Column index by header name and the numeric data rows of a CSV file.
 
-    Lines starting with '#' are comments. An empty file, a header without
-    data rows, a row of the wrong length or a non-numeric cell is a
-    ConfigError naming the file (and the data row, counted from 1).
+    Lines starting with '#' are comments. The file is read a line at a time
+    into one flat array of doubles. An empty file, a header without data
+    rows, a row of the wrong length, a non-numeric cell or bytes that are
+    not UTF-8 are a ConfigError naming the file (and the data row, counted
+    from 1).
     """
-    lines = io.StringIO(_read_text(path))
-    reader = csv.reader(line for line in lines if not line.startswith("#"))
-    header = next(reader, None)
-    if header is None:
-        raise ConfigError(f"{path} is empty")
-    rows = []
-    for row in reader:
-        if not row:
-            continue
-        where = f"{path} data row {len(rows) + 1}"
-        if len(row) != len(header):
-            raise ConfigError(f"{where} has {len(row)} cells, the header has {len(header)}")
-        try:
-            rows.append([float(v) for v in row])
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from None
-    if not rows:
+    cells = array.array("d")
+    n_rows = 0
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            reader = csv.reader(line for line in fh if not line.startswith("#"))
+            header = next(reader, None)
+            if header is None:
+                raise ConfigError(f"{path} is empty")
+            for row in reader:
+                if not row:
+                    continue
+                n_rows += 1
+                if len(row) != len(header):
+                    raise ConfigError(f"{path} data row {n_rows} has {len(row)} cells, "
+                                      f"the header has {len(header)}")
+                try:
+                    cells.extend(map(float, row))
+                except ValueError as exc:
+                    raise ConfigError(f"{path} data row {n_rows}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
+    if not n_rows:
         raise ConfigError(f"{path} has a header but no data rows")
-    return {name.strip(): i for i, name in enumerate(header)}, np.array(rows)
+    table = np.frombuffer(cells, dtype=float).reshape(n_rows, len(header))
+    return {name.strip(): i for i, name in enumerate(header)}, table
 
 
 def read_measured_csv(path: str) -> calibrate.MeasuredSpectrum:
@@ -404,10 +413,12 @@ def cmd_pulse(cfg: RunConfig) -> int:
     )
     # before any file is written: a device with no critical coupling fails here
     regime = model.classify_regime(device, g).regime.value
-    pulse, out, ref = pulses._route_waveforms(device, g, pulse_cfg, method)
-    # the library's delay, timed on the probe's decimated grid; the CSVs
-    # keep every sample
+    # the library's delay, timed on the probe's decimated grid (and a bad
+    # method refused before any propagation); the CSVs keep every sample
     tau = pulses.extract_delay(device, g, pulse_cfg, method=method)
+    run = pulses.propagate if method == "fft" else pulses.integrate_langevin
+    pulse = pulses.gaussian_pulse(pulse_cfg)
+    out, ref = run(pulse, device, g), run(pulse, device, 0.0)
     meta = _header(cfg, g_hz=g, carrier_detuning_hz=carrier, method=method,
                    sigma_t_s=pulse_cfg.sigma_t_s, dt_s=pulse_cfg.dt_s)
     columns = ["time_s", "re", "im", "abs"]

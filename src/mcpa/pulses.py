@@ -791,23 +791,6 @@ def delay_pulse_config(
     )
 
 
-def _check_method(method: str) -> None:
-    if method not in ("fft", "ode"):
-        raise ParameterError(f"pulse method must be 'fft' or 'ode', got {method!r}")
-
-
-def _route_waveforms(
-    params: DeviceParams, g: float, config: PulseConfig, method: str
-) -> tuple[PulseWaveform, PulseWaveform, PulseWaveform]:
-    """Input, output and pump-off reference waveforms, with their warnings,
-    of one delay measurement by the named route: "fft" (`propagate`) or
-    "ode" (`integrate_langevin`)."""
-    _check_method(method)
-    run = propagate if method == "fft" else integrate_langevin
-    pulse = gaussian_pulse(config)
-    return pulse, run(pulse, params, g), run(pulse, params, 0.0)
-
-
 #: Share of the probe's power that the fft delay path may drop: the band
 #: of `_probe` is the fewest bins around zero that hold all but this much.
 _BAND_POWER_TOL = 1e-28
@@ -929,7 +912,8 @@ def extract_delay(
         Where `center_time` refuses an output (two comparable lobes, as
         close to the critical coupling).
     """
-    _check_method(method)
+    if method not in ("fft", "ode"):
+        raise ParameterError(f"pulse method must be 'fft' or 'ode', got {method!r}")
     g = model._g_hz(couplings)
     pump_off = _pump_off_arrival(params, config, method)
     return _minus_pump_off(lambda gi: _arrival(params, gi, config, method), pump_off, g)

@@ -3,8 +3,8 @@
 Sweeps take a plain grid array (build one with :func:`grid` or
 :func:`detuning_span`) and return an immutable :class:`Spectrum` carrying
 the complex response together with derived amplitude, phase, and delay
-channels. Model-level singularities (transmission zeros) are flagged per
-point, never dropped, so downstream consumers always see uniform grids.
+channels, all from one pass of the closed-form kernel. Transmission zeros
+are flagged per point, never dropped, so grids stay uniform.
 """
 
 from __future__ import annotations
@@ -71,8 +71,8 @@ class Spectrum:
         (rad) phase on (-pi, pi], real-negative mapped to +pi; NaN at
         singular points of a resonance sweep.
     delay_s : ndarray
-        (s) group delay: analytic for resonance sweeps, from
-        :func:`numeric_group_delay` for detuning sweeps.
+        (s) closed-form group delay, as :func:`model.group_delay_curve`
+        gives it; NaN at singular points.
     singular : ndarray of bool
         Per-point flag marking transmission zeros.
     """
@@ -123,11 +123,11 @@ def sweep_detuning(params: DeviceParams, coupling: float,
     Returns
     -------
     Spectrum
-        delay_s comes from :func:`numeric_group_delay` on the sampled phase.
+        delay_s is :func:`model.group_delay_curve` on the grid.
     """
     g = model._scalar_g_hz(coupling)
     x = _checked_grid(detuning_hz, "detuning", 3)
-    t = model.transmission_curve(params, g, x)
+    t, delay = model._response(params.kappa_hz, params.eta, params.gamma_m_hz, g, x, delay=True)
     t_abs = np.abs(t)
     singular = t_abs < model.DEGENERACY_TOL
     phase = model.principal_phase(t)
@@ -136,7 +136,7 @@ def sweep_detuning(params: DeviceParams, coupling: float,
         t=t,
         amplitude_db=_amplitude_db(t_abs),
         phase_rad=phase,
-        delay_s=numeric_group_delay(x, phase, singular),
+        delay_s=delay,
         singular=singular,
     )
 
@@ -170,7 +170,8 @@ def sweep_coupling_resonance(params: DeviceParams, g_hz: NDArray[np.floating]) -
 
 def numeric_group_delay(x_hz: NDArray[np.floating], phase_rad: NDArray[np.floating],
                         singular: NDArray[np.bool_]) -> NDArray[np.floating]:
-    """Group delay from a phase sampled on a detuning grid of >= 3 points.
+    """Group delay from a phase sampled on a detuning grid of >= 3 points,
+    such as that of a measured trace.
 
     tau = -(1/2pi) * d(phase)/d(detuning), with the phase unwrapped first.
     Interior points use second-order central differences; the endpoints use

@@ -218,6 +218,19 @@ def test_spectrum_command_writes_csv(tmp_path):
     assert len(data_rows) == 51
 
 
+@pytest.mark.parametrize("ratio", [0.999, 1.001, 2.0])
+def test_spectrum_delay_is_the_closed_form(tmp_path, ratio):
+    # near G_c the feature is far narrower than the default grid, where a
+    # finite difference of the sampled phase read -3551 s for -16391 s
+    device = reference_device()
+    g = ratio * model.critical_coupling(device)
+    path = write_config(tmp_path / "c.json", reference_doc(spectrum={"g": g}))
+    assert cli.main(["--config", path, "--out", str(tmp_path / "out")]) == 0
+    cols, table = cli._read_table(str(tmp_path / "out" / "spectrum.csv"))
+    expected = model.group_delay_curve(device, g, table[:, cols["detuning_hz"]])
+    np.testing.assert_array_equal(table[:, cols["delay_s"]], expected)
+
+
 def test_points_flag_overrides_config(tmp_path):
     path = write_config(
         tmp_path / "c.json", reference_doc(spectrum={"g": 23.93, "points": 51})
@@ -562,6 +575,22 @@ def test_write_csv_memory_follows_the_array(tmp_path):
     assert peak < 2 * 2**20
 
 
+def test_read_table_memory_follows_the_array(tmp_path):
+    rows = np.random.default_rng(7).normal(size=(8192, 6))
+    path = tmp_path / "t.csv"
+    cli.write_csv(str(path), {}, list("abcdef"), rows)
+    tracemalloc.start()
+    try:
+        cols, table = cli._read_table(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(table, rows)
+    assert cols == {name: i for i, name in enumerate("abcdef")}
+    # the whole text and a Python float per cell peaked at about 7 times the file
+    assert peak < path.stat().st_size
+
+
 def test_missing_config_flag_is_argparse_error():
     with pytest.raises(SystemExit):
         cli.main([])
@@ -595,8 +624,10 @@ def test_spectrum_rejects_half_range(tmp_path, capsys):
         ("bare", "# format=mcpa-csv/1\ndetuning_hz,re,im\n", "no data rows"),
         ("critical_sweep", "g_hz,t_z\n", "no data rows"),
         ("bare", "detuning_hz,re,im\n1,0.5,0\n2,0.5,0\n3,abc,0\n", "data row 3"),
+        ("bare", "detuning_hz,re,im\n1,0.5,0\n\n2,0.5,0\n3,abc,0\n", "data row 3"),
     ],
-    ids=["empty", "measured-header-only", "sweep-header-only", "non-numeric-cell"],
+    ids=["empty", "measured-header-only", "sweep-header-only", "non-numeric-cell",
+         "blank-line-not-counted"],
 )
 def test_fit_malformed_csv_is_config_error(tmp_path, capsys, kind, data, where):
     csv_path = tmp_path / "data.csv"

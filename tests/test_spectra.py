@@ -1,4 +1,4 @@
-"""Unit tests for the sweep engine and numeric delay extraction."""
+"""Unit tests for the sweep engine and the numeric delay of a sampled phase."""
 
 import math
 
@@ -145,11 +145,20 @@ def test_unwrap_phase_roundtrip():
     np.testing.assert_allclose(delay, 1.0, rtol=1e-12)
 
 
+def _sampled_delay(device, coupling, x):
+    """`numeric_group_delay` on the kernel's phase sampled on `x`, and the
+    singular flags it was given."""
+    t = model.transmission_curve(device, coupling, x)
+    singular = np.abs(t) < model.DEGENERACY_TOL
+    return spectra.numeric_group_delay(x, model.principal_phase(t), singular), singular
+
+
 def test_numeric_delay_matches_analytic(device):
-    s = spectra.sweep_detuning(device, 23.93, spectra.detuning_span(device, 23.93, n_points=10001))
-    analytic = model.group_delay_curve(device, 23.93, s.x_hz)
+    x = spectra.detuning_span(device, 23.93, n_points=10001)
+    delay, _ = _sampled_delay(device, 23.93, x)
+    analytic = model.group_delay_curve(device, 23.93, x)
     interior = slice(2, -2)
-    rel = np.abs(s.delay_s[interior] - analytic[interior]) / np.abs(analytic[interior]).max()
+    rel = np.abs(delay[interior] - analytic[interior]) / np.abs(analytic[interior]).max()
     assert rel.max() < 1e-3
 
 
@@ -159,10 +168,11 @@ def test_numeric_delay_is_second_order(device):
     probe = 0.6 * w
 
     def error_at(n):
-        s = spectra.sweep_detuning(device, 23.93, spectra.grid(-2.0 * w, 2.0 * w, n))
-        i = int(np.argmin(np.abs(s.x_hz - probe)))
-        exact = float(model.group_delay_curve(device, 23.93, s.x_hz[i]))
-        return abs(float(s.delay_s[i]) - exact)
+        x = spectra.grid(-2.0 * w, 2.0 * w, n)
+        delay, _ = _sampled_delay(device, 23.93, x)
+        i = int(np.argmin(np.abs(x - probe)))
+        exact = float(model.group_delay_curve(device, 23.93, x[i]))
+        return abs(float(delay[i]) - exact)
 
     # 2n-1 points halve the step and keep the probe point on the grid
     ratio = error_at(401) / error_at(801)
@@ -171,11 +181,15 @@ def test_numeric_delay_is_second_order(device):
 
 def test_numeric_delay_nan_near_singularity(device):
     gc = model.critical_coupling(device)
-    s = spectra.sweep_detuning(device, gc, spectra.detuning_span(device, gc, n_points=501))
-    mid = len(s) // 2
-    assert s.singular[mid]
-    assert np.isnan(s.delay_s[mid - 1 : mid + 2]).all()
-    assert np.isfinite(s.delay_s[mid + 5])
+    x = spectra.detuning_span(device, gc, n_points=501)
+    delay, singular = _sampled_delay(device, gc, x)
+    mid = len(x) // 2
+    assert singular[mid]
+    assert np.isnan(delay[mid - 1 : mid + 2]).all()
+    assert np.isfinite(delay[mid + 5])
+    # the sweep's closed-form delay is NaN at the singular point alone
+    s = spectra.sweep_detuning(device, gc, x)
+    assert np.flatnonzero(np.isnan(s.delay_s)).tolist() == [mid]
 
 
 def test_numeric_delay_needs_three_points(device):
