@@ -43,6 +43,7 @@ from .pulses import (
     PulseConfig,
     PulseWaveform,
     band_averaged_delay,
+    band_warnings,
     center_time,
     center_time_estimates,
     delay_pulse_config,
@@ -82,6 +83,7 @@ __all__ = [
     "RegimeResult",
     "Spectrum",
     "band_averaged_delay",
+    "band_warnings",
     "boundary_coupling",
     "center_time",
     "center_time_estimates",

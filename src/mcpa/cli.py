@@ -430,8 +430,9 @@ def cmd_pulse(cfg: RunConfig) -> int:
         "analytic_delay_s": float(model.group_delay_curve(device, g, carrier)),
         "regime": regime,
     }
-    if out.warnings:
-        values["warnings"] = ",".join(out.warnings)
+    tags = pulses.band_warnings(pulse, device, g)
+    if tags:
+        values["warnings"] = ",".join(tags)
     _print_values(values)
     print(f"wrote {cfg.out_dir}/pulse_input.csv, pulse_output.csv, pulse_reference.csv")
     return 0

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,9 @@ DEGENERACY_TOL = 1e-10
 #: Relative distance from a regime boundary below which a coupling is
 #: reported as sitting on the boundary rather than on either side.
 BOUNDARY_REL_TOL = 1e-6
+
+#: (Hz) the largest coupling rate whose square G^2 is a finite float
+_MAX_COUPLING_HZ = math.sqrt(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -109,11 +113,16 @@ class DeviceParams:
 
 
 def _g_hz(coupling):
-    """Validate coupling rates in Hz: every element finite and non-negative.
-    A scalar comes back as a float, an array as a float array."""
+    """Validate coupling rates in Hz: every element in [0, _MAX_COUPLING_HZ],
+    so that G^2 is a finite float. A scalar comes back as a float, an array
+    as a float array. The error names the first rate out of range."""
     g = np.asarray(coupling, dtype=float)
-    if not np.all(np.isfinite(g) & (g >= 0.0)):
-        raise ParameterError(f"coupling rate must be finite and >= 0, got {coupling!r}")
+    # compared, not squared: a square that overflows warns (NaN fails both)
+    fine = (g >= 0.0) & (g <= _MAX_COUPLING_HZ)
+    if not np.all(fine):
+        raise ParameterError(
+            f"coupling rate must lie in [0, {_MAX_COUPLING_HZ:.6g}] Hz, got {float(g[~fine][0])!r}"
+        )
     return float(g) if g.ndim == 0 else g
 
 
@@ -198,7 +207,8 @@ def transmission_curve(
     params : DeviceParams
         Device under test.
     coupling : array_like
-        (Hz) field-enhanced coupling rate(s), each finite and >= 0.
+        (Hz) field-enhanced coupling rate(s), each in [0, sqrt(float max)]
+        (about 1.34e154), so that G^2 is a finite float.
     detuning_hz : array_like
         (Hz) probe detuning(s) Delta = omega_c - Omega_probe from the cavity
         resonance; broadcasts against `coupling`.
@@ -245,12 +255,16 @@ def critical_coupling(params: DeviceParams) -> float:
     ------
     NoCriticalCouplingError
         If eta <= 1/2.
+    ParameterError
+        If G_c comes out as 0 or infinite in floats.
     """
     if params.eta <= 0.5:
         raise NoCriticalCouplingError(
             f"eta = {params.eta} is not over-coupled; resonant transmission never reaches zero"
         )
-    return math.sqrt((params.eta - 0.5) * params.kappa_hz * params.gamma_m_hz / 2.0)
+    return _root_in_range(
+        "critical", (params.eta - 0.5) * params.kappa_hz * params.gamma_m_hz / 2.0
+    )
 
 
 def boundary_coupling(params: DeviceParams) -> float:
@@ -267,14 +281,28 @@ def boundary_coupling(params: DeviceParams) -> float:
     ------
     NoCriticalCouplingError
         If eta <= 1/2 (neither special coupling exists then).
+    ParameterError
+        If G_b comes out as 0 or infinite in floats.
     """
     if params.eta <= 0.5:
         raise NoCriticalCouplingError(
             f"eta = {params.eta} is not over-coupled; no boundary coupling exists"
         )
-    return math.sqrt(
-        (params.eta / 2.0 - 0.25) * params.kappa_hz * params.gamma_m_hz / (1.0 - params.eta)
+    return _root_in_range(
+        "boundary",
+        (params.eta / 2.0 - 0.25) * params.kappa_hz * params.gamma_m_hz / (1.0 - params.eta),
     )
+
+
+def _root_in_range(name: str, square: float) -> float:
+    """(Hz) the special coupling sqrt(`square`); a ParameterError where the
+    rates' product has underflowed to 0 or overflowed to inf."""
+    if not 0.0 < square < math.inf:
+        raise ParameterError(
+            f"the {name} coupling of this device comes out as {math.sqrt(square)!r} Hz: "
+            "(eta - 1/2) * kappa * gamma_m underflows or overflows a float"
+        )
+    return math.sqrt(square)
 
 
 class Regime(enum.Enum):

@@ -31,16 +31,18 @@ the tests by stepping `_foh_propagator` under constant drive.
 Each route is one private helper that returns output samples:
 `_spectral_product` (the product on a band of the input's padded
 transform, which `_padded` makes) and `_stepped` (the exact step).
-`propagate` and `integrate_langevin` wrap them and attach the band check
-("bandwidth", "singular-band") from the one transform of the input each
-makes (the padded one, or an n-point one), with the kernel evaluated on
-its bins above 1e-3 of the peak alone; only they and the `pulse` command
-run the check. `extract_delay` measures the delay at one coupling (a
-float) or many (an array), with no band check. What is the same at every
-coupling is made once and reused across calls: the probe (`_probe`, the
-last probe only) and the pump-off arrival time (`_pump_off_arrival`,
-floats only), so a loop of `extract_delay` calls costs one output and one
-centroid per coupling, as one call on an array does.
+`propagate` and `integrate_langevin` wrap them and return the bare
+output. Whether a probe is fit to time at a coupling is a property of the
+input, the device and the coupling alone, so its check runs once, on the
+input: `band_warnings` gives "bandwidth" and "singular-band" from the
+input's n-point spectrum, with the kernel evaluated on its bins above
+1e-3 of the peak alone. `extract_delay` measures the delay at one
+coupling (a float) or many (an array), with no band check. What is the
+same at every coupling is made once and reused across calls: the probe
+(`_probe`, the last probe only) and the pump-off arrival time
+(`_pump_off_arrival`, floats only), so a loop of `extract_delay` calls
+costs one output and one centroid per coupling, as one call on an array
+does.
 
 The delay path works at the probe's bandwidth, not at the record's sample
 rate, on both routes. `_probe` keeps the probe samples (16 n bytes for n
@@ -76,7 +78,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.typing import NDArray
@@ -173,15 +175,12 @@ class PulseWaveform:
         Field envelope. At least 16 samples.
     carrier_detuning_hz : float
         (Hz) carrier offset from the cavity resonance.
-    warnings : tuple of str
-        Accumulated soft diagnostics ("bandwidth", "singular-band", ...).
     """
 
     t0_s: float
     dt_s: float
     samples: NDArray[np.complexfloating]
     carrier_detuning_hz: float = 0.0
-    warnings: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.t0_s):
@@ -207,9 +206,6 @@ class PulseWaveform:
 
 def gaussian_pulse(config: PulseConfig) -> PulseWaveform:
     """Synthesize the Gaussian probe envelope described by `config`.
-
-    The pulse carries no warnings: both propagation routes check its
-    bandwidth against the window they send it through.
 
     Returns
     -------
@@ -248,28 +244,29 @@ def waveform_rms_sigma(w: PulseWaveform) -> float:
     return math.sqrt(2.0 * float((np.square(t - mean) * power).sum() / total))
 
 
-def _output(
-    w: PulseWaveform, samples: NDArray[np.complexfloating], params: DeviceParams, g: float, x, f
-) -> PulseWaveform:
-    """Either route's output: `samples` on the grid of the input `w`, with
-    its warnings plus the band checks on `x`, the transform of its samples
-    that the route made, at the frequencies `f`. The kernel is evaluated on
-    the bins of `x` above 1e-3 of its peak alone."""
-    tags: list[str] = []
-    if w.energy > 0.0:
-        if 1.0 / (TWO_PI * waveform_rms_sigma(w)) > 0.5 * model.effective_window_hz(params, g):
-            tags.append("bandwidth")
-        x = np.abs(x)
-        band = w.carrier_detuning_hz + f[x > 1e-3 * x.max()]
-        if np.any(np.abs(model.transmission_curve(params, g, band)) < SINGULAR_BAND_TOL):
-            tags.append("singular-band")
-    return PulseWaveform(
-        t0_s=w.t0_s,
-        dt_s=w.dt_s,
-        samples=samples,
-        carrier_detuning_hz=w.carrier_detuning_hz,
-        warnings=w.warnings + tuple(tag for tag in tags if tag not in w.warnings),
-    )
+def band_warnings(w: PulseWaveform, params: DeviceParams, coupling: float) -> tuple[str, ...]:
+    """Soft checks on timing the input `w` through the device at `coupling`.
+
+    Returns
+    -------
+    tuple of str
+        "bandwidth" when the rms bandwidth 1/(2 pi `waveform_rms_sigma`)
+        exceeds half the effective window; "singular-band" when |t| falls
+        below SINGULAR_BAND_TOL on a bin of the input's n-point spectrum
+        holding over 1e-3 of its peak (the kernel is evaluated on those
+        bins alone). Empty for a waveform without energy.
+    """
+    g = model._scalar_g_hz(coupling)
+    if not w.energy > 0.0:
+        return ()
+    tags = []
+    if 1.0 / (TWO_PI * waveform_rms_sigma(w)) > 0.5 * model.effective_window_hz(params, g):
+        tags.append("bandwidth")
+    x = np.abs(np.fft.fft(w.samples))
+    band = w.carrier_detuning_hz + np.fft.fftfreq(len(x), w.dt_s)[x > 1e-3 * x.max()]
+    if np.any(np.abs(model.transmission_curve(params, g, band)) < SINGULAR_BAND_TOL):
+        tags.append("singular-band")
+    return tuple(tags)
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,14 +339,10 @@ def propagate(w: PulseWaveform, params: DeviceParams, coupling: float) -> PulseW
     Returns
     -------
     PulseWaveform
-        Output envelope on the input grid. Warnings: "bandwidth" when the
-        pulse's rms bandwidth exceeds half the effective window,
-        "singular-band" when |t| falls below SINGULAR_BAND_TOL on a bin of
-        the padded spectrum holding over 1e-3 of its peak.
+        Output envelope on the input grid.
     """
     g = model._scalar_g_hz(coupling)
-    probe = _padded(w)
-    return _output(w, _spectral_product(probe, params, g), params, g, probe.x, probe.f)
+    return replace(w, samples=_spectral_product(_padded(w), params, g))
 
 
 # ---------------------------------------------------------------------------
@@ -560,12 +553,10 @@ def integrate_langevin(w: PulseWaveform, params: DeviceParams, coupling: float) 
     Returns
     -------
     PulseWaveform
-        Output envelope s_in - sqrt(eta*kappa) a on the input grid, with the
-        warnings of `propagate`, read off the input's n-point spectrum.
+        Output envelope s_in - sqrt(eta*kappa) a on the input grid.
     """
     g = model._scalar_g_hz(coupling)
-    x, f = np.fft.fft(w.samples), np.fft.fftfreq(len(w.samples), w.dt_s)
-    return _output(w, _stepped(w, params, g, 1), params, g, x, f)
+    return replace(w, samples=_stepped(w, params, g, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -889,8 +880,7 @@ def extract_delay(
     common to both runs, such as the sampling and interpolation bias of the
     chosen route. Both arrivals are timed from the probe's own center, so
     their difference keeps its digits when the delay is a small fraction of
-    the width. No band check runs: the outputs are not returned, so their
-    warnings would be dropped.
+    the width. No band check runs: `band_warnings` gives it for the probe.
 
     Parameters
     ----------

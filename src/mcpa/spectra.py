@@ -145,15 +145,14 @@ def sweep_coupling_resonance(params: DeviceParams, g_hz: NDArray[np.floating]) -
     """Resonant response across a coupling grid: t_z, phase, and delay at
     zero detuning.
 
-    The grid must be 1-d, finite, non-negative and strictly ascending, with
-    at least 2 points. At zero detuning the closed-form transmission is an
-    exact real number, so the phase channel is exactly pi below the critical
-    coupling and exactly 0 above it. Grid points whose transmission is
-    degenerate with zero are flagged singular and carry NaN phase and delay.
+    The grid must be 1-d and strictly ascending, with at least 2 points,
+    each a coupling that :func:`model.transmission_curve` takes. At zero
+    detuning the closed-form transmission is an exact real number, so the
+    phase channel is exactly pi below the critical coupling and exactly 0
+    above it. Grid points whose transmission is degenerate with zero are
+    flagged singular and carry NaN phase and delay.
     """
-    g = _checked_grid(g_hz, "coupling", 2)
-    if g[0] < 0.0:
-        raise ParameterError("coupling grid must be non-negative")
+    g = model._g_hz(_checked_grid(g_hz, "coupling", 2))
     t, delay = model._response(params.kappa_hz, params.eta, params.gamma_m_hz, g, 0.0, delay=True)
     tz = t.real
     singular = np.abs(tz) < model.DEGENERACY_TOL

@@ -400,6 +400,25 @@ def test_pulse_probe_too_wide_for_its_delay_is_config_error(tmp_path, capsys, fr
     assert not list(out_dir.glob("*.csv"))
 
 
+@pytest.mark.parametrize("method", ["fft", "ode"])
+@pytest.mark.parametrize("ratio,fraction", [(0.97, 0.5), (8.84, 1.0 / 32.0)])
+def test_pulse_warnings_line_is_band_warnings(tmp_path, capsys, method, ratio, fraction):
+    # 0.97 G_c at half the window reads "bandwidth" on the reference device,
+    # but only just, so the line is compared with the library's tags, not a
+    # literal; 8.84 G_c at 1/32 reads none, and the line is left out
+    device = reference_device()
+    g = ratio * model.critical_coupling(device)
+    pulse = {"g": g, "method": method, "carrier_detuning": 0.01, "bandwidth_fraction": fraction}
+    path = write_config(tmp_path / "c.json", reference_doc(pulse=pulse))
+    assert cli.main(["--config", path, "--out", str(tmp_path / "out")]) == 0
+    lines = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines() if "=" in line)
+    config = pulses.delay_pulse_config(
+        device, g, carrier_detuning_hz=0.01, bandwidth_fraction=fraction
+    )
+    expected = pulses.band_warnings(pulses.gaussian_pulse(config), device, g)
+    assert lines.get("warnings") == (",".join(expected) or None)
+
+
 def test_pulse_unknown_method_is_config_error(tmp_path, capsys):
     path = write_config(
         tmp_path / "c.json", reference_doc(pulse={"g": 155.1, "method": "rk4"})
@@ -508,6 +527,32 @@ def test_exit_code_domain_error(tmp_path, capsys):
     path = write_config(tmp_path / "c.json", doc)
     assert cli.main(["--config", path]) == 3
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rate", ["1e-300 Hz", "1e200 Hz"])
+def test_special_couplings_out_of_float_range_are_config_errors(tmp_path, capsys, rate):
+    # G_c underflowed to 0 (a ZeroDivisionError traceback) or overflowed to
+    # inf (printed with exit 0)
+    doc = reference_doc(critical={})
+    doc["device"] = {"cavity_freq": "5.318 GHz", "mech_freq": "755.5 kHz",
+                     "kappa": rate, "eta": 0.651, "gamma_m": rate}
+    path = write_config(tmp_path / "c.json", doc)
+    assert cli.main(["--config", path]) == 2
+    assert capsys.readouterr().err.startswith("config error: the critical coupling")
+
+
+@pytest.mark.parametrize("command", [
+    {"critical": {"g": "1e300 Hz"}},
+    {"sweep_g": {"start": "1 Hz", "stop": "1e300 Hz"}},
+], ids=["critical", "sweep_g"])
+def test_coupling_whose_square_overflows_is_config_error(tmp_path, capsys, command):
+    # G^2 overflowed: t_z=nan or NaN rows with exit 0, and a RuntimeWarning
+    path = write_config(tmp_path / "c.json", reference_doc(**command))
+    out_dir = tmp_path / "out"
+    assert cli.main(["--config", path, "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: coupling rate") and len(err) < 100
+    assert not list(out_dir.glob("*.csv"))
 
 
 def test_pulse_without_critical_coupling_writes_nothing(tmp_path, capsys):

@@ -6,6 +6,7 @@ serve as regression oracles at float64 precision.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -86,7 +87,8 @@ def test_device_params_frozen(device):
 
 
 def test_coupling_validation(device):
-    for bad in (-1.0, math.nan, math.inf):
+    # 1e200 Hz: G^2 overflows a float
+    for bad in (-1.0, math.nan, math.inf, 1e200):
         for fn in (model.classify_regime, model.effective_window_hz):
             with pytest.raises(ParameterError):
                 fn(device, bad)
@@ -117,6 +119,7 @@ SCALAR_ONLY = {
     "effective_window_hz": lambda d: model.effective_window_hz(d, np.array([10.0])),
     "propagate": lambda d: _probe(d, pulses.propagate, np.array([10.0, 20.0])),
     "integrate_langevin": lambda d: _probe(d, pulses.integrate_langevin, [10.0]),
+    "band_warnings": lambda d: _probe(d, pulses.band_warnings, np.array([10.0, 20.0])),
 }
 
 
@@ -142,6 +145,15 @@ def test_boundary_to_critical_ratio(device):
     # G_b / G_c = 1 / sqrt(1 - eta), independent of every other parameter
     ratio = model.boundary_coupling(device) / model.critical_coupling(device)
     assert ratio == pytest.approx(1.0 / math.sqrt(1.0 - device.eta), rel=1e-14)
+
+
+@pytest.mark.parametrize("rate", [1e-300, 1e200])
+def test_special_couplings_out_of_float_range(device, rate):
+    # (eta - 1/2) kappa gamma_m underflows to 0 or overflows to inf
+    extreme = replace(device, kappa_hz=rate, gamma_m_hz=rate)
+    for fn in (model.critical_coupling, model.boundary_coupling):
+        with pytest.raises(ParameterError, match="underflows or overflows"):
+            fn(extreme)
 
 
 def test_undercoupled_device_has_no_critical_coupling(device):

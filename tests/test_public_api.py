@@ -1,5 +1,6 @@
 """The package's public surface: `mcpa.__all__` and `mcpa.__version__`."""
 
+import dataclasses
 import os
 import re
 
@@ -20,6 +21,13 @@ def test_one_delay_entry_point():
     assert "extract_delay" in mcpa.__all__
     assert "delay_curve" not in mcpa.__all__
     assert not hasattr(mcpa, "delay_curve") and not hasattr(pulses, "delay_curve")
+
+
+def test_one_band_check():
+    # the band check is a function of the input; a waveform carries no tags
+    assert "band_warnings" in mcpa.__all__
+    fields = tuple(f.name for f in dataclasses.fields(mcpa.PulseWaveform))
+    assert fields == ("t0_s", "dt_s", "samples", "carrier_detuning_hz")
 
 
 def test_version_matches_pyproject():

@@ -63,10 +63,8 @@ def test_gaussian_pulse_bandwidth_warning(device):
     # rms bandwidth ~0.159 Hz: far wider than half the pump-off window
     # (gamma_m = 9.7 mHz), well inside half the 1.5 Hz window at G = 400 Hz
     w = pulses.gaussian_pulse(small_config(sigma=1.0))
-    assert w.warnings == ()
-    for route in (pulses.propagate, pulses.integrate_langevin):
-        assert "bandwidth" in route(w, device, 0.0).warnings
-        assert "bandwidth" not in route(w, device, 400.0).warnings
+    assert "bandwidth" in pulses.band_warnings(w, device, 0.0)
+    assert "bandwidth" not in pulses.band_warnings(w, device, 400.0)
 
 
 def test_waveform_validation():
@@ -94,12 +92,9 @@ def test_waveform_accepts_strided_samples():
         PulseWaveform(t0_s=0.0, dt_s=0.1, samples=bad[::-1])
 
 
-def test_waveform_energy_and_warning_dedup(device):
+def test_waveform_energy():
     w = PulseWaveform(t0_s=0.0, dt_s=0.5, samples=2.0 * np.ones(20, dtype=complex))
     assert w.energy == pytest.approx(4.0 * 20 * 0.5, rel=1e-15)
-    # the record's 0.039 Hz rms bandwidth fires "bandwidth" again at G = 0
-    tagged = PulseWaveform(t0_s=0.0, dt_s=0.5, samples=w.samples, warnings=("bandwidth",))
-    assert pulses.propagate(tagged, device, 0.0).warnings == ("bandwidth",)
 
 
 def test_waveform_rms_sigma_recovers_width():
@@ -150,33 +145,12 @@ def test_propagate_singular_band_warning(device):
     gc = model.critical_coupling(device)
     cfg = pulses.delay_pulse_config(device, gc, n_samples=1024)
     w = pulses.gaussian_pulse(cfg)
-    out = pulses.propagate(w, device, gc)
-    assert "singular-band" in out.warnings
-
-
-def test_routes_attach_the_same_warnings(device):
-    gc = model.critical_coupling(device)
-    cases = [
-        (pulses.delay_pulse_config(device, g, carrier_detuning_hz=carrier, n_samples=1024), g)
-        for g in (0.5 * gc, gc, 155.1)
-        for carrier in (0.0, 0.003)
-    ]
-    # about twice as wide in band as the 0.24 Hz window at 155.1 Hz
-    cases.append(
-        (small_config(sigma=0.33, center=3.0, record=6.0, dt=0.01, carrier_detuning_hz=0.003), 155.1)
-    )
-    seen = set()
-    for cfg, g in cases:
-        w = pulses.gaussian_pulse(cfg)
-        tags = pulses.propagate(w, device, g).warnings
-        assert pulses.integrate_langevin(w, device, g).warnings == tags
-        seen.update(tags)
-    assert seen == {"bandwidth", "singular-band"}
+    assert "singular-band" in pulses.band_warnings(w, device, gc)
 
 
 def _n_point_band_rule(w, params, g):
     """The band check on every bin of the input's own n-point spectrum: an
-    oracle for the tags that the routes read off the transforms they make."""
+    oracle for `band_warnings`, which evaluates the kernel on the band alone."""
     tags = []
     rms_bandwidth = 1.0 / (2.0 * math.pi * pulses.waveform_rms_sigma(w))
     if rms_bandwidth > 0.5 * model.effective_window_hz(params, g):
@@ -189,12 +163,19 @@ def _n_point_band_rule(w, params, g):
     return tuple(tags)
 
 
-def test_route_warnings_match_the_n_point_band_rule(device):
-    # 1.01 G_c at -10 mHz with half-window probes sits at the edge of the
-    # bandwidth rule; n = 1000 is no power of two, so the padded spectrum's
-    # bins are not a superset of the n-point ones
+def test_band_warnings_match_the_n_point_band_rule(device):
     gc = model.critical_coupling(device)
-    seen = set()
+    cases = [
+        (pulses.delay_pulse_config(device, g, carrier_detuning_hz=carrier, n_samples=1024), g)
+        for g in (0.5 * gc, gc, 155.1)
+        for carrier in (0.0, 0.003)
+    ]
+    # about twice as wide in band as the 0.24 Hz window at 155.1 Hz
+    cases.append(
+        (small_config(sigma=0.33, center=3.0, record=6.0, dt=0.01, carrier_detuning_hz=0.003), 155.1)
+    )
+    # 1.01 G_c at -10 mHz with half-window probes sits at the edge of the
+    # bandwidth rule; n = 1000 is no power of two
     for ratio in (1.0, 1.01, 8.84):
         for carrier in (0.0, -1e-2):
             for fraction in (1.0 / 32.0, 0.5):
@@ -203,13 +184,19 @@ def test_route_warnings_match_the_n_point_band_rule(device):
                         device, ratio * gc, carrier_detuning_hz=carrier,
                         bandwidth_fraction=fraction, n_samples=n,
                     )
-                    w = pulses.gaussian_pulse(cfg)
-                    for g in (ratio * gc, 0.0):
-                        expected = _n_point_band_rule(w, device, g)
-                        assert pulses.propagate(w, device, g).warnings == expected
-                        assert pulses.integrate_langevin(w, device, g).warnings == expected
-                        seen.update(expected)
+                    cases += [(cfg, ratio * gc), (cfg, 0.0)]
+    seen = set()
+    for cfg, g in cases:
+        w = pulses.gaussian_pulse(cfg)
+        expected = _n_point_band_rule(w, device, g)
+        assert pulses.band_warnings(w, device, g) == expected
+        seen.update(expected)
     assert seen == {"bandwidth", "singular-band"}
+
+
+def test_band_warnings_of_a_waveform_without_energy(device):
+    w = PulseWaveform(t0_s=0.0, dt_s=0.5, samples=np.zeros(32, dtype=complex))
+    assert pulses.band_warnings(w, device, model.critical_coupling(device)) == ()
 
 
 @pytest.mark.parametrize("n", [256, 1000])
@@ -229,10 +216,8 @@ def test_each_route_call_makes_one_transform(device, monkeypatch):
     cfg = pulses.delay_pulse_config(device, 23.93, carrier_detuning_hz=1e-3, n_samples=n)
     w = pulses.gaussian_pulse(cfg)
     m = 4096
-    band = {}
-    for points in (n, m):
-        x = np.abs(np.fft.fft(w.samples, points))
-        band[points] = int(np.count_nonzero(x > 1e-3 * x.max()))
+    x = np.abs(np.fft.fft(w.samples))
+    band = int(np.count_nonzero(x > 1e-3 * x.max()))
     log = []
 
     def counted(name, fn, points):
@@ -248,10 +233,12 @@ def test_each_route_call_makes_one_transform(device, monkeypatch):
         counted("kernel", model.transmission_curve, lambda p, g, d: np.size(d)),
     )
     pulses.propagate(w, device, 23.93)
-    assert log == [("fft", m), ("kernel", m), ("ifft", m), ("kernel", band[m])]
+    assert log == [("fft", m), ("kernel", m), ("ifft", m)]
     log.clear()
     pulses.integrate_langevin(w, device, 23.93)
-    assert log == [("fft", n), ("kernel", band[n])]
+    assert log == []
+    pulses.band_warnings(w, device, 23.93)
+    assert log == [("fft", n), ("kernel", band)]
 
 
 def test_propagate_preserves_grid(device):

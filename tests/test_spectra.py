@@ -111,7 +111,8 @@ def test_resonance_spectrum_explicit_grid(device):
 
 
 def test_resonance_spectrum_grid_validation(device):
-    for bad in ([1.0], [[1.0, 2.0]], [2.0, 1.0, 3.0], [-1.0, 1.0], [1.0, np.inf]):
+    for bad in ([1.0], [[1.0, 2.0]], [2.0, 1.0, 3.0], [-1.0, 1.0], [1.0, np.inf],
+                [1.0, 1e200]):
         with pytest.raises(ParameterError):
             spectra.sweep_coupling_resonance(device, np.array(bad))
 
