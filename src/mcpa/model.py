@@ -18,9 +18,12 @@ Both evaluations take a coupling and a detuning that may each be a scalar
 or an array and broadcast against each other, so a spectrum at fixed
 coupling and a resonance curve across couplings are the same call. The
 functions that take one coupling rate (here, in `spectra` and in `pulses`)
-check it with :func:`_scalar_g_hz`, which refuses an array. Both go
-through one kernel, :func:`_response`, which writes the transmission as a
-ratio of two factored polynomials in the detuning Delta. With
+check it with :func:`_scalar_g_hz`, which refuses an array. Detunings are
+checked where they come in or are sized (a detuning sweep's grid, its
+default span, a probe's band), by :func:`_detuning_hz`, and not on every
+kernel call. Both evaluations go through one kernel, :func:`_response`,
+which writes the transmission as a ratio of two factored polynomials in
+the detuning Delta. With
 D1 = i*Delta + gamma_m/2 and D2 = i*Delta + kappa/2,
 
     t = N / den,    N = D1*(D2 - eta*kappa) + G^2,    den = D1*D2 + G^2,
@@ -61,8 +64,9 @@ DEGENERACY_TOL = 1e-10
 #: reported as sitting on the boundary rather than on either side.
 BOUNDARY_REL_TOL = 1e-6
 
-#: (Hz) the largest coupling rate whose square G^2 is a finite float
-_MAX_COUPLING_HZ = math.sqrt(sys.float_info.max)
+#: (Hz) the largest coupling rate G, or |detuning| Delta, whose square is a
+#: finite float: the kernel forms G^2 and, in D1*D2, Delta^2
+_MAX_RATE_HZ = math.sqrt(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -113,17 +117,32 @@ class DeviceParams:
 
 
 def _g_hz(coupling):
-    """Validate coupling rates in Hz: every element in [0, _MAX_COUPLING_HZ],
+    """Validate coupling rates in Hz: every element in [0, _MAX_RATE_HZ],
     so that G^2 is a finite float. A scalar comes back as a float, an array
     as a float array. The error names the first rate out of range."""
     g = np.asarray(coupling, dtype=float)
     # compared, not squared: a square that overflows warns (NaN fails both)
-    fine = (g >= 0.0) & (g <= _MAX_COUPLING_HZ)
+    fine = (g >= 0.0) & (g <= _MAX_RATE_HZ)
     if not np.all(fine):
         raise ParameterError(
-            f"coupling rate must lie in [0, {_MAX_COUPLING_HZ:.6g}] Hz, got {float(g[~fine][0])!r}"
+            f"coupling rate must lie in [0, {_MAX_RATE_HZ:.6g}] Hz, got {float(g[~fine][0])!r}"
         )
     return float(g) if g.ndim == 0 else g
+
+
+def _detuning_hz(detuning, what: str = "detuning"):
+    """Validate detunings in Hz, or the reach of a band of them: every
+    |element| at most _MAX_RATE_HZ, so that Delta^2 in the kernel is a
+    finite float. A scalar comes back as a float, an array as a float
+    array. The error names `what` and the first value out of range."""
+    x = np.asarray(detuning, dtype=float)
+    # compared, not squared, as in _g_hz
+    fine = np.abs(x) <= _MAX_RATE_HZ
+    if not np.all(fine):
+        raise ParameterError(
+            f"{what} must lie within +/- {_MAX_RATE_HZ:.6g} Hz, got {float(x[~fine][0])!r}"
+        )
+    return float(x) if x.ndim == 0 else x
 
 
 def _scalar_g_hz(coupling) -> float:
@@ -211,7 +230,8 @@ def transmission_curve(
         (about 1.34e154), so that G^2 is a finite float.
     detuning_hz : array_like
         (Hz) probe detuning(s) Delta = omega_c - Omega_probe from the cavity
-        resonance; broadcasts against `coupling`.
+        resonance; broadcasts against `coupling`. Unchecked here: beyond
+        +/- sqrt(float max) Delta^2 overflows.
 
     Returns
     -------

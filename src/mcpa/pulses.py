@@ -17,12 +17,13 @@ modes' eigenvalues coincide. Lifted to every L-th sample (the state L
 samples on follows from E^L and a fixed (L + 1)-tap filter of the input),
 the step is exact again, so the route returns samples 0, L, 2L, ...: every
 sample for `integrate_langevin` (L = 1), every L-th on the delay path. Per
-record the lifted step reduces to one second-order recurrence, solved by
-forward substitution over its n/L - 2 rows. The hold order matters:
-since the output is the small difference s_in - sqrt(eta*kappa) a,
-holding the input constant across each interval would misalign the two
-terms by a sample and the error would be amplified by 1/|t| near the
-absorption dip; the linear hold keeps them aligned at every sample time.
+record the lifted states of its n/L rows come from one first-order
+recurrence, solved by recursive doubling in log2(n/L) numpy passes. The
+hold order matters: since the output is the small difference
+s_in - sqrt(eta*kappa) a, holding the input constant across each interval
+would misalign the two terms by a sample and the error would be amplified
+by 1/|t| near the absorption dip; the linear hold keeps them aligned at
+every sample time.
 
 The steady-state response of the integrator reproduces the closed-form
 transmission; that equivalence is this module's core self-check, pinned in
@@ -53,14 +54,14 @@ divides n with m/L >= 8 (K + 1). Both routes time the output on one grid,
 its n/L samples at every L-th record time, which are exact samples of the
 full-rate output. Per coupling the fft route evaluates the kernel on
 2K + 1 points and runs one m/L-point inverse FFT; the ode route filters
-the record with 2L + 1 taps at every L-th sample (two (n/L - 2) x L
-matrix-vector products) and solves n/L - 2 rows. For a 2^15-sample probe
-in a 20-width record, K = 100 and L = 128: 201 kernel points and a
-1024-point inverse FFT, against 2^17 of each at the full rate, and a
-254-row solve against 32 766. A probe cut by the record start
-(`center_s` < 8 sigma) leaks power into every bin, so its band widens: at
-`center_s` <= 6 sigma it is every bin with L = 1, which is the full-rate
-product and the full-rate step.
+the record with L + 1 taps at every L-th sample (one (n/L - 1) x L by
+L x 2 matrix product) and runs the recurrence over n/L rows. For a
+2^15-sample probe in a 20-width record, K = 100 and L = 128: 201 kernel
+points and a 1024-point inverse FFT, against 2^17 of each at the full
+rate, and 256 rows in 8 doubling passes against 32 768 in 15. A probe cut
+by the record start (`center_s` < 8 sigma) leaks power into every bin, so
+its band widens: at `center_s` <= 6 sigma it is every bin with L = 1,
+which is the full-rate product and the full-rate step.
 `propagate`, `integrate_langevin` and the CSVs of the `pulse` command keep
 every sample; the command reports the delay of `extract_delay`.
 `band_averaged_delay` is the exact prediction on the same band: the mean
@@ -69,9 +70,9 @@ same mean with the pump off.
 
 Times are seconds, rates ordinary Hz as everywhere in this package.
 
-This module needs numpy alone: the time-domain route's banded solve is a
-two-term recurrence, run as a Python loop, and the lobe check of
-`center_time` follows `scipy.signal.find_peaks`'s rules without calling it.
+This module needs numpy alone: the time-domain route's recurrence is
+solved by numpy array passes, and the lobe check of `center_time` follows
+`scipy.signal.find_peaks`'s rules without calling it.
 """
 
 from __future__ import annotations
@@ -124,7 +125,9 @@ class PulseConfig:
     dt_s : float
         (s) sample interval; must resolve the envelope (dt <= sigma_t / 4).
     carrier_detuning_hz : float
-        (Hz) detuning of the pulse carrier from the cavity resonance.
+        (Hz) detuning of the pulse carrier from the cavity resonance. The
+        band of the record's transform, the carrier +/- 1/(2 dt), must lie
+        within +/- sqrt(float max) (about 1.34e154), the kernel's range.
     """
 
     sigma_t_s: float
@@ -140,8 +143,7 @@ class PulseConfig:
             raise ParameterError(f"center_s must be positive, got {self.center_s!r}")
         if not (math.isfinite(self.dt_s) and self.dt_s > 0.0):
             raise ParameterError(f"dt_s must be positive, got {self.dt_s!r}")
-        if not math.isfinite(self.carrier_detuning_hz):
-            raise ParameterError("carrier_detuning_hz must be finite")
+        _check_band(self.carrier_detuning_hz, self.dt_s)
         if not math.isfinite(self.record_s):
             raise ParameterError(f"record_s must be finite, got {self.record_s!r}")
         if self.record_s < self.center_s + 8.0 * self.sigma_t_s:
@@ -174,7 +176,8 @@ class PulseWaveform:
     samples : ndarray of complex
         Field envelope. At least 16 samples.
     carrier_detuning_hz : float
-        (Hz) carrier offset from the cavity resonance.
+        (Hz) carrier offset from the cavity resonance; the carrier +/-
+        1/(2 dt) must lie in the kernel's range, as for `PulseConfig`.
     """
 
     t0_s: float
@@ -187,6 +190,7 @@ class PulseWaveform:
             raise ParameterError(f"t0_s must be finite, got {self.t0_s!r}")
         if not (math.isfinite(self.dt_s) and self.dt_s > 0.0):
             raise ParameterError(f"dt_s must be positive, got {self.dt_s!r}")
+        _check_band(self.carrier_detuning_hz, self.dt_s)
         samples = np.asarray(self.samples, dtype=complex)
         object.__setattr__(self, "samples", samples)
         if samples.ndim != 1 or len(samples) < 16:
@@ -202,6 +206,15 @@ class PulseWaveform:
     def energy(self) -> float:
         """() integral of |envelope|^2 over the record."""
         return float(np.sum(np.abs(self.samples) ** 2) * self.dt_s)
+
+
+def _check_band(carrier_detuning_hz: float, dt_s: float) -> None:
+    """ParameterError unless the detunings of a record's transform, the
+    carrier +/- 1/(2 dt_s), lie in the kernel's range (`model._detuning_hz`)."""
+    model._detuning_hz(
+        abs(carrier_detuning_hz) + 0.5 / dt_s,
+        "the record's band edge |carrier_detuning_hz| + 1/(2 dt_s)",
+    )
 
 
 def gaussian_pulse(config: PulseConfig) -> PulseWaveform:
@@ -457,7 +470,7 @@ def _integrate(a_mat, b_vec, h, s, initial_state, step):
     Lifted to every L-th sample, the step is exact again (the standard
     lifting of a discrete linear time-invariant system):
 
-        x_{(b+1)L} = E^L x_{bL} + sum_{j=0..L} W_j s_{bL+j},
+        x_{b+1} = E^L x_b + u_b,    u_b = sum_{j=0..L} W_j s_{bL+j},
 
     with W_0 = E^(L-1) P, W_j = E^(L-1-j) P + E^(L-j) Q for 0 < j < L and
     W_L = Q; at L = 1 it is the one-sample step. E^L = I + F_L and the
@@ -467,23 +480,14 @@ def _integrate(a_mat, b_vec, h, s, initial_state, step):
     four entries in Python complex scalars (`_doubled`); the rows of powers
     take one numpy product per doubling.
 
-    By Cayley-Hamilton, E_L^2 = tr(E_L) E_L - det(E_L) I with E_L = E^L,
-    so the first component of the lifted step obeys one second-order
-    recurrence,
-
-        a_b - tr(E_L) a_{b-1} + det(E_L) a_{b-2} = sum_{i=0..2L} c_i s_{(b-2)L+i},
-
-    valid from b = 2 on, where c_i is the first component of
-    (E_L - tr(E_L) I) W_i plus that of W_{i-L} (each where defined); at
-    L = 1 the taps are e01 P1 - e11 P0, P0 - e11 Q0 + e01 Q1 and Q0. The
-    right-hand side is two products of the record, cut into rows of L
-    samples, with the two L-tap halves of c. Stacked over b, with a_0 (the
-    initial state) and a_1 (one explicit lifted step) moved to the
-    right-hand side of its first two rows, the recurrence is one unit
-    lower-triangular system of bandwidth 2 and (n - 1) // L - 1 rows,
-    solved by forward substitution in the order of LAPACK's banded solve
-    (`ztbsv`): a_b = (r_b - d2 a_{b-2}) - d1 a_{b-1}, from zero, since a_0
-    and a_1 already sit in r. The record needs at least 3 L + 1 samples.
+    The recurrence is solved by recursive doubling (Kogge and Stone). Its
+    rows r_0 = x_0 (the initial state) and r_(b+1) = u_b are set up at
+    once; the pass x_b += E^(dL) x_(b-d) = x_(b-d) + F_(dL) x_(b-d) on
+    every row b >= d, for d = 1, 2, 4, ..., leaves row b holding the sum
+    of E^(jL) r_(b-j) over j < 2d, j <= b. After the pass with the largest
+    d not above the last row, every row is the lifted state x_b. F_(dL)
+    doubles as F_L did, on its four entries. The record needs at least
+    L + 1 samples.
     """
     f, p, q = _foh_propagator(a_mat, b_vec, h)
     (f00, f01), (f10, f11) = f.tolist()
@@ -498,31 +502,19 @@ def _integrate(a_mat, b_vec, h, s, initial_state, step):
         f00, f01, f10, f11 = _doubled(f00, f01, f10, f11)
         k *= 2
     powers = powers.reshape(step, 4)  # row i: E^i P, then E^i Q
-    e00, e01, e10, e11 = f00 + 1.0, f01, f10, f11 + 1.0  # E_L = I + F_L
     w = np.zeros((step + 1, 2), dtype=complex)  # the taps W_0 .. W_L
     w[:-1] = powers[::-1, :2]
     w[1:] += powers[::-1, 2:]
-    c = np.empty(2 * step + 1, dtype=complex)
-    c[:step] = e01 * w[:-1, 1] - e11 * w[:-1, 0]
-    c[step] = w[0, 0] - e11 * w[step, 0] + e01 * w[step, 1]
-    c[step + 1 :] = w[1:, 0]
-    x0 = np.asarray(initial_state, dtype=complex)
-    a0 = x0[0]
-    a1 = e00 * a0 + e01 * x0[1] + s[:step] @ w[:-1, 0] + w[step, 0] * s[step]
-    d1 = -(e00 + e11)
-    d2 = e00 * e11 - e01 * e10
     rows = (len(s) - 1) // step  # lifted samples after the first
-    blocks = s[: rows * step].reshape(rows, step)
-    r = c[-1] * s[2 * step :: step] + (blocks[1:] @ c[step:-1]) + (blocks[:-1] @ c[:step])
-    r[0] -= d1 * a1 + d2 * a0
-    r[1] -= d2 * a1
-    # on Python complexes: numpy scalar arithmetic costs several times more
-    a = [a0, a1]
-    back2, back1 = 0j, 0j
-    for rb in r.tolist():
-        back2, back1 = back1, (rb - d2 * back2) - d1 * back1
-        a.append(back1)
-    return np.array(a)
+    x = np.empty((rows + 1, 2), dtype=complex)
+    x[0] = initial_state
+    x[1:] = s[: rows * step].reshape(rows, step) @ w[:-1] + s[step::step, None] * w[step]
+    d = 1
+    while d <= rows:
+        x[d:] += x[:-d] + x[:-d] @ np.array([[f00, f10], [f01, f11]])
+        f00, f01, f10, f11 = _doubled(f00, f01, f10, f11)
+        d *= 2
+    return x[:, 0]
 
 
 def _stepped(w: PulseWaveform, params: DeviceParams, g, step: int) -> NDArray[np.complexfloating]:
@@ -738,14 +730,19 @@ def delay_pulse_config(
     ParameterError
         When the record is so long that its rounding (eps * record) exceeds
         `_RECORD_ROUNDING_SHARE` of the expected |delay|, where that delay
-        is finite: the extracted delay would be mostly rounding noise.
+        is finite: the extracted delay would be mostly rounding noise. And
+        when the carrier, the effective window or the probe's band (see
+        `PulseConfig`) leaves the kernel's detuning range.
     """
     g = model._scalar_g_hz(coupling)
+    model._detuning_hz(carrier_detuning_hz, "carrier_detuning_hz")
     if not 0.0 < bandwidth_fraction <= 0.5:
         raise ParameterError("bandwidth_fraction must be in (0, 0.5]")
     if n_samples < 16:
         raise ParameterError(f"n_samples must be at least 16, got {n_samples!r}")
-    window = model.effective_window_hz(params, g)
+    window = model._detuning_hz(
+        model.effective_window_hz(params, g), f"the effective window at g = {g!r} Hz"
+    )
     sigma_t = 1.0 / (TWO_PI * bandwidth_fraction * window)
     tau = float(model.group_delay_curve(params, g, carrier_detuning_hz))
     timed = math.isfinite(tau)
@@ -874,7 +871,7 @@ def extract_delay(
 
     Each coupling costs one output and one centroid, both at every L-th
     sample (see `_probe`): on the "fft" route the band's product, on the
-    "ode" route the lifted step's recurrence over n/L - 2 rows. The probe
+    "ode" route the lifted step's recurrence over n/L rows. The probe
     and the pump-off reference (coupling 0, bare cavity) are made once and
     kept across calls. Referencing against the pump-off run removes offsets
     common to both runs, such as the sampling and interpolation bias of the

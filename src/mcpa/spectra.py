@@ -49,8 +49,13 @@ def grid(start_hz: float, stop_hz: float, n_points: int,
 def detuning_span(params: DeviceParams, coupling: float,
                   n_points: int = 2001) -> NDArray[np.floating]:
     """Symmetric linear detuning grid covering the mechanically induced
-    feature: +/- `DETUNING_SPAN_WIDTHS` effective window widths."""
-    w = DETUNING_SPAN_WIDTHS * model.effective_window_hz(params, coupling)
+    feature: +/- `DETUNING_SPAN_WIDTHS` effective window widths, which must
+    lie in the kernel's detuning range (ParameterError otherwise)."""
+    g = model._scalar_g_hz(coupling)
+    w = model._detuning_hz(
+        DETUNING_SPAN_WIDTHS * model.effective_window_hz(params, g),
+        f"the half-width of the detuning span at g = {g!r} Hz",
+    )
     return grid(-w, w, n_points)
 
 
@@ -118,7 +123,9 @@ def sweep_detuning(params: DeviceParams, coupling: float,
     coupling : float
         (Hz) field-enhanced coupling rate.
     detuning_hz : array_like
-        (Hz) 1-d, finite, strictly ascending grid of at least 3 points.
+        (Hz) 1-d, strictly ascending grid of at least 3 points, each within
+        +/- sqrt(float max) (about 1.34e154), so that Delta^2 is a finite
+        float.
 
     Returns
     -------
@@ -126,7 +133,7 @@ def sweep_detuning(params: DeviceParams, coupling: float,
         delay_s is :func:`model.group_delay_curve` on the grid.
     """
     g = model._scalar_g_hz(coupling)
-    x = _checked_grid(detuning_hz, "detuning", 3)
+    x = model._detuning_hz(_checked_grid(detuning_hz, "detuning", 3))
     t, delay = model._response(params.kappa_hz, params.eta, params.gamma_m_hz, g, x, delay=True)
     t_abs = np.abs(t)
     singular = t_abs < model.DEGENERACY_TOL

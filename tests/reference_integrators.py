@@ -12,9 +12,10 @@ apart:
 - `expm_loop`: the exact step from scipy's matrix exponential of the
   augmented matrix, applied one sample at a time in a Python loop;
 - `recurrence`: the package's one-sample step (`_foh_propagator`) run at
-  every sample as one second-order recurrence, solved by LAPACK's banded
-  triangular solve (`ztbtrs`) where the package runs its own forward
-  substitution: the full-rate oracle of the lifted step.
+  every sample as one second-order recurrence (by Cayley-Hamilton),
+  solved by LAPACK's banded triangular solve (`ztbtrs`): the full-rate
+  oracle of the lifted step, whose first-order recurrence the package
+  solves by recursive doubling.
 
 Each returns the intracavity field a at every sample time. `cw_response`
 is the steady-state oracle: the package's exact step driven by a constant

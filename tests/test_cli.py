@@ -555,6 +555,41 @@ def test_coupling_whose_square_overflows_is_config_error(tmp_path, capsys, comma
     assert not list(out_dir.glob("*.csv"))
 
 
+@pytest.mark.parametrize("command", [
+    {"pulse": {"g": "1e80 Hz"}},
+    {"pulse": {"g": "1e100 Hz"}},
+    {"pulse": {"g": "1e154 Hz"}},
+    {"pulse": {"g": 20, "carrier_detuning": "1e300 Hz"}},
+    {"pulse": {"g": 20, "carrier_detuning": math.inf}},
+    {"spectrum": {"g": "1e80 Hz"}},
+    {"spectrum": {"g": "1e100 Hz"}},
+    {"spectrum": {"g": "1e154 Hz"}},
+    {"spectrum": {"g": 0, "start": "-1e160 Hz", "stop": "1e160 Hz"}},
+], ids=["pulse-1e80", "pulse-1e100", "pulse-1e154", "pulse-carrier-1e300",
+        "pulse-carrier-inf", "spectrum-1e80", "spectrum-1e100", "spectrum-1e154",
+        "spectrum-span-1e160"])
+def test_detuning_beyond_float_range_is_config_error(tmp_path, capsys, command):
+    # Delta^2 overflowed in the kernel (a RuntimeWarning, exit 1 where
+    # warnings are errors); at 1e154 Hz the window overflowed and the error
+    # blamed sigma_t_s or the sweep endpoints
+    path = write_config(tmp_path / "c.json", reference_doc(**command))
+    out_dir = tmp_path / "out"
+    assert cli.main(["--config", path, "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "must lie within +/- 1.34078e+154 Hz" in err
+    assert not list(out_dir.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command", [
+    {"pulse": {"g": "1e76 Hz", "samples": 1024}},
+    {"spectrum": {"g": "1e76 Hz", "points": 51}},
+], ids=["pulse", "spectrum"])
+def test_coupling_far_above_range_within_float_range_runs(tmp_path, capsys, command):
+    path = write_config(tmp_path / "c.json", reference_doc(**command))
+    assert cli.main(["--config", path, "--out", str(tmp_path / "out")]) == 0
+    assert "wrote" in capsys.readouterr().out
+
+
 def test_pulse_without_critical_coupling_writes_nothing(tmp_path, capsys):
     doc = reference_doc(pulse={"g": 155.1, "samples": 1024})
     doc["device"] = {"cavity_freq": "5.318 GHz", "mech_freq": "755.5 kHz",

@@ -2,6 +2,7 @@
 
 import math
 import os
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -38,8 +39,13 @@ def test_pulse_config_validation():
         small_config(record=12.0)  # truncates the 8-sigma tail
     with pytest.raises(ParameterError):
         small_config(dt=0.5)  # undersamples sigma/4
-    with pytest.raises(ParameterError):
-        small_config(carrier_detuning_hz=math.inf)
+    # the band of the record's transform, the carrier +/- 1/(2 dt), must
+    # lie within +/- sqrt(float max), where Delta^2 is a finite float
+    limit = math.sqrt(sys.float_info.max)
+    assert small_config(carrier_detuning_hz=-0.5 * limit).carrier_detuning_hz == -0.5 * limit
+    for carrier in (math.inf, math.nan, 1e155, -1e160):
+        with pytest.raises(ParameterError, match="band edge"):
+            small_config(carrier_detuning_hz=carrier)
     # a record that is not finite, or whose t^2 summed over its samples
     # overflows (the |envelope|^2 moments; pytest raises their RuntimeWarning)
     for record in (math.nan, math.inf):
@@ -79,6 +85,10 @@ def test_waveform_validation():
     for t0 in (math.nan, -math.inf):
         with pytest.raises(ParameterError, match="t0_s"):
             PulseWaveform(t0_s=t0, dt_s=0.1, samples=np.ones(32, dtype=complex))
+    # the band of its transform, as for PulseConfig
+    for carrier, dt in ((math.inf, 0.1), (-1e160, 0.1), (0.0, 1e-160)):
+        with pytest.raises(ParameterError, match="band edge"):
+            PulseWaveform(t0_s=0.0, dt_s=dt, samples=np.ones(32), carrier_detuning_hz=carrier)
 
 
 def test_waveform_accepts_strided_samples():
@@ -557,6 +567,26 @@ def test_center_time_flags_clipped_pulse():
     assert est.distorted
 
 
+@pytest.mark.parametrize("step", [8, 128])
+def test_lifted_step_on_short_records(device, step):
+    # the fewest lifted rows: records of L + 1 to 3L + 1 samples (below
+    # 3L + 1 the second-order recurrence had no rows to solve), from a
+    # loaded state, at the benchmark's step and at one where the cavity
+    # field outlives a sample
+    gc = model.critical_coupling(device)
+    x0 = (0.3 - 0.2j, -0.1 + 0.4j)
+    rng = np.random.default_rng(11)
+    for h in (_curve_config(device, 0.5 * gc, samples=2**15).dt_s, 1e-7):
+        for g in (0.0, gc, 2.0 * gc, (device.kappa_hz - device.gamma_m_hz) / 4.0):
+            a_mat, b_vec = pulses._system_matrix(device, g, 0.0)
+            for n in (step + 1, 2 * step, 2 * step + 1, 3 * step, 3 * step + 1):
+                s = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                full = reference.recurrence(a_mat, b_vec, h, s, x0)[::step]
+                lifted = pulses._integrate(a_mat, b_vec, h, s, x0, step)
+                assert len(lifted) == len(full)
+                assert np.max(np.abs(lifted - full)) <= 1e-12 * np.abs(full).max(), (h, g, n)
+
+
 # ---------------------------------------------------------------------------
 # sized delay measurements
 # ---------------------------------------------------------------------------
@@ -585,6 +615,21 @@ def test_delay_pulse_config_fraction_validation(device):
     for fraction in (1e-308, 1e-300):
         with pytest.raises(ParameterError, match="record"):
             pulses.delay_pulse_config(device, 155.1, bandwidth_fraction=fraction)
+
+
+def test_delay_pulse_config_refuses_detunings_out_of_float_range(device):
+    # the probe's bins sit near carrier +/- 1/(2 dt), about 25 effective
+    # windows at 4096 samples; beyond sqrt(float max) Delta^2 overflowed in
+    # the kernel (a RuntimeWarning), and at 1e154 Hz the window itself did
+    # ("sigma_t_s must be positive, got 0.0")
+    for g in (1e80, 1e100, 1e154):
+        with pytest.raises(ParameterError, match="1.34078e\\+154"):
+            pulses.delay_pulse_config(device, g)
+    for carrier in (1e300, math.inf, -math.inf, math.nan):
+        with pytest.raises(ParameterError, match="carrier_detuning_hz"):
+            pulses.delay_pulse_config(device, 20.0, carrier_detuning_hz=carrier)
+    cfg = pulses.delay_pulse_config(device, 1e76)
+    assert abs(cfg.carrier_detuning_hz) + 0.5 / cfg.dt_s < math.sqrt(sys.float_info.max)
 
 
 def test_delay_pulse_config_refuses_a_delay_below_the_records_rounding(device):

@@ -1,6 +1,7 @@
 """Unit tests for the sweep engine and the numeric delay of a sampled phase."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -61,6 +62,22 @@ def test_sweep_detuning_grid_validation(device):
     for bad in ([0.0, 1.0], [[0.0, 1.0, 2.0]], [0.0, 2.0, 1.0], [0.0, 1.0, np.nan]):
         with pytest.raises(ParameterError):
             spectra.sweep_detuning(device, 23.93, np.array(bad))
+
+
+def test_detunings_out_of_float_range_are_refused(device):
+    # Delta^2 overflowed in the kernel: a RuntimeWarning and NaN rows
+    limit = math.sqrt(sys.float_info.max)
+    with pytest.raises(ParameterError, match="detuning must lie within"):
+        spectra.sweep_detuning(device, 0.0, [-1e160, 0.0, 1e160])
+    edge = spectra.sweep_detuning(device, 1e154, [-limit, 0.0, limit])
+    assert np.all(np.isfinite(edge.t)) and np.all(np.isfinite(edge.delay_s))
+    # the default span is +/- 5 effective windows, 4 G^2 / kappa each; at
+    # 1e154 Hz the window overflowed and the error blamed the endpoints
+    for g in (1e80, 1e100, 1e154):
+        with pytest.raises(ParameterError, match="detuning span at g"):
+            spectra.detuning_span(device, g)
+    assert np.all(np.isfinite(spectra.sweep_detuning(
+        device, 1e76, spectra.detuning_span(device, 1e76, 11)).t))
 
 
 def test_sweep_detuning_deterministic(device):
