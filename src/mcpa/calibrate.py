@@ -2,7 +2,7 @@
 
 Fits the closed-form response to complex, polar, or amplitude-only spectra
 with a damped least-squares (Levenberg-Marquardt style) optimizer using
-finite-difference Jacobians. Every fit seeds itself from the data alone:
+closed-form Jacobians. Every fit seeds itself from the data alone:
 resonance position from the amplitude minimum, linewidth from the
 half-depth width, coupling fraction from the dip depth, mechanical
 parameters from the window height and width.
@@ -119,7 +119,7 @@ class MeasuredSpectrum:
                    phase_rad=phase_rad, absolute_frequency=absolute_frequency)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FitResult:
     """Converged calibration result.
 
@@ -143,23 +143,26 @@ class FitResult:
 # damped least squares
 # ---------------------------------------------------------------------------
 
-def _fd_jacobian(residual, x, r0, scale):
-    m, n = len(r0), len(x)
-    jac = np.empty((m, n))
-    rel = float(np.cbrt(np.finfo(float).eps))
-    for i in range(n):
-        h = rel * max(abs(x[i]), scale[i])
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        jac[:, i] = (residual(xp) - residual(xm)) / (2.0 * h)
-    return jac
+def _resolved(jac, r, x, scale):
+    """`jac` (J^T) with each entry zeroed whose parameter, moved by its whole
+    magnitude max(|x_j|, scale_j), moves r_i by under eps/4 |r_i| (at most
+    half an ulp) to first order: r_i is then constant in it at float
+    precision, as where a datum swamps the model (an outlier of 1e20, or
+    every row at 1e100, against |t| ~ 1). The cost cannot show the change
+    the exact derivative would chase, so the fit stalls on the outlier or
+    stops at once with a singular covariance. Measured over a short step,
+    the rule would also zero real but small derivatives, such as the
+    mechanics' at a coupling of a few mHz, and pass a seed stuck there as
+    converged.
+    """
+    reach = np.abs(jac) * np.maximum(np.abs(x), scale)[:, None]
+    return np.where(reach < 0.25 * sys.float_info.epsilon * np.abs(r), 0.0, jac)
 
 
-def _levenberg_marquardt(residual, x0, scale):
+def _levenberg_marquardt(residual, jacobian, x0, scale):
     """Damped least squares with acceptance-gated steps.
 
+    `jacobian(x)` returns the transposed Jacobian J^T, dr_i/dx_j at [j, i].
     Returns (x, sigma, history, n_iter, converged); `sigma` holds the
     square roots of the diagonal of the covariance s^2 (J^T J)^-1, with s^2
     the residual variance, and `history` the rms residual after each
@@ -172,16 +175,16 @@ def _levenberg_marquardt(residual, x0, scale):
     cost = 0.5 * float(r @ r)
     history = [math.sqrt(2.0 * cost / m)]
     lam = 1e-3
-    jac = _fd_jacobian(residual, x, r, scale)
-    grad0 = float(np.max(np.abs(jac.T @ r))) or 1.0
+    jac = _resolved(jacobian(x), r, x, scale)
+    grad0 = float(np.max(np.abs(jac @ r))) or 1.0
     converged = False
     n_iter = 0
     for n_iter in range(1, MAX_ITERATIONS + 1):
-        grad = jac.T @ r
+        grad = jac @ r
         if float(np.max(np.abs(grad))) <= GRADIENT_RTOL * grad0:
             converged = True
             break
-        normal = jac.T @ jac
+        normal = jac @ jac.T
         diag = np.clip(np.diag(normal), 1e-300, None)
         accepted = False
         for _ in range(30):
@@ -214,7 +217,7 @@ def _levenberg_marquardt(residual, x0, scale):
             converged = rel < 1e-8
             break
         history.append(math.sqrt(2.0 * cost / m))
-        jac = _fd_jacobian(residual, x, r, scale)
+        jac = _resolved(jacobian(x), r, x, scale)
         if float(np.max(np.abs(step) / np.maximum(np.abs(x), scale))) < 1e-14:
             converged = True
             break
@@ -223,7 +226,7 @@ def _levenberg_marquardt(residual, x0, scale):
             break
     dof = max(m - len(x), 1)
     try:
-        spread = np.diag(np.linalg.inv(jac.T @ jac))
+        spread = np.diag(np.linalg.inv(jac @ jac.T))
     except np.linalg.LinAlgError:
         spread = np.full(len(x), np.nan)
     # sqrt(s^2 d) for the diagonal d of (J^T J)^-1 alone, the only part of
@@ -237,13 +240,18 @@ def _levenberg_marquardt(residual, x0, scale):
 
 
 def _make_residual(spectrum: MeasuredSpectrum, model_fn):
-    """Residual vector builder matching the measurement mode.
+    """Residual and Jacobian builders matching the measurement mode;
+    `model_fn(x)` returns the model t on the spectrum's rows and
+    `model_fn(x, derivatives=True)` returns (t, dt), dt[j] = dt/dx_j.
 
     Complex data: stacked real and imaginary residuals. Polar data with
     phase: amplitude residual plus the phase difference angle(t * e^{-i phase}),
     which lies in (-pi, pi] without unwrap bookkeeping, weighted by the local
     amplitude (so the phase contributes nothing where the signal vanishes).
-    Amplitude-only: amplitude residual alone.
+    Amplitude-only: amplitude residual alone. With w = dt/t, the amplitude
+    rows differentiate to |t| Re(w) = Re(conj(t) dt) / |t| and the phase rows
+    to Im(w) times the amplitude; both are zero where |t| < DEGENERACY_TOL,
+    at the cone point of |t|, where the phase is undefined.
     """
     if spectrum.t is not None:
         data = spectrum.t
@@ -252,8 +260,22 @@ def _make_residual(spectrum: MeasuredSpectrum, model_fn):
             diff = model_fn(x) - data
             return np.concatenate([diff.real, diff.imag])
 
-        return residual
+        def jacobian(x):
+            dt = model_fn(x, derivatives=True)[1]
+            return np.concatenate([dt.real, dt.imag], axis=1)
+
+        return residual, jacobian
     amp = spectrum.amplitude()
+
+    def polar_jacobian(x):
+        t, dt = model_fn(x, derivatives=True)
+        mag = np.abs(t)
+        live = mag >= model.DEGENERACY_TOL
+        w = dt * (live / np.where(live, t, 1.0))
+        if spectrum.phase_rad is None:
+            return w.real * mag
+        return np.concatenate([w.real * mag, w.imag * amp], axis=1)
+
     if spectrum.phase_rad is not None:
         unphase = np.exp(-1j * spectrum.phase_rad)
 
@@ -261,12 +283,12 @@ def _make_residual(spectrum: MeasuredSpectrum, model_fn):
             t = model_fn(x)
             return np.concatenate([np.abs(t) - amp, np.angle(t * unphase) * amp])
 
-        return residual
+        return residual, polar_jacobian
 
     def residual(x):
         return np.abs(model_fn(x)) - amp
 
-    return residual
+    return residual, polar_jacobian
 
 
 def _outlier(spectrum: MeasuredSpectrum, r) -> str:
@@ -300,11 +322,11 @@ def _multistart(spectrum, model_fn, starts, names, report, distinct):
     best seed's final cost, if one does: a single outlier, not the model,
     stalled the fit.
     """
-    residual = _make_residual(spectrum, model_fn)
+    residual, jacobian = _make_residual(spectrum, model_fn)
     results = []
     ends = []
     for x0, scale in starts:
-        x, sigma, history, n_iter, converged = _levenberg_marquardt(residual, x0, scale)
+        x, sigma, history, n_iter, converged = _levenberg_marquardt(residual, jacobian, x0, scale)
         ends.append(x)
         results.append(FitResult(
             params={k: float(v) for k, v in zip(names, report(x))},
@@ -350,15 +372,23 @@ def _half_width(axis, inside, i):
 # ---------------------------------------------------------------------------
 
 def _bare_model_fn(detuning_hz):
-    """Pump-off model over (center shift, kappa, eta) on a detuning axis.
+    """Pump-off model over (center shift, kappa, eta) on a detuning axis,
+    with its derivatives on request (see `_make_residual`).
 
     At G = 0 the mechanics decouple, so any positive mechanical linewidth
-    cancels from the kernel; kappa stands in for it.
+    cancels from the kernel; kappa stands in for it, and
+    t = 1 - eta kappa / D2 with D2 = i (Delta + shift) + kappa/2.
     """
 
-    def evaluate(x):
+    def evaluate(x, derivatives=False):
         shift, kappa, eta = x
-        return model._response(kappa, eta, kappa, 0.0, detuning_hz + shift)
+        delta = detuning_hz + shift
+        t = model._response(kappa, eta, kappa, 0.0, delta)
+        if not derivatives:
+            return t
+        inv = 1.0 / (1j * delta + kappa / 2.0)
+        loss = eta * kappa * inv  # 1 - t
+        return t, np.stack([1j * loss * inv, (0.5 * loss - eta) * inv, -kappa * inv])
 
     return evaluate
 
@@ -404,9 +434,9 @@ def fit_bare_cavity(spectrum: MeasuredSpectrum) -> FitResult:
         is detuning), "kappa_hz", "eta".
     """
     center0, starts = _bare_starts(spectrum)
-    # The center is fitted as a shift from its seed: on an absolute axis the
-    # finite-difference step of the center itself would be a sizeable
-    # fraction of kappa.
+    # The center is fitted as a shift from its seed: the solver measures
+    # steps against max(|x|, scale), and against the center itself on an
+    # absolute axis (GHz) its stall test would pass a center tens of Hz off.
     freq = spectrum.frequency_hz
     detuning = (center0 - freq) if spectrum.absolute_frequency else (freq + center0)
     name0 = "cavity_freq_hz" if spectrum.absolute_frequency else "center_offset_hz"
@@ -423,6 +453,30 @@ def fit_bare_cavity(spectrum: MeasuredSpectrum) -> FitResult:
 # ---------------------------------------------------------------------------
 # mechanical window
 # ---------------------------------------------------------------------------
+
+def _window_model_fn(cavity, delta_axis):
+    """Model over (gamma_m, G, window center offset), cavity held fixed,
+    with its derivatives on request (see `_make_residual`). In the kernel's
+    notation dt/dD1 = -eta kappa G^2 / den^2, dt/dG = 2 eta kappa G D1 / den^2,
+    and D1 moves by 1/2 per unit gamma_m and by -i per unit offset.
+    """
+    kappa, eta = cavity.kappa_hz, cavity.eta
+    i_delta = 1j * delta_axis
+    d2 = i_delta + kappa / 2.0
+
+    def evaluate(x, derivatives=False):
+        gamma_hz, g_hz, offset_hz = x
+        t = model._response(kappa, eta, gamma_hz, g_hz, delta_axis, offset_hz)
+        if not derivatives:
+            return t
+        d1 = i_delta + complex(gamma_hz / 2.0, -offset_hz)
+        inv = 1.0 / (d1 * d2 + g_hz * g_hz)
+        g_inv = g_hz * inv
+        dt_dd1 = -eta * kappa * g_inv * g_inv
+        return t, np.stack([0.5 * dt_dd1, 2.0 * eta * kappa * g_inv * d1 * inv, -1j * dt_dd1])
+
+    return evaluate
+
 
 def _window_starts(spectrum, cavity, delta_axis):
     """Closed-form starts over (gamma_m, G, offset): the window width gives
@@ -472,13 +526,9 @@ def fit_mechanical_window(spectrum: MeasuredSpectrum, cavity: DeviceParams) -> F
     else:
         delta_axis = spectrum.frequency_hz
 
-    def evaluate(x):
-        gamma_hz, g_hz, offset_hz = x
-        return model._response(cavity.kappa_hz, cavity.eta, gamma_hz, g_hz, delta_axis, offset_hz)
-
     return _multistart(
         spectrum,
-        evaluate,
+        _window_model_fn(cavity, delta_axis),
         _window_starts(spectrum, cavity, delta_axis),
         ("gamma_m_hz", "g_hz", "center_offset_hz"),
         lambda x: (abs(x[0]), abs(x[1]), x[2]),

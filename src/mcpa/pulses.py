@@ -107,6 +107,13 @@ SINGULAR_BAND_TOL = 1e-6
 #: rounding stays below about 5e-5 of the delay.
 _RECORD_ROUNDING_SHARE = 1e-3
 
+#: Largest coupling rate times step, G dt, that the exact step takes. Over
+#: one step the coupling turns the two modes into each other by 2 pi G dt
+#: radians; past 1/eps radians no digit of that turn is left, and the
+#: doublings in `_foh_propagator` amplify the rounding until the output
+#: overflows (seen at dt = 1 s and G = 1e100 Hz on the reference device).
+_MAX_G_DT = 1.0 / (TWO_PI * 2.0**-52)
+
 
 @dataclass(frozen=True)
 class PulseConfig:
@@ -521,6 +528,11 @@ def _stepped(w: PulseWaveform, params: DeviceParams, g, step: int) -> NDArray[np
     """The time-domain route's output samples s_in - sqrt(eta*kappa) a at
     samples 0, L, 2L, ... of the grid of `w` (L = `step`), from rest, by
     the exact lifted step of `_integrate`."""
+    if g * w.dt_s * step > _MAX_G_DT:
+        raise ParameterError(
+            f"coupling times time step G dt = {g * w.dt_s * step:.6g} exceeds "
+            f"{_MAX_G_DT:.6g}: the step's phase is lost to rounding"
+        )
     a_mat, b_vec = _system_matrix(params, g, w.carrier_detuning_hz)
     a_out = _integrate(a_mat, b_vec, w.dt_s, w.samples, (0j, 0j), step)
     root = math.sqrt(params.eta * TWO_PI * params.kappa_hz)

@@ -123,8 +123,9 @@ def test_fit_bare_cavity_absolute_axis(device):
 
 
 def test_fit_bare_cavity_absolute_axis_noisy(device):
-    # at 5.3 GHz a finite-difference step scaled to the center frequency
-    # itself would be several percent of kappa; every trace must converge
+    # at 5.3 GHz the solver's relative stall test would pass a center
+    # frequency tens of Hz off, so the fit moves a shift from its seed;
+    # every trace must converge
     half = 5.0 * device.kappa_hz
     freq = np.linspace(device.cavity_freq_hz - half, device.cavity_freq_hz + half, 2001)
     clean = model.transmission_curve(device, 0.0, device.cavity_freq_hz - freq)
@@ -281,10 +282,10 @@ def test_fit_mechanical_window_amplitude_only_above_boundary(device):
 
 @pytest.mark.parametrize("ratio, seed", [(2.2, 4), (3.0, 2)])
 def test_fit_mechanical_window_drops_unconstrained_runner_up(device, ratio, seed):
-    # on these noisy amplitude-only traces above G_b the second seed
-    # converges to the mechanics decoupled (G of a few mHz or less) with a
-    # residual over 20 times the primary's and a singular covariance: no
-    # mirror solution, so no alternate
+    # on these noisy amplitude-only traces above G_b the second seed drifts
+    # to the mechanics decoupled (cooperativity below 1e-4) with a
+    # residual over 20 times the primary's, and ends there unconverged or
+    # with a singular covariance: no mirror solution, so no alternate
     g_true = ratio * model.critical_coupling(device)
     delta, t = window_trace(device, g_true, n=2001)
     noisy = add_noise(t, np.random.default_rng(seed), level=10.0 ** (-50.0 / 20.0))
@@ -319,6 +320,32 @@ def test_fit_mechanical_window_noisy_data_converges(device):
         fit = calibrate.fit_mechanical_window(spec, device)
         assert fit.converged
         assert fit.params["g_hz"] == pytest.approx(23.93, rel=0.02)
+
+
+def test_fit_mechanical_window_takes_one_kernel_pass_per_jacobian(device, monkeypatch):
+    # the closed-form Jacobian costs one kernel pass, where central
+    # differences cost six: every kernel call of the fit is one residual or
+    # one Jacobian, and a Jacobian is made once per accepted step
+    delta, t = window_trace(device, 23.93)
+    spec = MeasuredSpectrum.from_polar(
+        delta, 20.0 * np.log10(np.abs(t)), np.angle(t), absolute_frequency=False
+    )
+    calls = {"kernel": 0, "residual": 0, "jacobian": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    build = calibrate._make_residual
+    monkeypatch.setattr(calibrate, "_make_residual", lambda *args: tuple(
+        counted(name, fn) for name, fn in zip(("residual", "jacobian"), build(*args))
+    ))
+    monkeypatch.setattr(model, "_response", counted("kernel", model._response))
+    fit = calibrate.fit_mechanical_window(spec, device)
+    assert fit.alternate is None and calls["jacobian"] == len(fit.residual_history)
+    assert calls["kernel"] == calls["residual"] + calls["jacobian"] <= 3 * fit.n_iterations + 2
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from mcpa import MeasuredSpectrum, calibrate, cli, model, pulses
 from mcpa.errors import PulseEstimationError
 import reference_integrators as reference
+import reference_jacobian
 
 REFERENCE = model.reference_device()
 
@@ -347,3 +348,34 @@ def test_noiseless_fits_round_trip(case):
     for spec in data_forms(axis, window):
         fit = calibrate.fit_mechanical_window(spec, dev)
         assert recovers(fit, {"gamma_m_hz": dev.gamma_m_hz, "g_hz": g}, width)
+
+
+@PROPERTY
+@given(case=calibration_cases(), move=st.tuples(*[st.floats(-0.1, 0.1)] * 3))
+def test_fit_jacobians_match_central_differences(case, move):
+    # both fits' closed-form Jacobians in every data form, at a point moved
+    # off the device; data written from the model at that point keep the
+    # phase residual far from its branch cut
+    dev, g = case
+    m0, m1, m2 = move
+    bare_axis = np.linspace(-3.0, 3.0, 61) * dev.kappa_hz
+    width = model.effective_window_hz(dev, g)
+    window_axis = np.linspace(-5.0, 5.0, 101) * width
+    fits = [
+        (bare_axis, calibrate._bare_model_fn(bare_axis),
+         (m0 * dev.kappa_hz, dev.kappa_hz * (1.0 + m1), dev.eta * (1.0 + m2)),
+         (dev.kappa_hz, dev.kappa_hz, 1.0)),
+        (window_axis, calibrate._window_model_fn(dev, window_axis),
+         (dev.gamma_m_hz * (1.0 + m0), g * (1.0 + m1), m2 * width),
+         (dev.gamma_m_hz, g, width)),
+    ]
+    for axis, model_fn, x, scale in fits:
+        x = np.array(x)
+        t = model_fn(x)
+        assume(np.abs(t).min() > 1e-3)  # clear of the cone point |t| = 0
+        for spec in data_forms(axis, t):
+            residual, jacobian = calibrate._make_residual(spec, model_fn)
+            want = reference_jacobian.central_difference(residual, x, scale)
+            # to 1e-6 of the largest derivative in the parameter's row
+            tol = 1e-6 * np.abs(want).max(axis=1, keepdims=True)
+            assert np.all(np.abs(jacobian(x) - want) <= tol)

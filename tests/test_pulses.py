@@ -273,6 +273,17 @@ def test_exact_integrator_matches_fft_route(device):
     assert np.max(np.abs(a.samples - b.samples)) < 1e-3 * scale
 
 
+@pytest.mark.parametrize("g", [1e100, 1.34e154])
+def test_integrate_langevin_refuses_a_step_whose_phase_is_lost(device, g):
+    # at dt = 1 s the coupling turns the modes by 2 pi G dt radians per
+    # step, far past 1/eps, where the exact step's doublings amplify
+    # rounding until the output overflows: a ParameterError on the input
+    t = np.arange(64.0)
+    w = PulseWaveform(t0_s=0.0, dt_s=1.0, samples=np.exp(-0.5 * ((t - 32.0) / 6.0) ** 2))
+    with pytest.raises(ParameterError, match=r"G dt = \S+ exceeds 7\.1677e\+14"):
+        pulses.integrate_langevin(w, device, g)
+
+
 def _reference_output(w, params, g, integrator, *args, initial_state=(0j, 0j)):
     """s_in - sqrt(eta*kappa) a from one of the reference integrators."""
     a_mat, b_vec = pulses._system_matrix(params, g, w.carrier_detuning_hz)
