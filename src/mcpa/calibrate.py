@@ -155,17 +155,29 @@ def _resolved(jac, r, x, scale):
     mechanics' at a coupling of a few mHz, and pass a seed stuck there as
     converged.
     """
-    reach = np.abs(jac) * np.maximum(np.abs(x), scale)[:, None]
-    return np.where(reach < 0.25 * sys.float_info.epsilon * np.abs(r), 0.0, jac)
+    magnitude = np.maximum(np.abs(x), scale)
+    bound = 0.25 * sys.float_info.epsilon * np.abs(r)
+    # each row's smallest |J| times its magnitude clears the largest bound:
+    # no entry is zeroed, and the entry-by-entry comparison is skipped
+    if (np.abs(jac).min(axis=1) * magnitude).min() >= bound.max():
+        return jac
+    tiny = np.abs(jac) * magnitude[:, None] < bound
+    return np.where(tiny, 0.0, jac) if tiny.any() else jac
 
 
 def _levenberg_marquardt(residual, jacobian, x0, scale):
     """Damped least squares with acceptance-gated steps.
 
-    `jacobian(x)` returns the transposed Jacobian J^T, dr_i/dx_j at [j, i].
+    `jacobian(x)` returns the transposed Jacobian J^T, dr_i/dx_j at [j, i];
+    it is only called at the point of the latest `residual` call, the
+    start or the step just accepted, so it may reuse that call's model
+    value. Each damping level costs one `residual` call. A step that leaves
+    every component of x unchanged ends the damping search at once: larger
+    damping only shortens the step, so no later level could move x either.
     Returns (x, sigma, history, n_iter, converged); `sigma` holds the
     square roots of the diagonal of the covariance s^2 (J^T J)^-1, with s^2
-    the residual variance, and `history` the rms residual after each
+    the residual variance, NaN where that diagonal is not positive (a
+    numerically singular J^T J), and `history` the rms residual after each
     accepted step, first entry at the start point.
     """
     x = np.asarray(x0, dtype=float).copy()
@@ -176,28 +188,33 @@ def _levenberg_marquardt(residual, jacobian, x0, scale):
     history = [math.sqrt(2.0 * cost / m)]
     lam = 1e-3
     jac = _resolved(jacobian(x), r, x, scale)
-    grad0 = float(np.max(np.abs(jac @ r))) or 1.0
+    grad = jac @ r
+    # the loop tests max|grad| <= limit entry by entry on Python floats: a
+    # NaN entry fails it, as it fails numpy's max
+    limit = GRADIENT_RTOL * (float(np.max(np.abs(grad))) or 1.0)
     converged = False
     n_iter = 0
     for n_iter in range(1, MAX_ITERATIONS + 1):
-        grad = jac @ r
-        if float(np.max(np.abs(grad))) <= GRADIENT_RTOL * grad0:
+        if all(abs(g) <= limit for g in grad.tolist()):
             converged = True
             break
-        normal = jac @ jac.T
-        diag = np.clip(np.diag(normal), 1e-300, None)
+        # einsum, not jac @ jac.T, whose symmetric-product path is slower here
+        normal = np.einsum("ij,kj->ik", jac, jac)
+        damping = np.diag(np.maximum(normal.diagonal(), 1e-300))
         accepted = False
         for _ in range(30):
             try:
-                step = np.linalg.solve(normal + lam * np.diag(diag), -grad)
+                step = np.linalg.solve(normal + lam * damping, -grad)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            r_new = residual(x + step)
+            x_new = x + step
+            if x_new.tolist() == x.tolist():
+                break  # stalled: no larger damping moves x either
+            r_new = residual(x_new)
             cost_new = 0.5 * float(r_new @ r_new)
             if cost_new < cost:
-                x = x + step
-                r, cost = r_new, cost_new
+                x, r, cost = x_new, r_new, cost_new
                 lam = max(lam / 3.0, 1e-14)
                 accepted = True
                 break
@@ -210,7 +227,7 @@ def _levenberg_marquardt(residual, jacobian, x0, scale):
             # convergence only if the near-undamped step confirms the
             # parameters are stationary; otherwise report the stall.
             try:
-                probe = np.linalg.solve(normal + 1e-12 * np.diag(diag), -grad)
+                probe = np.linalg.solve(normal + 1e-12 * damping, -grad)
             except np.linalg.LinAlgError:
                 break
             rel = float(np.max(np.abs(probe) / np.maximum(np.abs(x), scale)))
@@ -224,9 +241,10 @@ def _levenberg_marquardt(residual, jacobian, x0, scale):
         if cost < 1e-30:
             converged = True
             break
+        grad = jac @ r
     dof = max(m - len(x), 1)
     try:
-        spread = np.diag(np.linalg.inv(jac @ jac.T))
+        spread = np.linalg.inv(np.einsum("ij,kj->ik", jac, jac)).diagonal()
     except np.linalg.LinAlgError:
         spread = np.full(len(x), np.nan)
     # sqrt(s^2 d) for the diagonal d of (J^T J)^-1 alone, the only part of
@@ -235,14 +253,20 @@ def _levenberg_marquardt(residual, jacobian, x0, scale):
     # only where sigma itself does, not for residuals far below the data bound
     s2 = 2.0 * cost / dof
     k = math.frexp(s2)[1] // 2
-    sigma = np.ldexp(np.sqrt(np.clip(spread, 0.0, None) * math.ldexp(s2, -2 * k)), k)
+    spread = np.where(spread > 0.0, spread, np.nan)
+    sigma = np.ldexp(np.sqrt(spread * math.ldexp(s2, -2 * k)), k)
     return x, sigma, history, n_iter, converged
 
 
 def _make_residual(spectrum: MeasuredSpectrum, model_fn):
     """Residual and Jacobian builders matching the measurement mode;
     `model_fn(x)` returns the model t on the spectrum's rows and
-    `model_fn(x, derivatives=True)` returns (t, dt), dt[j] = dt/dx_j.
+    `model_fn(x, derivatives=True, t=t)` returns (t, dt), dt[j] = dt/dx_j,
+    evaluating t afresh only when it is not given.
+
+    `residual(x)` evaluates the kernel and keeps t; `jacobian(x)` at the
+    same x (bit for bit) reuses it, so the pair costs one kernel pass.
+    At any other x the Jacobian evaluates the kernel itself.
 
     Complex data: stacked real and imaginary residuals. Polar data with
     phase: amplitude residual plus the phase difference angle(t * e^{-i phase}),
@@ -253,22 +277,33 @@ def _make_residual(spectrum: MeasuredSpectrum, model_fn):
     to Im(w) times the amplitude; both are zero where |t| < DEGENERACY_TOL,
     at the cone point of |t|, where the phase is undefined.
     """
+    last = [None, None]  # x (as bytes) and t of the latest residual call
+
+    def model_at(x):
+        t = model_fn(x)
+        last[:] = np.asarray(x, dtype=float).tobytes(), t
+        return t
+
+    def derivatives(x):
+        kept = last[1] if np.asarray(x, dtype=float).tobytes() == last[0] else None
+        return model_fn(x, derivatives=True, t=kept)
+
     if spectrum.t is not None:
         data = spectrum.t
 
         def residual(x):
-            diff = model_fn(x) - data
+            diff = model_at(x) - data
             return np.concatenate([diff.real, diff.imag])
 
         def jacobian(x):
-            dt = model_fn(x, derivatives=True)[1]
+            dt = derivatives(x)[1]
             return np.concatenate([dt.real, dt.imag], axis=1)
 
         return residual, jacobian
     amp = spectrum.amplitude()
 
     def polar_jacobian(x):
-        t, dt = model_fn(x, derivatives=True)
+        t, dt = derivatives(x)
         mag = np.abs(t)
         live = mag >= model.DEGENERACY_TOL
         w = dt * (live / np.where(live, t, 1.0))
@@ -280,13 +315,13 @@ def _make_residual(spectrum: MeasuredSpectrum, model_fn):
         unphase = np.exp(-1j * spectrum.phase_rad)
 
         def residual(x):
-            t = model_fn(x)
+            t = model_at(x)
             return np.concatenate([np.abs(t) - amp, np.angle(t * unphase) * amp])
 
         return residual, polar_jacobian
 
     def residual(x):
-        return np.abs(model_fn(x)) - amp
+        return np.abs(model_at(x)) - amp
 
     return residual, polar_jacobian
 
@@ -308,7 +343,8 @@ def _outlier(spectrum: MeasuredSpectrum, r) -> str:
     )
 
 
-def _multistart(spectrum, model_fn, starts, names, report, distinct):
+def _multistart(spectrum, model_fn, starts, names, report, distinct,
+                admissible=lambda x: True):
     """Fit `model_fn` to `spectrum` from each (x0, scale) start and return
     the lowest-residual converged fit, carrying the runner-up as `alternate`
     when `distinct(primary, runner_up)` says it is another solution and its
@@ -317,7 +353,8 @@ def _multistart(spectrum, model_fn, starts, names, report, distinct):
     `report` maps a solution to the values reported under `names`.
 
     A start that stalls (the mirror seed of amplitude-only data often starts
-    far from any minimum) is dropped; the fit fails only if every start does.
+    far from any minimum) is dropped, and so is one that converges where
+    `admissible(x)` is false; the fit fails only if every start is dropped.
     The error then names the spectrum row that holds all but 1e-6 of the
     best seed's final cost, if one does: a single outlier, not the model,
     stalled the fit.
@@ -325,8 +362,11 @@ def _multistart(spectrum, model_fn, starts, names, report, distinct):
     residual, jacobian = _make_residual(spectrum, model_fn)
     results = []
     ends = []
+    outside = 0
     for x0, scale in starts:
         x, sigma, history, n_iter, converged = _levenberg_marquardt(residual, jacobian, x0, scale)
+        if converged and not admissible(x):
+            converged, outside = False, outside + 1
         ends.append(x)
         results.append(FitResult(
             params={k: float(v) for k, v in zip(names, report(x))},
@@ -342,6 +382,7 @@ def _multistart(spectrum, model_fn, starts, names, report, distinct):
         best = min(range(len(results)), key=lambda i: results[i].residual_rms)
         raise ConvergenceError(
             f"no seed met the gradient tolerance (up to {worst} iterations per seed)"
+            + (f"; {outside} that did ended outside the physical range" if outside else "")
             + _outlier(spectrum, residual(ends[best]))
         )
     if len(done) > 1 and distinct(done[0], done[1]) and all(
@@ -355,12 +396,9 @@ def _half_width(axis, inside, i):
     """Distance on `axis` between the first samples outside the run of
     `inside` samples through index `i` (or the axis ends); a tenth of the
     axis span when that distance is zero."""
-    lo = i
-    while lo > 0 and inside[lo]:
-        lo -= 1
-    hi = i
-    while hi < len(inside) - 1 and inside[hi]:
-        hi += 1
+    below, above = ~inside[i::-1], ~inside[i:]
+    lo = i - int(np.argmax(below)) if below.any() else 0
+    hi = i + int(np.argmax(above)) if above.any() else len(inside) - 1
     width = abs(float(axis[hi] - axis[lo]))
     if width <= 0.0:
         width = abs(float(axis[-1] - axis[0])) / 10.0
@@ -380,15 +418,16 @@ def _bare_model_fn(detuning_hz):
     t = 1 - eta kappa / D2 with D2 = i (Delta + shift) + kappa/2.
     """
 
-    def evaluate(x, derivatives=False):
+    def evaluate(x, derivatives=False, t=None):
         shift, kappa, eta = x
         delta = detuning_hz + shift
-        t = model._response(kappa, eta, kappa, 0.0, delta)
+        if t is None:
+            t = model._response(kappa, eta, kappa, 0.0, delta)
         if not derivatives:
             return t
         inv = 1.0 / (1j * delta + kappa / 2.0)
         loss = eta * kappa * inv  # 1 - t
-        return t, np.stack([1j * loss * inv, (0.5 * loss - eta) * inv, -kappa * inv])
+        return t, np.array([1j * loss * inv, (0.5 * loss - eta) * inv, -kappa * inv])
 
     return evaluate
 
@@ -464,16 +503,17 @@ def _window_model_fn(cavity, delta_axis):
     i_delta = 1j * delta_axis
     d2 = i_delta + kappa / 2.0
 
-    def evaluate(x, derivatives=False):
+    def evaluate(x, derivatives=False, t=None):
         gamma_hz, g_hz, offset_hz = x
-        t = model._response(kappa, eta, gamma_hz, g_hz, delta_axis, offset_hz)
+        if t is None:
+            t = model._response(kappa, eta, gamma_hz, g_hz, delta_axis, offset_hz)
         if not derivatives:
             return t
         d1 = i_delta + complex(gamma_hz / 2.0, -offset_hz)
         inv = 1.0 / (d1 * d2 + g_hz * g_hz)
         g_inv = g_hz * inv
         dt_dd1 = -eta * kappa * g_inv * g_inv
-        return t, np.stack([0.5 * dt_dd1, 2.0 * eta * kappa * g_inv * d1 * inv, -1j * dt_dd1])
+        return t, np.array([0.5 * dt_dd1, 2.0 * eta * kappa * g_inv * d1 * inv, -1j * dt_dd1])
 
     return evaluate
 
@@ -514,7 +554,8 @@ def fit_mechanical_window(spectrum: MeasuredSpectrum, cavity: DeviceParams) -> F
     kHz, so the cavity must be calibrated first (see fit_bare_cavity) and
     passed in. Amplitude-only data leave the side of the critical coupling
     undetermined near the dip; both candidates are then reported, primary
-    first by residual.
+    first by residual. A seed that converges to gamma_m <= 0, negative
+    mechanical damping, is dropped; only G^2 enters, so G reports as |G|.
 
     Returns
     -------
@@ -531,8 +572,9 @@ def fit_mechanical_window(spectrum: MeasuredSpectrum, cavity: DeviceParams) -> F
         _window_model_fn(cavity, delta_axis),
         _window_starts(spectrum, cavity, delta_axis),
         ("gamma_m_hz", "g_hz", "center_offset_hz"),
-        lambda x: (abs(x[0]), abs(x[1]), x[2]),
+        lambda x: (x[0], abs(x[1]), x[2]),
         lambda a, b: abs(b.params["g_hz"] - a.params["g_hz"]) > 1e-9 * max(a.params["g_hz"], 1.0),
+        admissible=lambda x: x[0] > 0.0,
     )
 
 
