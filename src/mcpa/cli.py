@@ -59,7 +59,10 @@ _FREQ_RE = re.compile(r"^\s*([-+0-9.eE]+)\s*(mHz|Hz|kHz|MHz|GHz)?\s*$")
 def parse_frequency(value: Any) -> float:
     """Normalize a config frequency (number, or string with unit suffix) to Hz."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:  # an int past the largest float
+            raise ConfigError(f"frequency {value!r} lies beyond float range") from None
     if isinstance(value, str):
         m = _FREQ_RE.match(value)
         if m:
@@ -103,7 +106,7 @@ def _build_device(block: Any) -> DeviceParams:
         )
     except KeyError as exc:
         raise ConfigError(f"device block is missing {exc.args[0]!r}") from None
-    except (TypeError, ValueError, ParameterError) as exc:
+    except (TypeError, ValueError, OverflowError, ParameterError) as exc:
         raise ConfigError(f"bad device block: {exc}") from None
 
 
@@ -123,8 +126,8 @@ def load_config(path: str, *, out_dir: str | None = None, seed: int | None = Non
     becomes the command's count option (`points` or `samples`), if it has one."""
     try:
         doc = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from None
+    except ValueError as exc:  # a JSONDecodeError, or an int of too many digits
+        raise ConfigError(f"config is not readable JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     version = doc.get("version")
@@ -151,9 +154,10 @@ def load_config(path: str, *, out_dir: str | None = None, seed: int | None = Non
     unknown = set(doc) - set(COMMANDS) - {"version", "device", "out", "seed"}
     if unknown:
         raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
-    out_dir = out_dir or doc.get("out") or "."
-    if not isinstance(out_dir, str):
-        raise ConfigError(f"out must be a directory path string, got {out_dir!r}")
+    out = doc.get("out", ".")
+    if not isinstance(out, str):
+        raise ConfigError(f"out must be a directory path string, got {out!r}")
+    out_dir = out_dir or out or "."
     if seed is None:
         seed = doc.get("seed")
     if seed is not None and (type(seed) is not int or seed < 0):
@@ -250,10 +254,10 @@ def _read_table(path: str) -> tuple[dict[str, int], np.ndarray]:
     """Column index by header name and the numeric data rows of a CSV file.
 
     Lines starting with '#' are comments. The file is read a line at a time
-    into one flat array of doubles. An empty file, a header without data
-    rows, a row of the wrong length, a non-numeric cell or bytes that are
-    not UTF-8 are a ConfigError naming the file (and the data row, counted
-    from 1).
+    into one flat array of doubles. An empty file, a header that names a
+    column twice, a header without data rows, a row of the wrong length, a
+    non-numeric cell or bytes that are not UTF-8 are a ConfigError naming
+    the file (and the data row, counted from 1).
     """
     cells = array.array("d")
     n_rows = 0
@@ -263,6 +267,10 @@ def _read_table(path: str) -> tuple[dict[str, int], np.ndarray]:
             header = next(reader, None)
             if header is None:
                 raise ConfigError(f"{path} is empty")
+            columns: dict[str, int] = {}
+            for i, name in enumerate(header):
+                if columns.setdefault(name.strip(), i) != i:
+                    raise ConfigError(f"{path} has more than one column named {name.strip()!r}")
             for row in reader:
                 if not row:
                     continue
@@ -279,7 +287,7 @@ def _read_table(path: str) -> tuple[dict[str, int], np.ndarray]:
     if not n_rows:
         raise ConfigError(f"{path} has a header but no data rows")
     table = np.frombuffer(cells, dtype=float).reshape(n_rows, len(header))
-    return {name.strip(): i for i, name in enumerate(header)}, table
+    return columns, table
 
 
 def read_measured_csv(path: str) -> calibrate.MeasuredSpectrum:
@@ -312,9 +320,9 @@ def read_measured_csv(path: str) -> calibrate.MeasuredSpectrum:
 # ---------------------------------------------------------------------------
 
 def _number(options: dict, key: str, default, kind=int):
-    """Option `key` converted by `kind`; an unconvertible value, a JSON
-    true or false, or a count (kind int) that is not a whole number or
-    exceeds MAX_COUNT, is a ConfigError."""
+    """Option `key` converted by `kind`; an unconvertible value (an int past
+    the largest float too), a JSON true or false, or a count (kind int) that
+    is not a whole number or exceeds MAX_COUNT, is a ConfigError."""
     value = options.get(key, default)
     try:
         # int(True) is 1: a bool is no number here
@@ -323,8 +331,8 @@ def _number(options: dict, key: str, default, kind=int):
         ):
             raise ValueError
         number = kind(value)
-    except (TypeError, ValueError):
-        what = "a whole number" if kind is int else "a number"
+    except (TypeError, ValueError, OverflowError):
+        what = "a whole number" if kind is int else "a number within float range"
         raise ConfigError(f"{key} must be {what}, got {value!r}") from None
     if kind is int and number > MAX_COUNT:
         raise ConfigError(f"{key} must be at most {MAX_COUNT}, got {value!r}")

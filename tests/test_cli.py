@@ -1,7 +1,9 @@
 """CLI tests: config parsing, command execution, exit codes, determinism.
 
-All invocations run in-process through cli.main so coverage and
-monkeypatching work; the console entry point is the same function.
+The invocations run in-process through cli.main, so coverage and
+monkeypatching work; one test drives the console entry point, which exits
+with main's code. test_every_config_runs_without_scipy alone starts a fresh
+interpreter, in which scipy cannot be imported.
 """
 
 import glob
@@ -58,7 +60,10 @@ def test_parse_frequency(text, expected):
 
 
 @pytest.mark.parametrize(
-    "text", ["fast", "17 THz", "MHz", "1..2 Hz", None, True, [1.0], "420 KHZ", "9.7 mhz"]
+    "text",
+    ["fast", "17 THz", "MHz", "1..2 Hz", None, True, [1.0], "420 KHZ", "9.7 mhz",
+     # a JSON integer past the largest float
+     pytest.param(10**400, id="int-past-float")],
 )
 def test_parse_frequency_rejects(text):
     with pytest.raises(ConfigError):
@@ -131,6 +136,12 @@ def test_load_config_preset_and_overrides(tmp_path):
             "eta": 0.651, "gamma_m": "9.7 mHz", "gamma": "9.7 mHz"}},
         # the axis column of the data names its kind: fit takes no frequency option
         reference_doc(fit={"kind": "bare", "data": "x.csv", "frequency": ["x"]}),
+        # a falsy out is no path to the working directory
+        reference_doc(critical={}, out=False),
+        # a device eta past the largest float
+        {"version": "1", "critical": {}, "device": {
+            "cavity_freq": "5.318 GHz", "mech_freq": "755.5 kHz", "kappa": "420 kHz",
+            "eta": 10**400, "gamma_m": "9.7 mHz"}},
     ],
 )
 def test_load_config_rejects(tmp_path, doc):
@@ -147,6 +158,11 @@ def test_load_config_rejects_broken_json(tmp_path):
     array_root.write_text("[1, 2]")
     with pytest.raises(ConfigError):
         cli.load_config(str(array_root))
+    # valid JSON, but an integer of more digits than int() reads from text
+    long_int = tmp_path / "long_int.json"
+    long_int.write_text('{"version": "1", "seed": ' + "1" * 5000 + "}")
+    with pytest.raises(ConfigError, match="not readable JSON"):
+        cli.load_config(str(long_int))
 
 
 def test_load_config_rejects_bad_device_values(tmp_path):
@@ -373,10 +389,11 @@ def test_pulse_command_delay_is_extract_delay(tmp_path, capsys, method):
     assert extracted == pytest.approx(expected, rel=1e-13, abs=0)
 
 
-@pytest.mark.parametrize("fraction", [1e-308, 1e-300])
+@pytest.mark.parametrize("fraction", [1e-308, 1e-300, pytest.param(10**400, id="int-past-float")])
 def test_pulse_record_beyond_float_is_config_error(tmp_path, capsys, fraction):
     # 1e-308 overflowed the record (a traceback); 1e-300 overflowed the
-    # probe's moments (a RuntimeWarning and a delay of 2.3e283 s)
+    # probe's moments (a RuntimeWarning and a delay of 2.3e283 s); an
+    # integer past the largest float was an OverflowError traceback
     path = write_config(
         tmp_path / "c.json", reference_doc(pulse={"g": "155.1 Hz", "bandwidth_fraction": fraction})
     )
@@ -544,7 +561,8 @@ def test_special_couplings_out_of_float_range_are_config_errors(tmp_path, capsys
 @pytest.mark.parametrize("command", [
     {"critical": {"g": "1e300 Hz"}},
     {"sweep_g": {"start": "1 Hz", "stop": "1e300 Hz"}},
-], ids=["critical", "sweep_g"])
+    {"sweep_g": {"stop": "1e300 Hz"}},
+], ids=["critical", "sweep_g", "sweep_g-default-start"])
 def test_coupling_whose_square_overflows_is_config_error(tmp_path, capsys, command):
     # G^2 overflowed: t_z=nan or NaN rows with exit 0, and a RuntimeWarning
     path = write_config(tmp_path / "c.json", reference_doc(**command))
@@ -599,6 +617,24 @@ def test_pulse_without_critical_coupling_writes_nothing(tmp_path, capsys):
     assert cli.main(["--config", path, "--out", str(out_dir)]) == 3
     assert capsys.readouterr().err.startswith("error: ")
     assert not list(out_dir.glob("pulse_*.csv"))
+
+
+@pytest.mark.parametrize("command,code", [
+    (None, 0),
+    ({"pulse": {"g": 20, "carrier_detuning": "1e300 Hz"}}, 2),
+], ids=["critical", "pulse-carrier-1e300"])
+def test_entrypoint_exits_with_main_code(tmp_path, monkeypatch, capsys, command, code):
+    # the function the mcpa console script calls
+    if command is None:
+        path = os.path.join(REPO, "configs", "critical.json")
+    else:
+        path = write_config(tmp_path / "c.json", reference_doc(**command))
+    monkeypatch.setattr(sys, "argv", ["mcpa", "--config", path, "--out", str(tmp_path / "o")])
+    with pytest.raises(SystemExit) as caught:
+        cli.entrypoint()
+    assert caught.value.code == code
+    err = capsys.readouterr().err
+    assert (err.startswith("config error: ") if code else err == "") and "Traceback" not in err
 
 
 def test_exit_code_missing_config(tmp_path, capsys):
@@ -705,9 +741,11 @@ def test_spectrum_rejects_half_range(tmp_path, capsys):
         ("critical_sweep", "g_hz,t_z\n", "no data rows"),
         ("bare", "detuning_hz,re,im\n1,0.5,0\n2,0.5,0\n3,abc,0\n", "data row 3"),
         ("bare", "detuning_hz,re,im\n1,0.5,0\n\n2,0.5,0\n3,abc,0\n", "data row 3"),
+        # the fit read the last re column
+        ("bare", "detuning_hz,re,im, re\n1,0.5,0,9\n2,0.5,0,9\n", "more than one column named 're'"),
     ],
     ids=["empty", "measured-header-only", "sweep-header-only", "non-numeric-cell",
-         "blank-line-not-counted"],
+         "blank-line-not-counted", "repeated-column"],
 )
 def test_fit_malformed_csv_is_config_error(tmp_path, capsys, kind, data, where):
     csv_path = tmp_path / "data.csv"
@@ -777,8 +815,9 @@ def test_non_numeric_count_is_config_error(tmp_path, capsys, command, argv, valu
         {"kind": "bare", "data": "x.csv", "add_noise_snr_db": -7000},
         {"kind": "bare", "data": "x.csv", "add_noise_snr_db": "1e309"},
         {"kind": "bare", "data": "x.csv", "add_noise_snr_db": True},
+        {"kind": "bare", "data": "x.csv", "add_noise_snr_db": 10**400},
     ],
-    ids=["data-list", "snr-overflow", "snr-infinite", "snr-bool"],
+    ids=["data-list", "snr-overflow", "snr-infinite", "snr-bool", "snr-int-past-float"],
 )
 def test_fit_option_of_wrong_type_is_config_error(tmp_path, capsys, fit):
     path = write_config(tmp_path / "c.json", reference_doc(fit=fit))
@@ -956,18 +995,24 @@ print(json.dumps(runs))
 
 def test_every_config_runs_without_scipy(tmp_path, capsys):
     # the package needs numpy alone: with scipy and numpy.random unimportable
-    # every command, a seeded noisy fit too, succeeds and prints and writes
-    # what a normal run does
-    gen = write_config(tmp_path / "gen.json", reference_doc(
-        spectrum={"g": 0, "start": "-1.2 MHz", "stop": "1.2 MHz", "points": 201}))
-    assert cli.main(["--config", gen, "--out", str(tmp_path / "data")]) == 0
+    # and a RuntimeWarning raised as an error, every command, seeded noisy
+    # fits of a pump-off trace and of a mechanical window too, succeeds and
+    # prints and writes what a normal run does
+    noisy_fits = []
+    for kind, spectrum in (
+        ("bare", {"g": 0, "start": "-1.2 MHz", "stop": "1.2 MHz", "points": 201}),
+        ("mechanical", {"g": "23.93 Hz", "points": 401}),
+    ):
+        gen = write_config(tmp_path / f"gen_{kind}.json", reference_doc(spectrum=spectrum))
+        assert cli.main(["--config", gen, "--out", str(tmp_path / f"data_{kind}")]) == 0
+        noisy_fits.append(write_config(tmp_path / f"noisy_fit_{kind}.json", dict(reference_doc(fit={
+            "kind": kind, "data": str(tmp_path / f"data_{kind}" / "spectrum.csv"),
+            "add_noise_snr_db": 30}), seed=3)))
     capsys.readouterr()
-    noisy_fit = write_config(tmp_path / "noisy_fit.json", dict(reference_doc(fit={
-        "kind": "bare", "data": str(tmp_path / "data" / "spectrum.csv"),
-        "add_noise_snr_db": 30}), seed=3))
-    configs = [*CONFIGS, noisy_fit]
+    configs = [*CONFIGS, *noisy_fits]
     env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
-    argv = [sys.executable, "-c", _NO_SCIPY_RUN, str(tmp_path / "blocked"), *configs]
+    argv = [sys.executable, "-W", "error::RuntimeWarning", "-c", _NO_SCIPY_RUN,
+            str(tmp_path / "blocked"), *configs]
     proc = subprocess.run(argv, cwd=REPO, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     blocked = json.loads(proc.stdout)
