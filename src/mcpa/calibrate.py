@@ -168,10 +168,11 @@ def _resolved(jac, r, x, scale):
 def _levenberg_marquardt(residual, jacobian, x0, scale):
     """Damped least squares with acceptance-gated steps.
 
-    `jacobian(x)` returns the transposed Jacobian J^T, dr_i/dx_j at [j, i];
-    it is only called at the point of the latest `residual` call, the
-    start or the step just accepted, so it may reuse that call's model
-    value. Each damping level costs one `residual` call. A step that leaves
+    `residual(x)` returns (r, t): the residual vector and the model value
+    it was computed from. `jacobian(x, t)` returns the transposed Jacobian
+    J^T, dr_i/dx_j at [j, i], given the `t` of `residual(x)`; the loop
+    carries t beside r, so a Jacobian costs no model evaluation of its own.
+    Each damping level costs one `residual` call. A step that leaves
     every component of x unchanged ends the damping search at once: larger
     damping only shortens the step, so no later level could move x either.
     Returns (x, sigma, history, n_iter, converged); `sigma` holds the
@@ -182,12 +183,12 @@ def _levenberg_marquardt(residual, jacobian, x0, scale):
     """
     x = np.asarray(x0, dtype=float).copy()
     scale = np.asarray(scale, dtype=float)
-    r = residual(x)
+    r, t = residual(x)
     m = len(r)
     cost = 0.5 * float(r @ r)
     history = [math.sqrt(2.0 * cost / m)]
     lam = 1e-3
-    jac = _resolved(jacobian(x), r, x, scale)
+    jac = _resolved(jacobian(x, t), r, x, scale)
     grad = jac @ r
     # the loop tests max|grad| <= limit entry by entry on Python floats: a
     # NaN entry fails it, as it fails numpy's max
@@ -211,10 +212,10 @@ def _levenberg_marquardt(residual, jacobian, x0, scale):
             x_new = x + step
             if x_new.tolist() == x.tolist():
                 break  # stalled: no larger damping moves x either
-            r_new = residual(x_new)
+            r_new, t_new = residual(x_new)
             cost_new = 0.5 * float(r_new @ r_new)
             if cost_new < cost:
-                x, r, cost = x_new, r_new, cost_new
+                x, r, t, cost = x_new, r_new, t_new, cost_new
                 lam = max(lam / 3.0, 1e-14)
                 accepted = True
                 break
@@ -224,17 +225,17 @@ def _levenberg_marquardt(residual, jacobian, x0, scale):
             # model is exhausted at float precision. On noisy data that
             # happens right at the noise-floor minimum, where the gradient
             # test may still miss by luck of the draw. Count it as
-            # convergence only if the near-undamped step confirms the
-            # parameters are stationary; otherwise report the stall.
-            try:
-                probe = np.linalg.solve(normal + 1e-12 * damping, -grad)
-            except np.linalg.LinAlgError:
-                break
+            # convergence only if the Gauss-Newton step confirms the
+            # parameters are stationary; otherwise report the stall. Its
+            # minimum-norm form stays bounded along a null direction of J.
+            if not np.all(np.isfinite(jac)):
+                break  # lstsq's SVD raises on a non-finite J
+            probe = np.linalg.lstsq(jac.T, -r, rcond=None)[0]
             rel = float(np.max(np.abs(probe) / np.maximum(np.abs(x), scale)))
             converged = rel < 1e-8
             break
         history.append(math.sqrt(2.0 * cost / m))
-        jac = _resolved(jacobian(x), r, x, scale)
+        jac = _resolved(jacobian(x, t), r, x, scale)
         if float(np.max(np.abs(step) / np.maximum(np.abs(x), scale))) < 1e-14:
             converged = True
             break
@@ -259,14 +260,12 @@ def _levenberg_marquardt(residual, jacobian, x0, scale):
 
 
 def _make_residual(spectrum: MeasuredSpectrum, model_fn):
-    """Residual and Jacobian builders matching the measurement mode;
-    `model_fn(x)` returns the model t on the spectrum's rows and
-    `model_fn(x, derivatives=True, t=t)` returns (t, dt), dt[j] = dt/dx_j,
-    evaluating t afresh only when it is not given.
+    """Residual and Jacobian builders matching the measurement mode, from
+    `model_fn`, a pair of functions of x: the model t on the spectrum's
+    rows, and its derivatives dt, dt[j] = dt/dx_j.
 
-    `residual(x)` evaluates the kernel and keeps t; `jacobian(x)` at the
-    same x (bit for bit) reuses it, so the pair costs one kernel pass.
-    At any other x the Jacobian evaluates the kernel itself.
+    `residual(x)` returns (r, t), one kernel pass; `jacobian(x, t)` takes
+    that t, so the pair costs one kernel pass.
 
     Complex data: stacked real and imaginary residuals. Polar data with
     phase: amplitude residual plus the phase difference angle(t * e^{-i phase}),
@@ -277,33 +276,24 @@ def _make_residual(spectrum: MeasuredSpectrum, model_fn):
     to Im(w) times the amplitude; both are zero where |t| < DEGENERACY_TOL,
     at the cone point of |t|, where the phase is undefined.
     """
-    last = [None, None]  # x (as bytes) and t of the latest residual call
-
-    def model_at(x):
-        t = model_fn(x)
-        last[:] = np.asarray(x, dtype=float).tobytes(), t
-        return t
-
-    def derivatives(x):
-        kept = last[1] if np.asarray(x, dtype=float).tobytes() == last[0] else None
-        return model_fn(x, derivatives=True, t=kept)
-
+    value, derivatives = model_fn
     if spectrum.t is not None:
         data = spectrum.t
 
         def residual(x):
-            diff = model_at(x) - data
-            return np.concatenate([diff.real, diff.imag])
+            t = value(x)
+            diff = t - data
+            return np.concatenate([diff.real, diff.imag]), t
 
-        def jacobian(x):
-            dt = derivatives(x)[1]
+        def jacobian(x, t):
+            dt = derivatives(x)
             return np.concatenate([dt.real, dt.imag], axis=1)
 
         return residual, jacobian
     amp = spectrum.amplitude()
 
-    def polar_jacobian(x):
-        t, dt = derivatives(x)
+    def polar_jacobian(x, t):
+        dt = derivatives(x)
         mag = np.abs(t)
         live = mag >= model.DEGENERACY_TOL
         w = dt * (live / np.where(live, t, 1.0))
@@ -315,13 +305,14 @@ def _make_residual(spectrum: MeasuredSpectrum, model_fn):
         unphase = np.exp(-1j * spectrum.phase_rad)
 
         def residual(x):
-            t = model_at(x)
-            return np.concatenate([np.abs(t) - amp, np.angle(t * unphase) * amp])
+            t = value(x)
+            return np.concatenate([np.abs(t) - amp, np.angle(t * unphase) * amp]), t
 
         return residual, polar_jacobian
 
     def residual(x):
-        return np.abs(model_at(x)) - amp
+        t = value(x)
+        return np.abs(t) - amp, t
 
     return residual, polar_jacobian
 
@@ -383,7 +374,7 @@ def _multistart(spectrum, model_fn, starts, names, report, distinct,
         raise ConvergenceError(
             f"no seed met the gradient tolerance (up to {worst} iterations per seed)"
             + (f"; {outside} that did ended outside the physical range" if outside else "")
-            + _outlier(spectrum, residual(ends[best]))
+            + _outlier(spectrum, residual(ends[best])[0])
         )
     if len(done) > 1 and distinct(done[0], done[1]) and all(
         map(math.isfinite, done[1].sigma.values())
@@ -410,26 +401,25 @@ def _half_width(axis, inside, i):
 # ---------------------------------------------------------------------------
 
 def _bare_model_fn(detuning_hz):
-    """Pump-off model over (center shift, kappa, eta) on a detuning axis,
-    with its derivatives on request (see `_make_residual`).
+    """Pump-off model over (center shift, kappa, eta) on a detuning axis and
+    its derivatives, as the pair `_make_residual` takes.
 
     At G = 0 the mechanics decouple, so any positive mechanical linewidth
     cancels from the kernel; kappa stands in for it, and
     t = 1 - eta kappa / D2 with D2 = i (Delta + shift) + kappa/2.
     """
 
-    def evaluate(x, derivatives=False, t=None):
+    def value(x):
         shift, kappa, eta = x
-        delta = detuning_hz + shift
-        if t is None:
-            t = model._response(kappa, eta, kappa, 0.0, delta)
-        if not derivatives:
-            return t
-        inv = 1.0 / (1j * delta + kappa / 2.0)
-        loss = eta * kappa * inv  # 1 - t
-        return t, np.array([1j * loss * inv, (0.5 * loss - eta) * inv, -kappa * inv])
+        return model._response(kappa, eta, kappa, 0.0, detuning_hz + shift)
 
-    return evaluate
+    def derivatives(x):
+        shift, kappa, eta = x
+        inv = 1.0 / (1j * (detuning_hz + shift) + kappa / 2.0)
+        loss = eta * kappa * inv  # 1 - t
+        return np.array([1j * loss * inv, (0.5 * loss - eta) * inv, -kappa * inv])
+
+    return value, derivatives
 
 
 def _bare_starts(spectrum):
@@ -494,8 +484,8 @@ def fit_bare_cavity(spectrum: MeasuredSpectrum) -> FitResult:
 # ---------------------------------------------------------------------------
 
 def _window_model_fn(cavity, delta_axis):
-    """Model over (gamma_m, G, window center offset), cavity held fixed,
-    with its derivatives on request (see `_make_residual`). In the kernel's
+    """Model over (gamma_m, G, window center offset), cavity held fixed, and
+    its derivatives, as the pair `_make_residual` takes. In the kernel's
     notation dt/dD1 = -eta kappa G^2 / den^2, dt/dG = 2 eta kappa G D1 / den^2,
     and D1 moves by 1/2 per unit gamma_m and by -i per unit offset.
     """
@@ -503,19 +493,19 @@ def _window_model_fn(cavity, delta_axis):
     i_delta = 1j * delta_axis
     d2 = i_delta + kappa / 2.0
 
-    def evaluate(x, derivatives=False, t=None):
+    def value(x):
         gamma_hz, g_hz, offset_hz = x
-        if t is None:
-            t = model._response(kappa, eta, gamma_hz, g_hz, delta_axis, offset_hz)
-        if not derivatives:
-            return t
+        return model._response(kappa, eta, gamma_hz, g_hz, delta_axis, offset_hz)
+
+    def derivatives(x):
+        gamma_hz, g_hz, offset_hz = x
         d1 = i_delta + complex(gamma_hz / 2.0, -offset_hz)
         inv = 1.0 / (d1 * d2 + g_hz * g_hz)
         g_inv = g_hz * inv
         dt_dd1 = -eta * kappa * g_inv * g_inv
-        return t, np.array([0.5 * dt_dd1, 2.0 * eta * kappa * g_inv * d1 * inv, -1j * dt_dd1])
+        return np.array([0.5 * dt_dd1, 2.0 * eta * kappa * g_inv * d1 * inv, -1j * dt_dd1])
 
-    return evaluate
+    return value, derivatives
 
 
 def _window_starts(spectrum, cavity, delta_axis):

@@ -46,8 +46,8 @@ OPTIONS = {
     "fit": ("kind", "data", "add_noise_snr_db"),
 }
 COMMANDS = tuple(OPTIONS)
-DEVICE_KEYS = ("cavity_freq", "mech_freq", "kappa", "eta", "gamma_m", "vacuum_coupling")
-#: the largest `points` or `samples` count a config or `--points` may ask for
+DEVICE_KEYS = ("cavity_freq", "mech_freq", "kappa", "eta", "gamma_m")
+#: the largest `points` or `samples` count a config may ask for
 MAX_COUNT = 2**22
 #: data rows `write_csv` formats and writes at a time
 CSV_BLOCK_ROWS = 1024
@@ -95,14 +95,12 @@ def _build_device(block: Any) -> DeviceParams:
         raise ConfigError(f"unknown device keys {sorted(unknown)}; a device block is "
                           f"{{'preset': 'reference'}} alone or keys out of {DEVICE_KEYS}")
     try:
-        g0 = block.get("vacuum_coupling")
         return DeviceParams(
             cavity_freq_hz=parse_frequency(block["cavity_freq"]),
             mech_freq_hz=parse_frequency(block["mech_freq"]),
             kappa_hz=parse_frequency(block["kappa"]),
             eta=float(block["eta"]),
             gamma_m_hz=parse_frequency(block["gamma_m"]),
-            vacuum_coupling_hz=None if g0 is None else parse_frequency(g0),
         )
     except KeyError as exc:
         raise ConfigError(f"device block is missing {exc.args[0]!r}") from None
@@ -120,10 +118,8 @@ def _read_text(path: str) -> str:
         raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
 
 
-def load_config(path: str, *, out_dir: str | None = None, seed: int | None = None,
-                points: int | None = None) -> RunConfig:
-    """Read and validate a JSON run config, applying CLI overrides; `points`
-    becomes the command's count option (`points` or `samples`), if it has one."""
+def load_config(path: str, *, out_dir: str | None = None, seed: int | None = None) -> RunConfig:
+    """Read and validate a JSON run config, applying CLI overrides."""
     try:
         doc = json.loads(_read_text(path))
     except ValueError as exc:  # a JSONDecodeError, or an int of too many digits
@@ -158,14 +154,12 @@ def load_config(path: str, *, out_dir: str | None = None, seed: int | None = Non
     if not isinstance(out, str):
         raise ConfigError(f"out must be a directory path string, got {out!r}")
     out_dir = out_dir or out or "."
+    # the config's seed is checked even when --seed overrides it
+    for value in (doc.get("seed"), seed):
+        if value is not None and (type(value) is not int or value < 0):
+            raise ConfigError(f"seed must be a non-negative integer, got {value!r}")
     if seed is None:
         seed = doc.get("seed")
-    if seed is not None and (type(seed) is not int or seed < 0):
-        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
-    options = dict(options)
-    for key in ("points", "samples"):
-        if points is not None and key in OPTIONS[command]:
-            options[key] = points
     return RunConfig(
         device=_build_device(doc["device"]),
         command=command,
@@ -195,10 +189,8 @@ def _header(cfg: RunConfig, **extras: Any) -> dict[str, Any]:
         "kappa_hz": device.kappa_hz,
         "eta": device.eta,
         "gamma_m_hz": device.gamma_m_hz,
+        **extras,
     }
-    if device.vacuum_coupling_hz is not None:
-        meta["vacuum_coupling_hz"] = device.vacuum_coupling_hz
-    meta.update(extras)
     if cfg.seed is not None:
         meta["seed"] = cfg.seed
     return meta
@@ -528,15 +520,6 @@ def cmd_fit(cfg: RunConfig) -> int:
     return 0
 
 
-_DISPATCH = {
-    "critical": cmd_critical,
-    "spectrum": cmd_spectrum,
-    "sweep_g": cmd_sweep_g,
-    "pulse": cmd_pulse,
-    "fit": cmd_fit,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="mcpa",
@@ -546,13 +529,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--config", required=True, help="path to the JSON run config")
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
     parser.add_argument("--seed", type=int, default=None, help="random seed for noise workflows")
-    parser.add_argument("--points", type=int, default=None, help="override the grid point count")
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config, out_dir=args.out, seed=args.seed, points=args.points)
+        cfg = load_config(args.config, out_dir=args.out, seed=args.seed)
         if cfg.command != "critical":
             os.makedirs(cfg.out_dir, exist_ok=True)
-        return _DISPATCH[cfg.command](cfg)
+        # looked up at call time, so a rebound cmd_<command> is the one run
+        return globals()[f"cmd_{cfg.command}"](cfg)
     except (ConfigError, ParameterError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -86,10 +86,6 @@ class DeviceParams:
         () external coupling fraction kappa_ext / kappa, in (0, 1).
     gamma_m_hz : float
         (Hz) intrinsic mechanical linewidth gamma_m / 2pi.
-    vacuum_coupling_hz : float, optional
-        (Hz) single-photon coupling rate g / 2pi, if known. Nothing computes
-        with it: only a config's device block and the CSV headers written
-        from it carry the value.
     """
 
     cavity_freq_hz: float
@@ -97,13 +93,9 @@ class DeviceParams:
     kappa_hz: float
     eta: float
     gamma_m_hz: float
-    vacuum_coupling_hz: float | None = None
 
     def __post_init__(self) -> None:
-        rates = ["cavity_freq_hz", "mech_freq_hz", "kappa_hz", "gamma_m_hz"]
-        if self.vacuum_coupling_hz is not None:
-            rates.append("vacuum_coupling_hz")
-        for name in rates:
+        for name in ("cavity_freq_hz", "mech_freq_hz", "kappa_hz", "gamma_m_hz"):
             value = getattr(self, name)
             if not (
                 isinstance(value, (int, float))

@@ -4,7 +4,7 @@ Sweeps take a plain grid array (build one with :func:`grid` or
 :func:`detuning_span`) and return an immutable :class:`Spectrum` carrying
 the complex response together with derived amplitude, phase, and delay
 channels, all from one pass of the closed-form kernel. Transmission zeros
-are flagged per point, never dropped, so grids stay uniform.
+are marked by a NaN delay, never dropped, so grids stay uniform.
 """
 
 from __future__ import annotations
@@ -71,15 +71,14 @@ class Spectrum:
     t : ndarray of complex
         () transmission; real-valued content for resonance sweeps.
     amplitude_db : ndarray
-        (dB) 20*log10(|t|), -inf at singular points.
+        (dB) 20*log10(|t|), -inf where t is exactly 0.
     phase_rad : ndarray
-        (rad) phase on (-pi, pi], real-negative mapped to +pi; NaN at
-        singular points of a resonance sweep.
+        (rad) phase on (-pi, pi], real-negative mapped to +pi; NaN at the
+        transmission zeros of a resonance sweep.
     delay_s : ndarray
         (s) closed-form group delay, as :func:`model.group_delay_curve`
-        gives it; NaN at singular points.
-    singular : ndarray of bool
-        Per-point flag marking transmission zeros.
+        gives it; NaN exactly at the transmission zeros, the points where
+        |t| < :data:`model.DEGENERACY_TOL`.
     """
 
     x_hz: NDArray[np.floating]
@@ -87,7 +86,6 @@ class Spectrum:
     amplitude_db: NDArray[np.floating]
     phase_rad: NDArray[np.floating]
     delay_s: NDArray[np.floating]
-    singular: NDArray[np.bool_]
 
     def __len__(self) -> int:
         return len(self.x_hz)
@@ -135,16 +133,12 @@ def sweep_detuning(params: DeviceParams, coupling: float,
     g = model._scalar_g_hz(coupling)
     x = model._detuning_hz(_checked_grid(detuning_hz, "detuning", 3))
     t, delay = model._response(params.kappa_hz, params.eta, params.gamma_m_hz, g, x, delay=True)
-    t_abs = np.abs(t)
-    singular = t_abs < model.DEGENERACY_TOL
-    phase = model.principal_phase(t)
     return Spectrum(
         x_hz=x,
         t=t,
-        amplitude_db=_amplitude_db(t_abs),
-        phase_rad=phase,
+        amplitude_db=_amplitude_db(np.abs(t)),
+        phase_rad=model.principal_phase(t),
         delay_s=delay,
-        singular=singular,
     )
 
 
@@ -156,21 +150,18 @@ def sweep_coupling_resonance(params: DeviceParams, g_hz: NDArray[np.floating]) -
     each a coupling that :func:`model.transmission_curve` takes. At zero
     detuning the closed-form transmission is an exact real number, so the
     phase channel is exactly pi below the critical coupling and exactly 0
-    above it. Grid points whose transmission is degenerate with zero are
-    flagged singular and carry NaN phase and delay.
+    above it. Grid points whose transmission is degenerate with zero
+    carry NaN phase and delay.
     """
     g = model._g_hz(_checked_grid(g_hz, "coupling", 2))
     t, delay = model._response(params.kappa_hz, params.eta, params.gamma_m_hz, g, 0.0, delay=True)
     tz = t.real
-    singular = np.abs(tz) < model.DEGENERACY_TOL
-    phase = np.where(singular, np.nan, model.principal_phase(tz))
     return Spectrum(
         x_hz=g,
         t=tz.astype(complex),
         amplitude_db=_amplitude_db(np.abs(tz)),
-        phase_rad=phase,
+        phase_rad=np.where(np.isnan(delay), np.nan, model.principal_phase(tz)),
         delay_s=delay,
-        singular=singular,
     )
 
 

@@ -366,9 +366,8 @@ def test_fit_mechanical_window_drops_negative_damping_seed(device):
 @pytest.mark.parametrize("form", ["complex", "polar", "amplitude"])
 @pytest.mark.parametrize("kind", ["bare", "window"])
 def test_jacobian_reuses_the_residual_kernel_pass(device, monkeypatch, kind, form):
-    # the Jacobian right after the residual at the same x reuses its model
-    # value; after a residual at another point it evaluates the kernel
-    # again. Both give, bit for bit, the Jacobian of a fresh pair
+    # the residual makes one kernel pass and returns its model value beside
+    # r; the Jacobian takes that value and makes no pass of its own
     if kind == "bare":
         axis, t = bare_trace(device, n=61)
         model_fn = calibrate._bare_model_fn(axis)
@@ -378,14 +377,13 @@ def test_jacobian_reuses_the_residual_kernel_pass(device, monkeypatch, kind, for
         axis, t = window_trace(device, g, n=101)
         model_fn = calibrate._window_model_fn(device, axis)
         x = np.array([1.1 * device.gamma_m_hz, 0.97 * g, 0.1])
-    y = 1.01 * x
     amp_db, phase = 20.0 * np.log10(np.abs(t)), np.angle(t)
     spec = {
         "complex": MeasuredSpectrum.from_complex(axis, t, absolute_frequency=False),
         "polar": MeasuredSpectrum.from_polar(axis, amp_db, phase, absolute_frequency=False),
         "amplitude": MeasuredSpectrum.from_polar(axis, amp_db, absolute_frequency=False),
     }[form]
-    want = calibrate._make_residual(spec, model_fn)[1](x).tobytes()
+    want = model_fn[0](x).tobytes()
     calls = [0]
 
     def kernel(*args):
@@ -395,10 +393,9 @@ def test_jacobian_reuses_the_residual_kernel_pass(device, monkeypatch, kind, for
     response = model._response
     monkeypatch.setattr(model, "_response", kernel)
     residual, jacobian = calibrate._make_residual(spec, model_fn)
-    residual(x)
-    assert jacobian(x).tobytes() == want and calls[0] == 1
-    residual(y)
-    assert jacobian(x).tobytes() == want and calls[0] == 3
+    r, t_x = residual(x)
+    assert t_x.tobytes() == want and calls[0] == 1
+    assert jacobian(x, t_x).shape == (3, len(r)) and calls[0] == 1
 
 
 def test_levenberg_marquardt_singular_covariance_has_no_small_sigma():
@@ -409,9 +406,21 @@ def test_levenberg_marquardt_singular_covariance_has_no_small_sigma():
     jac = np.array([u * 3 / 7, np.cos(u) * 5 / 3, u * 3 / 7 + np.cos(u) * 5 / 3])
     data = np.cos(3.0 * u)
     _, sigma, *_ = calibrate._levenberg_marquardt(
-        lambda x: x @ jac - data, lambda x: jac, (0.0, 0.0, 0.0), (1.0, 1.0, 1.0)
+        lambda x: (x @ jac - data, None), lambda x, t: jac, (0.0, 0.0, 0.0), (1.0, 1.0, 1.0)
     )
     assert not np.any(sigma < 1e3)
+
+
+def test_levenberg_marquardt_rank_deficient_stall_is_converged():
+    # columns 1, u and 1 + u: J has a null direction, along which the
+    # near-undamped normal-equation step was unbounded and read as a stall
+    u = np.linspace(-1.0, 1.0, 50)
+    jac = np.array([np.ones_like(u), u, 1.0 + u])
+    data = np.cos(3.0 * u)
+    *_, converged = calibrate._levenberg_marquardt(
+        lambda x: (x @ jac - data, None), lambda x, t: jac, (0.0, 0.0, 0.0), (1.0, 1.0, 1.0)
+    )
+    assert converged
 
 
 # ---------------------------------------------------------------------------

@@ -95,16 +95,11 @@ def test_load_config_full_device(tmp_path):
 
 def test_load_config_preset_and_overrides(tmp_path):
     path = write_config(tmp_path / "c.json", reference_doc(critical=None, seed=7))
-    cfg = cli.load_config(path, out_dir="elsewhere", seed=99, points=55)
+    cfg = cli.load_config(path, out_dir="elsewhere", seed=99)
     assert cfg.device.cavity_freq_hz == 5.318e9
-    assert cfg.options == {}  # critical has no count option to override
+    assert cfg.options == {}
     assert cfg.out_dir == "elsewhere"
     assert cfg.seed == 99  # CLI flag beats the config value
-    # --points becomes the command's count option, beating the config value
-    for command, key in (("spectrum", "points"), ("sweep_g", "points"), ("pulse", "samples")):
-        path = write_config(tmp_path / f"{command}.json", reference_doc(**{command: {key: 7}}))
-        assert cli.load_config(path, points=55).options == {key: 55}
-        assert cli.load_config(path).options == {key: 7}
 
 
 @pytest.mark.parametrize(
@@ -142,11 +137,20 @@ def test_load_config_preset_and_overrides(tmp_path):
         {"version": "1", "critical": {}, "device": {
             "cavity_freq": "5.318 GHz", "mech_freq": "755.5 kHz", "kappa": "420 kHz",
             "eta": 10**400, "gamma_m": "9.7 mHz"}},
+        # a bad seed in a command block that never reads it
+        reference_doc(critical={}, seed="abc"),
+        # vacuum_coupling, which nothing computed with, is no device key
+        {"version": "1", "critical": {}, "device": {
+            "cavity_freq": "5.318 GHz", "mech_freq": "755.5 kHz", "kappa": "420 kHz",
+            "eta": 0.651, "gamma_m": "9.7 mHz", "vacuum_coupling": "1 Hz"}},
     ],
 )
 def test_load_config_rejects(tmp_path, doc):
-    with pytest.raises(ConfigError):
-        cli.load_config(write_config(tmp_path / "bad.json", doc))
+    path = write_config(tmp_path / "bad.json", doc)
+    # refused whether or not --seed overrides the config's seed
+    for seed in (None, 3):
+        with pytest.raises(ConfigError):
+            cli.load_config(path, seed=seed)
 
 
 def test_load_config_rejects_broken_json(tmp_path):
@@ -247,21 +251,6 @@ def test_spectrum_delay_is_the_closed_form(tmp_path, ratio):
     np.testing.assert_array_equal(table[:, cols["delay_s"]], expected)
 
 
-def test_points_flag_overrides_config(tmp_path):
-    path = write_config(
-        tmp_path / "c.json", reference_doc(spectrum={"g": 23.93, "points": 51})
-    )
-    out_dir = tmp_path / "out"
-    assert cli.main(["--config", path, "--out", str(out_dir), "--points", "31"]) == 0
-    rows = [
-        ln
-        for ln in (out_dir / "spectrum.csv").read_text().splitlines()
-        if not ln.startswith("#")
-    ]
-    assert len(rows) == 1 + 31
-
-
-@pytest.mark.parametrize("source", ["flag", "option"])
 @pytest.mark.parametrize(
     "command,key,written",
     [
@@ -269,15 +258,16 @@ def test_points_flag_overrides_config(tmp_path):
         ("sweep_g", "points", "sweep_g.csv"),
         ("pulse", "samples", "pulse_input.csv"),
     ],
+    # the count is set by the command block's option
+    ids=["spectrum-points-spectrum.csv-option", "sweep_g-points-sweep_g.csv-option",
+         "pulse-samples-pulse_input.csv-option"],
 )
-def test_zero_count_is_config_error(tmp_path, capsys, source, command, key, written):
+def test_zero_count_is_config_error(tmp_path, capsys, command, key, written):
     options = {"g": 155.1} if command != "sweep_g" else {}
-    argv = ["--points", "0"] if source == "flag" else []
-    if source == "option":
-        options[key] = 0
+    options[key] = 0
     path = write_config(tmp_path / "c.json", reference_doc(**{command: options}))
     out_dir = tmp_path / "out"
-    assert cli.main(["--config", path, "--out", str(out_dir), *argv]) == 2
+    assert cli.main(["--config", path, "--out", str(out_dir)]) == 2
     assert capsys.readouterr().err.startswith("config error")
     assert not (out_dir / written).exists()
 
@@ -285,11 +275,11 @@ def test_zero_count_is_config_error(tmp_path, capsys, source, command, key, writ
 def test_too_few_samples_names_the_smallest_count(tmp_path, capsys):
     # the probe's sampling rule dt <= sigma_t / 4 sets the smallest count at
     # this coupling; the message gives it, and it is exactly enough
-    path = write_config(tmp_path / "c.json", reference_doc(pulse={"g": "155.1 Hz"}))
-
     def run(samples):
+        path = write_config(tmp_path / "c.json",
+                            reference_doc(pulse={"g": "155.1 Hz", "samples": samples}))
         out_dir = tmp_path / str(samples)
-        code = cli.main(["--config", path, "--out", str(out_dir), "--points", str(samples)])
+        code = cli.main(["--config", path, "--out", str(out_dir)])
         return code, capsys.readouterr().err, sorted(p.name for p in out_dir.glob("*.csv"))
 
     code, err, written = run(31)
@@ -619,22 +609,28 @@ def test_pulse_without_critical_coupling_writes_nothing(tmp_path, capsys):
     assert not list(out_dir.glob("pulse_*.csv"))
 
 
-@pytest.mark.parametrize("command,code", [
-    (None, 0),
-    ({"pulse": {"g": 20, "carrier_detuning": "1e300 Hz"}}, 2),
-], ids=["critical", "pulse-carrier-1e300"])
-def test_entrypoint_exits_with_main_code(tmp_path, monkeypatch, capsys, command, code):
+@pytest.mark.parametrize("command,flags,code,message", [
+    (None, [], 0, ""),
+    ({"pulse": {"g": 20, "carrier_detuning": "1e300 Hz"}}, [], 2, "config error: "),
+    # a count comes from the config alone: the parser knows no --points
+    (None, ["--points", "5"], 2, "mcpa: error: unrecognized arguments: --points 5"),
+], ids=["critical", "pulse-carrier-1e300", "points-flag"])
+def test_entrypoint_exits_with_main_code(tmp_path, monkeypatch, capsys, command, flags, code,
+                                         message):
     # the function the mcpa console script calls
     if command is None:
         path = os.path.join(REPO, "configs", "critical.json")
     else:
         path = write_config(tmp_path / "c.json", reference_doc(**command))
-    monkeypatch.setattr(sys, "argv", ["mcpa", "--config", path, "--out", str(tmp_path / "o")])
+    monkeypatch.setattr(sys, "argv", ["mcpa", "--config", path, "--out", str(tmp_path / "o"),
+                                      *flags])
     with pytest.raises(SystemExit) as caught:
         cli.entrypoint()
     assert caught.value.code == code
     err = capsys.readouterr().err
-    assert (err.startswith("config error: ") if code else err == "") and "Traceback" not in err
+    # the parser prints its usage line before the error
+    assert err.splitlines()[-1].startswith(message) if code else err == ""
+    assert "Traceback" not in err
 
 
 def test_exit_code_missing_config(tmp_path, capsys):
@@ -783,26 +779,25 @@ def test_non_utf8_input_is_config_error(tmp_path, capsys, kind, data):
 
 
 @pytest.mark.parametrize(
-    "command,argv,value",
+    "command,value",
     [
-        ({"spectrum": {"g": 23.93, "points": "many"}}, [], "'many'"),
-        ({"pulse": {"g": 155.1, "samples": "many"}}, [], "'many'"),
-        ({"pulse": {"g": 155.1, "samples": 1024.5}}, [], "1024.5"),
-        ({"sweep_g": {"points": 20.9}}, [], "20.9"),
+        ({"spectrum": {"g": 23.93, "points": "many"}}, "'many'"),
+        ({"pulse": {"g": 155.1, "samples": "many"}}, "'many'"),
+        ({"pulse": {"g": 155.1, "samples": 1024.5}}, "1024.5"),
+        ({"sweep_g": {"points": 20.9}}, "20.9"),
         # counts past MAX_COUNT are refused before any array is allocated
-        ({"spectrum": {"g": 23.93, "points": 10**13}}, [], str(10**13)),
-        ({"pulse": {"g": 155.1, "samples": 10**13}}, [], str(10**13)),
-        ({"pulse": {"g": 155.1}}, ["--points", str(10**13)], str(10**13)),
+        ({"spectrum": {"g": 23.93, "points": 10**13}}, str(10**13)),
+        ({"pulse": {"g": 155.1, "samples": 10**13}}, str(10**13)),
         # a JSON true is no count, though int(True) is 1
-        ({"spectrum": {"g": 23.93, "points": True}}, [], "True"),
+        ({"spectrum": {"g": 23.93, "points": True}}, "True"),
     ],
     ids=["points", "samples", "fractional-samples", "fractional-points",
-         "huge-points", "huge-samples", "huge-points-flag", "bool-points"],
+         "huge-points", "huge-samples", "bool-points"],
 )
-def test_non_numeric_count_is_config_error(tmp_path, capsys, command, argv, value):
+def test_non_numeric_count_is_config_error(tmp_path, capsys, command, value):
     path = write_config(tmp_path / "c.json", reference_doc(**command))
     out_dir = tmp_path / "o"
-    assert cli.main(["--config", path, "--out", str(out_dir), *argv]) == 2
+    assert cli.main(["--config", path, "--out", str(out_dir)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and value in err
     assert not list(out_dir.glob("*.csv"))

@@ -50,7 +50,6 @@ def test_reference_device_values(device):
     assert device.kappa_hz == 420e3
     assert device.eta == 0.651
     assert device.gamma_m_hz == 9.7e-3
-    assert device.vacuum_coupling_hz is None
 
 
 @pytest.mark.parametrize(
@@ -61,7 +60,6 @@ def test_reference_device_values(device):
         ("kappa_hz", math.nan),
         ("kappa_hz", True),
         ("gamma_m_hz", 0.0),
-        ("vacuum_coupling_hz", True),
         ("mech_freq_hz", math.inf),
         ("eta", 0.0),
         ("eta", 1.0),

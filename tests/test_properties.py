@@ -19,7 +19,7 @@ import scipy.signal
 pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from mcpa import MeasuredSpectrum, calibrate, cli, model, pulses
+from mcpa import MeasuredSpectrum, calibrate, cli, model, pulses, spectra
 from mcpa.errors import PulseEstimationError
 import reference_integrators as reference
 import reference_jacobian
@@ -60,6 +60,24 @@ def test_resonant_phase_is_exact_and_flips_at_critical(dev, r):
     assert below.imag == 0.0 and above.imag == 0.0
     assert model.principal_phase(below) == math.pi
     assert model.principal_phase(above) == 0.0
+
+
+@PROPERTY
+@given(dev=over_coupled_devices(), x=st.one_of(st.just(0.0), log_ratio),
+       n=st.integers(2, 60), reach=st.floats(-3.0, 153.0))
+def test_nan_delay_marks_exactly_the_transmission_zeros(dev, x, n, reach):
+    # a Spectrum carries no separate zero flag: its NaN delays are the
+    # points where |t| < DEGENERACY_TOL, on a coupling grid through G_c and
+    # on a detuning grid through zero (at G_c itself when x is 0) that
+    # spans from a hair off resonance to 10^reach Hz
+    gc = model.critical_coupling(dev)
+    couplings = np.union1d(np.geomspace(0.1, 10.0, n) * gc, [gc])
+    detunings = np.geomspace(1e-6 * model.effective_window_hz(dev, gc), 10.0**reach, n)
+    detunings = np.concatenate([-detunings[::-1], [0.0], detunings])
+    resonance = spectra.sweep_coupling_resonance(dev, couplings)
+    assert np.isnan(resonance.delay_s).any()  # at G_c
+    for s in (resonance, spectra.sweep_detuning(dev, gc * 10.0**x, detunings)):
+        assert np.array_equal(np.isnan(s.delay_s), np.abs(s.t) < model.DEGENERACY_TOL)
 
 
 @PROPERTY
@@ -179,8 +197,7 @@ REQUIRED = {"spectrum": ("g",), "pulse": ("g",), "fit": ("kind", "data")}
 
 devices = mostly(
     st.sampled_from(["reference", {"preset": "reference"}])
-    | st.fixed_dictionaries({k: option(v) for k, v in DEVICE_BLOCK.items()},
-                            optional={"vacuum_coupling": option(["1 Hz"])}),
+    | st.fixed_dictionaries({k: option(v) for k, v in DEVICE_BLOCK.items()}),
     values,
 )
 
@@ -371,11 +388,11 @@ def test_fit_jacobians_match_central_differences(case, move):
     ]
     for axis, model_fn, x, scale in fits:
         x = np.array(x)
-        t = model_fn(x)
+        t = model_fn[0](x)
         assume(np.abs(t).min() > 1e-3)  # clear of the cone point |t| = 0
         for spec in data_forms(axis, t):
             residual, jacobian = calibrate._make_residual(spec, model_fn)
-            want = reference_jacobian.central_difference(residual, x, scale)
+            want = reference_jacobian.central_difference(lambda y: residual(y)[0], x, scale)
             # to 1e-6 of the largest derivative in the parameter's row
             tol = 1e-6 * np.abs(want).max(axis=1, keepdims=True)
-            assert np.all(np.abs(jacobian(x) - want) <= tol)
+            assert np.all(np.abs(jacobian(x, t) - want) <= tol)

@@ -30,6 +30,15 @@ def test_one_band_check():
     assert fields == ("t0_s", "dt_s", "samples", "carrier_detuning_hz")
 
 
+def test_containers_carry_no_second_source():
+    # a transmission zero reads as a NaN delay_s, and every device field is
+    # one the model computes with
+    spectrum = tuple(f.name for f in dataclasses.fields(mcpa.Spectrum))
+    assert spectrum == ("x_hz", "t", "amplitude_db", "phase_rad", "delay_s")
+    device = tuple(f.name for f in dataclasses.fields(mcpa.DeviceParams))
+    assert device == ("cavity_freq_hz", "mech_freq_hz", "kappa_hz", "eta", "gamma_m_hz")
+
+
 def test_version_matches_pyproject():
     # by regex: Python 3.10 has no tomllib
     with open(PYPROJECT, encoding="utf-8") as f:

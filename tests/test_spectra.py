@@ -55,7 +55,6 @@ def test_sweep_detuning_matches_pointwise_model(device):
     expected = model.transmission_curve(device, 23.93, s.x_hz)
     np.testing.assert_array_equal(s.t, expected)
     assert np.all(np.isfinite(s.delay_s))
-    assert not s.singular.any()
 
 
 def test_sweep_detuning_grid_validation(device):
@@ -137,9 +136,8 @@ def test_resonance_spectrum_grid_validation(device):
 def test_resonance_spectrum_flags_critical_point(device):
     gc = model.critical_coupling(device)
     s = spectra.sweep_coupling_resonance(device, np.array([gc / 2.0, gc, 2.0 * gc]))
-    assert list(s.singular) == [False, True, False]
+    assert list(np.isnan(s.delay_s)) == [False, True, False]
     assert math.isnan(s.phase_rad[1])
-    assert math.isnan(s.delay_s[1])
     assert s.amplitude_db[1] < -140.0
 
 
