@@ -467,7 +467,8 @@ def fit_bare_cavity(spectrum: MeasuredSpectrum) -> FitResult:
     # steps against max(|x|, scale), and against the center itself on an
     # absolute axis (GHz) its stall test would pass a center tens of Hz off.
     freq = spectrum.frequency_hz
-    detuning = (center0 - freq) if spectrum.absolute_frequency else (freq + center0)
+    detuning = model._detuning_hz((center0 - freq) if spectrum.absolute_frequency
+                                  else (freq + center0), "the bare fit's detuning axis")
     name0 = "cavity_freq_hz" if spectrum.absolute_frequency else "center_offset_hz"
     return _multistart(
         spectrum,
@@ -552,10 +553,9 @@ def fit_mechanical_window(spectrum: MeasuredSpectrum, cavity: DeviceParams) -> F
     FitResult
         params keys: "gamma_m_hz", "g_hz", "center_offset_hz".
     """
-    if spectrum.absolute_frequency:
-        delta_axis = cavity.cavity_freq_hz - spectrum.frequency_hz
-    else:
-        delta_axis = spectrum.frequency_hz
+    delta_axis = model._detuning_hz(
+        (cavity.cavity_freq_hz - spectrum.frequency_hz) if spectrum.absolute_frequency
+        else spectrum.frequency_hz, "the window fit's detuning axis")
 
     return _multistart(
         spectrum,

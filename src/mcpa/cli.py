@@ -1,9 +1,9 @@
 """Config-driven command-line front end.
 
-A run is described by a small JSON document: a device block, exactly one
-command block (critical, spectrum, sweep_g, pulse, or fit), and optional
-output settings. Frequencies anywhere in the config accept unit suffixes
-(mHz, Hz, kHz, MHz, GHz) and are normalized to Hz.
+A run is described by a small JSON document: a device block and exactly
+one command block (critical, spectrum, sweep_g, pulse, or fit); the output
+directory and the seed are flags. Frequencies anywhere in the config accept
+unit suffixes (mHz, Hz, kHz, MHz, GHz) and are normalized to Hz.
 
 CSV outputs are written atomically (temp file + rename), start with a
 comment header carrying the format version and the full device parameters,
@@ -26,7 +26,7 @@ import os
 import random
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Any
 
 import numpy as np
@@ -46,7 +46,6 @@ OPTIONS = {
     "fit": ("kind", "data", "add_noise_snr_db"),
 }
 COMMANDS = tuple(OPTIONS)
-DEVICE_KEYS = ("cavity_freq", "mech_freq", "kappa", "eta", "gamma_m")
 #: the largest `points` or `samples` count a config may ask for
 MAX_COUNT = 2**22
 #: data rows `write_csv` formats and writes at a time
@@ -86,22 +85,22 @@ class RunConfig:
 
 
 def _build_device(block: Any) -> DeviceParams:
-    if block == "reference" or block == {"preset": "reference"}:
+    """The preset, or one key per DeviceParams field: the field's name
+    without its `_hz` suffix, which marks a frequency."""
+    if block == {"preset": "reference"}:
         return model.reference_device()
     if not isinstance(block, dict):
-        raise ConfigError("device block must be a mapping or the string 'reference'")
-    unknown = set(block) - set(DEVICE_KEYS)
+        raise ConfigError("device block must be a mapping")
+    keys = {f.name.removesuffix("_hz"): f.name for f in fields(DeviceParams)}
+    unknown = set(block) - set(keys)
     if unknown:
         raise ConfigError(f"unknown device keys {sorted(unknown)}; a device block is "
-                          f"{{'preset': 'reference'}} alone or keys out of {DEVICE_KEYS}")
+                          f"{{'preset': 'reference'}} alone or keys out of {tuple(keys)}")
     try:
-        return DeviceParams(
-            cavity_freq_hz=parse_frequency(block["cavity_freq"]),
-            mech_freq_hz=parse_frequency(block["mech_freq"]),
-            kappa_hz=parse_frequency(block["kappa"]),
-            eta=float(block["eta"]),
-            gamma_m_hz=parse_frequency(block["gamma_m"]),
-        )
+        return DeviceParams(**{
+            name: (parse_frequency if name.endswith("_hz") else float)(block[key])
+            for key, name in keys.items()
+        })
     except KeyError as exc:
         raise ConfigError(f"device block is missing {exc.args[0]!r}") from None
     except (TypeError, ValueError, OverflowError, ParameterError) as exc:
@@ -119,7 +118,8 @@ def _read_text(path: str) -> str:
 
 
 def load_config(path: str, *, out_dir: str | None = None, seed: int | None = None) -> RunConfig:
-    """Read and validate a JSON run config, applying CLI overrides."""
+    """Read and validate a JSON run config; `out_dir` (default the working
+    directory) and `seed` are the --out and --seed flags."""
     try:
         doc = json.loads(_read_text(path))
     except ValueError as exc:  # a JSONDecodeError, or an int of too many digits
@@ -140,31 +140,21 @@ def load_config(path: str, *, out_dir: str | None = None, seed: int | None = Non
         )
     command = present[0]
     options = doc[command]
-    if options is None:
-        options = {}
     if not isinstance(options, dict):
         raise ConfigError(f"{command} block must be a mapping")
     unknown = set(options) - set(OPTIONS[command])
     if unknown:
         raise ConfigError(f"unknown {command} options {sorted(unknown)}; it takes {OPTIONS[command]}")
-    unknown = set(doc) - set(COMMANDS) - {"version", "device", "out", "seed"}
+    unknown = set(doc) - set(COMMANDS) - {"version", "device"}
     if unknown:
         raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
-    out = doc.get("out", ".")
-    if not isinstance(out, str):
-        raise ConfigError(f"out must be a directory path string, got {out!r}")
-    out_dir = out_dir or out or "."
-    # the config's seed is checked even when --seed overrides it
-    for value in (doc.get("seed"), seed):
-        if value is not None and (type(value) is not int or value < 0):
-            raise ConfigError(f"seed must be a non-negative integer, got {value!r}")
-    if seed is None:
-        seed = doc.get("seed")
+    if seed is not None and (type(seed) is not int or seed < 0):
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
     return RunConfig(
         device=_build_device(doc["device"]),
         command=command,
         options=options,
-        out_dir=out_dir,
+        out_dir=out_dir or ".",
         seed=seed,
     )
 
@@ -179,21 +169,8 @@ def _fmt(value: Any) -> str:
 
 
 def _header(cfg: RunConfig, **extras: Any) -> dict[str, Any]:
-    """CSV header entries: the command, the device, `extras`, and the seed
-    when one is set."""
-    device = cfg.device
-    meta = {
-        "command": cfg.command,
-        "cavity_freq_hz": device.cavity_freq_hz,
-        "mech_freq_hz": device.mech_freq_hz,
-        "kappa_hz": device.kappa_hz,
-        "eta": device.eta,
-        "gamma_m_hz": device.gamma_m_hz,
-        **extras,
-    }
-    if cfg.seed is not None:
-        meta["seed"] = cfg.seed
-    return meta
+    """CSV header entries: the command, the device's fields, then `extras`."""
+    return {"command": cfg.command, **asdict(cfg.device), **extras}
 
 
 def _print_values(values: dict[str, Any]) -> None:
@@ -207,8 +184,10 @@ def _print_values(values: dict[str, Any]) -> None:
 
 
 def _atomic_write(path: str, pieces) -> None:
-    """Write the text `pieces`, in order, to a temp file, then rename it
-    over `path`, so a failed write leaves no partial file behind."""
+    """Write the text `pieces`, in order, to a temp file in the directory of
+    `path` (made if missing), then rename it over `path`, so a failed write
+    leaves no partial file behind."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = path + ".tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
@@ -297,7 +276,9 @@ def read_measured_csv(path: str) -> calibrate.MeasuredSpectrum:
         raise ConfigError(f"{path} has neither a frequency_hz nor a detuning_hz column")
     freq = data[:, freq_col]
     if "re" in cols and "im" in cols:
-        values = data[:, cols["re"]] + 1j * data[:, cols["im"]]
+        # not re + 1j * im, where an infinite im cell warns before it is refused
+        values = data[:, cols["re"]].astype(complex)
+        values.imag = data[:, cols["im"]]
         return calibrate.MeasuredSpectrum.from_complex(freq, values, absolute_frequency=is_absolute)
     if "amp_db" in cols:
         phase = data[:, cols["phase_rad"]] if "phase_rad" in cols else None
@@ -527,13 +508,11 @@ def main(argv: list[str] | None = None) -> int:
         "pulse propagation, and calibration fits, driven by a JSON config.",
     )
     parser.add_argument("--config", required=True, help="path to the JSON run config")
-    parser.add_argument("--out", default=None, help="output directory (overrides config)")
+    parser.add_argument("--out", default=None, help="output directory (default: .)")
     parser.add_argument("--seed", type=int, default=None, help="random seed for noise workflows")
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config, out_dir=args.out, seed=args.seed)
-        if cfg.command != "critical":
-            os.makedirs(cfg.out_dir, exist_ok=True)
         # looked up at call time, so a rebound cmd_<command> is the one run
         return globals()[f"cmd_{cfg.command}"](cfg)
     except (ConfigError, ParameterError) as exc:

@@ -94,12 +94,13 @@ def test_load_config_full_device(tmp_path):
 
 
 def test_load_config_preset_and_overrides(tmp_path):
-    path = write_config(tmp_path / "c.json", reference_doc(critical=None, seed=7))
-    cfg = cli.load_config(path, out_dir="elsewhere", seed=99)
+    path = write_config(tmp_path / "c.json", reference_doc(critical={}))
+    cfg = cli.load_config(path, out_dir="elsewhere", seed=3)
     assert cfg.device.cavity_freq_hz == 5.318e9
     assert cfg.options == {}
-    assert cfg.out_dir == "elsewhere"
-    assert cfg.seed == 99  # CLI flag beats the config value
+    # the output directory and the seed come from the --out and --seed flags alone
+    assert (cfg.out_dir, cfg.seed) == ("elsewhere", 3)
+    assert (cli.load_config(path).out_dir, cli.load_config(path).seed) == (".", None)
 
 
 @pytest.mark.parametrize(
@@ -114,6 +115,7 @@ def test_load_config_preset_and_overrides(tmp_path):
         reference_doc(critical=[1, 2]),  # command block not a mapping
         {"version": "1", "device": {"eta": 0.5}, "critical": {}},  # missing fields
         {"version": "1", "device": 42, "critical": {}},
+        # seed and out are flags, not config keys
         reference_doc(fit={"kind": "bare", "data": "x.csv", "add_noise_snr_db": 30}, seed="abc"),
         reference_doc(fit={"kind": "bare", "data": "x.csv", "add_noise_snr_db": 30}, seed=1.5),
         reference_doc(fit={"kind": "bare", "data": "x.csv", "add_noise_snr_db": 30}, seed=-3),
@@ -131,23 +133,24 @@ def test_load_config_preset_and_overrides(tmp_path):
             "eta": 0.651, "gamma_m": "9.7 mHz", "gamma": "9.7 mHz"}},
         # the axis column of the data names its kind: fit takes no frequency option
         reference_doc(fit={"kind": "bare", "data": "x.csv", "frequency": ["x"]}),
-        # a falsy out is no path to the working directory
         reference_doc(critical={}, out=False),
         # a device eta past the largest float
         {"version": "1", "critical": {}, "device": {
             "cavity_freq": "5.318 GHz", "mech_freq": "755.5 kHz", "kappa": "420 kHz",
             "eta": 10**400, "gamma_m": "9.7 mHz"}},
-        # a bad seed in a command block that never reads it
         reference_doc(critical={}, seed="abc"),
         # vacuum_coupling, which nothing computed with, is no device key
         {"version": "1", "critical": {}, "device": {
             "cavity_freq": "5.318 GHz", "mech_freq": "755.5 kHz", "kappa": "420 kHz",
             "eta": 0.651, "gamma_m": "9.7 mHz", "vacuum_coupling": "1 Hz"}},
+        # the preset is spelled {"preset": "reference"} alone, an empty block {}
+        {"version": "1", "device": "reference", "critical": {}},
+        reference_doc(critical=None),
     ],
 )
 def test_load_config_rejects(tmp_path, doc):
     path = write_config(tmp_path / "bad.json", doc)
-    # refused whether or not --seed overrides the config's seed
+    # refused with and without --seed
     for seed in (None, 3):
         with pytest.raises(ConfigError):
             cli.load_config(path, seed=seed)
@@ -164,7 +167,7 @@ def test_load_config_rejects_broken_json(tmp_path):
         cli.load_config(str(array_root))
     # valid JSON, but an integer of more digits than int() reads from text
     long_int = tmp_path / "long_int.json"
-    long_int.write_text('{"version": "1", "seed": ' + "1" * 5000 + "}")
+    long_int.write_text('{"version": "1", "sweep_g": {"points": ' + "1" * 5000 + "}}")
     with pytest.raises(ConfigError, match="not readable JSON"):
         cli.load_config(str(long_int))
 
@@ -304,13 +307,14 @@ def _written(out_dir):
 )
 def test_rerun_byte_identical(tmp_path, capsys, config):
     # the first run starts from cleared caches; the second reads the warm
-    # probe and pump-off caches of a pulse config
+    # probe and pump-off caches of a pulse config. No command that writes a
+    # file draws noise, so a --seed changes no byte
     pulses._probe.cache_clear()
     pulses._pump_off_arrival.cache_clear()
     runs = []
-    for name in ("a", "b"):
+    for name, flags in (("a", []), ("b", ["--seed", "5"])):
         out_dir = tmp_path / name
-        assert cli.main(["--config", config, "--out", str(out_dir)]) == 0
+        assert cli.main(["--config", config, "--out", str(out_dir), *flags]) == 0
         stdout = capsys.readouterr().out.replace(str(out_dir), "<out>")
         runs.append((stdout, _written(out_dir)))
     assert runs[0] == runs[1]
@@ -606,7 +610,9 @@ def test_pulse_without_critical_coupling_writes_nothing(tmp_path, capsys):
     out_dir = tmp_path / "out"
     assert cli.main(["--config", path, "--out", str(out_dir)]) == 3
     assert capsys.readouterr().err.startswith("error: ")
-    assert not list(out_dir.glob("pulse_*.csv"))
+    # the writer makes the output directory: a run that fails before its
+    # first write leaves none behind
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("command,flags,code,message", [
@@ -631,6 +637,8 @@ def test_entrypoint_exits_with_main_code(tmp_path, monkeypatch, capsys, command,
     # the parser prints its usage line before the error
     assert err.splitlines()[-1].startswith(message) if code else err == ""
     assert "Traceback" not in err
+    # critical writes no file, and a failed run none: no output directory
+    assert not (tmp_path / "o").exists()
 
 
 def test_exit_code_missing_config(tmp_path, capsys):
@@ -767,7 +775,7 @@ def test_fit_malformed_csv_is_config_error(tmp_path, capsys, kind, data, where):
 def test_non_utf8_input_is_config_error(tmp_path, capsys, kind, data):
     if kind is None:
         bad = tmp_path / "c.json"
-        bad.write_bytes(b'{"version": "1", "device": "reference", "critical": {}}\xff')
+        bad.write_bytes(b'{"version": "1", "device": {"preset": "reference"}, "critical": {}}\xff')
         path = str(bad)
     else:
         bad = tmp_path / "data.csv"
@@ -835,20 +843,23 @@ def _reference_table(kind, header):
 
 
 @pytest.mark.parametrize(
-    "kind,header,cell,named",
+    "kind,header,column,cell,named",
     [
-        ("bare", ["detuning_hz", "re", "im"], 1e160, "t reaches"),
-        ("bare", ["detuning_hz", "amp_db"], 1e308, "amplitude_db"),
-        ("critical_sweep", ["g_hz", "amp_db"], 1e308, "amp_db"),
-        ("critical_sweep", ["g_hz", "t_z"], 1e200, "t_z"),
+        ("bare", ["detuning_hz", "re", "im"], 1, 1e160, "t reaches"),
+        ("bare", ["detuning_hz", "amp_db"], 1, 1e308, "amplitude_db"),
+        ("critical_sweep", ["g_hz", "amp_db"], 1, 1e308, "amp_db"),
+        ("critical_sweep", ["g_hz", "t_z"], 1, 1e200, "t_z"),
+        # re + 1j * im warned of an invalid value before the cell was refused
+        ("bare", ["detuning_hz", "re", "im"], 2, math.inf, "t contains non-finite"),
     ],
-    ids=["bare-re", "bare-amp-db", "sweep-amp-db", "sweep-t-z"],
+    ids=["bare-re", "bare-amp-db", "sweep-amp-db", "sweep-t-z", "bare-im-inf"],
 )
-def test_out_of_range_fit_data_is_config_error(tmp_path, capsys, kind, header, cell, named):
+def test_out_of_range_fit_data_is_config_error(tmp_path, capsys, kind, header, column, cell,
+                                               named):
     # values whose power or squared residual overflows a float: a config
     # error that names the column, before numpy can warn of the overflow
     table = _reference_table(kind, header)
-    table[3, 1] = cell
+    table[3, column] = cell
     data = tmp_path / "data.csv"
     rows = [",".join(header)] + [",".join(map(repr, row)) for row in table.tolist()]
     data.write_text("\n".join(rows) + "\n")
@@ -863,6 +874,26 @@ def test_out_of_range_fit_data_is_config_error(tmp_path, capsys, kind, header, c
         assert "t_z" not in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert "RuntimeWarning" not in err
+
+
+@pytest.mark.parametrize("kind", ["bare", "mechanical"])
+def test_detuning_axis_beyond_the_kernel_range_is_config_error(tmp_path, capsys, kind):
+    # the kernel squares each detuning: past sqrt(float max) the fit overflowed
+    # and reported that no seed met the gradient tolerance (exit 3)
+    header = ["detuning_hz", "re", "im"]
+    table = _reference_table("bare", header)
+    table[0, 0] = -1.3407807929942597e154
+    data = tmp_path / "data.csv"
+    rows = [",".join(header)] + [",".join(map(repr, row)) for row in table.tolist()]
+    data.write_text("\n".join(rows) + "\n")
+    path = write_config(tmp_path / "c.json", reference_doc(fit={"kind": kind, "data": str(data)}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["--config", path, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error") and "fit's detuning axis" in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def _strict_json(text):
@@ -965,11 +996,11 @@ def test_fit_stall_without_an_outlier_names_no_row(monkeypatch):
 # startup imports
 # ---------------------------------------------------------------------------
 
-# Runs every config named on the command line in a fresh interpreter in
-# which `import scipy` fails, and so does `import numpy.random` where
-# `import numpy` leaves it unloaded (numpy 2 on), each into its own
-# directory under argv[1], and prints each one's exit code and stdout (the
-# output directory masked).
+# Runs every config named on the command line at --seed 3 in a fresh
+# interpreter in which `import scipy` fails, and so does `import
+# numpy.random` where `import numpy` leaves it unloaded (numpy 2 on), each
+# into its own directory under argv[1], and prints each one's exit code and
+# stdout (the output directory masked).
 _NO_SCIPY_RUN = """
 import contextlib, io, json, os, sys
 sys.modules["scipy"] = None  # any import of scipy or a submodule fails
@@ -982,7 +1013,7 @@ runs = []
 for config in sys.argv[2:]:
     out_dir = os.path.join(sys.argv[1], os.path.basename(config))
     with contextlib.redirect_stdout(io.StringIO()) as stdout:
-        code = mcpa.cli.main(["--config", config, "--out", out_dir])
+        code = mcpa.cli.main(["--config", config, "--out", out_dir, "--seed", "3"])
     runs.append([code, stdout.getvalue().replace(out_dir, "<out>")])
 print(json.dumps(runs))
 """
@@ -1000,9 +1031,9 @@ def test_every_config_runs_without_scipy(tmp_path, capsys):
     ):
         gen = write_config(tmp_path / f"gen_{kind}.json", reference_doc(spectrum=spectrum))
         assert cli.main(["--config", gen, "--out", str(tmp_path / f"data_{kind}")]) == 0
-        noisy_fits.append(write_config(tmp_path / f"noisy_fit_{kind}.json", dict(reference_doc(fit={
+        noisy_fits.append(write_config(tmp_path / f"noisy_fit_{kind}.json", reference_doc(fit={
             "kind": kind, "data": str(tmp_path / f"data_{kind}" / "spectrum.csv"),
-            "add_noise_snr_db": 30}), seed=3)))
+            "add_noise_snr_db": 30})))
     capsys.readouterr()
     configs = [*CONFIGS, *noisy_fits]
     env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
@@ -1015,6 +1046,6 @@ def test_every_config_runs_without_scipy(tmp_path, capsys):
     for config, (code, stdout) in zip(configs, blocked):
         name = os.path.basename(config)
         out_dir = tmp_path / "normal" / name
-        assert cli.main(["--config", config, "--out", str(out_dir)]) == 0
+        assert cli.main(["--config", config, "--out", str(out_dir), "--seed", "3"]) == 0
         assert (code, stdout) == (0, capsys.readouterr().out.replace(str(out_dir), "<out>")), name
         assert _written(tmp_path / "blocked" / name) == _written(out_dir), name

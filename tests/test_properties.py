@@ -17,7 +17,7 @@ import pytest
 import scipy.signal
 
 pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from mcpa import MeasuredSpectrum, calibrate, cli, model, pulses, spectra
 from mcpa.errors import PulseEstimationError
@@ -196,7 +196,7 @@ TYPICAL = {"g": ["11.87 Hz", 23.93, "155.1"], "start": [5.0, "-2 Hz"],
 REQUIRED = {"spectrum": ("g",), "pulse": ("g",), "fit": ("kind", "data")}
 
 devices = mostly(
-    st.sampled_from(["reference", {"preset": "reference"}])
+    st.just({"preset": "reference"})
     | st.fixed_dictionaries({k: option(v) for k, v in DEVICE_BLOCK.items()}),
     values,
 )
@@ -216,15 +216,13 @@ commands = mostly(st.just(1), st.integers(0, 2)).flatmap(
 
 @settings(PROPERTY, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(version=mostly(st.just("1"), values), device=devices, command=commands,
-       seed=mostly(st.none(), numbers))
+       seed=mostly(st.none(), st.integers(-4096, 4096)))
 def test_cli_config_fuzz_ends_in_exit_code(tmp_path, monkeypatch, version, device, command, seed):
     monkeypatch.chdir(tmp_path)
-    doc = {"version": version, "device": device, **command}
-    if seed is not None:
-        doc["seed"] = seed
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(doc))
-    code = cli.main(["--config", str(path), "--out", str(tmp_path / "out")])
+    path.write_text(json.dumps({"version": version, "device": device, **command}))
+    flags = [] if seed is None else ["--seed", str(seed)]
+    code = cli.main(["--config", str(path), "--out", str(tmp_path / "out"), *flags])
     assert code in (0, 2, 3, 4)
 
 
@@ -232,9 +230,13 @@ def test_cli_config_fuzz_ends_in_exit_code(tmp_path, monkeypatch, version, devic
 # data-file fuzzing: every fit of a random CSV ends in an exit code
 # ---------------------------------------------------------------------------
 
-# zeros, non-finite values, the extremes of a double, and any float at all
+#: just past the kernel's range sqrt(float max), where a squared detuning overflows
+PAST_KERNEL_RANGE = 1.3407807929942597e154
+# zeros, non-finite values, the extremes of a double, the edge of the
+# kernel's range, and any float at all
 odd_cells = st.one_of(
-    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324]),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324,
+                     PAST_KERNEL_RANGE, -PAST_KERNEL_RANGE]),
     st.floats(),
 )
 VALUE_COLUMNS = {"bare": [("re", "im"), ("amp_db",), ("amp_db", "phase_rad")],
@@ -277,8 +279,18 @@ def data_files(draw):
     for _ in range(draw(st.integers(0, 3))):
         row, column = draw(st.integers(0, rows - 1)), draw(st.integers(0, len(header) - 1))
         table[row, column] = draw(odd_cells)
+    return kind, csv_text(header, table)
+
+
+def csv_text(header, table):
     lines = [",".join(header)] + [",".join(map(repr, row)) for row in table.tolist()]
-    return kind, "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n"
+
+
+BARE = ["detuning_hz", "re", "im"]
+# a bare trace whose detuning axis starts past the kernel's range
+EDGE_AXIS = np.column_stack(clean_columns("bare", BARE, 20))
+EDGE_AXIS[0, 0] = -PAST_KERNEL_RANGE
 
 
 def no_constant(name):
@@ -287,12 +299,15 @@ def no_constant(name):
 
 @settings(PROPERTY, max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=data_files())
+# each warned (and so raised) in numpy before the data was refused
+@example(case=("bare", "detuning_hz,re,im\n0.0,0.9648108108108107,inf\n"))
+@example(case=("bare", csv_text(BARE, EDGE_AXIS)))
 def test_cli_data_fuzz_ends_in_exit_code(tmp_path, case):
     kind, text = case
     data = tmp_path / "data.csv"
     data.write_text(text)
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"version": "1", "device": "reference",
+    config.write_text(json.dumps({"version": "1", "device": {"preset": "reference"},
                                   "fit": {"kind": kind, "data": str(data)}}))
     out = tmp_path / "out"
     report = out / "fit_report.json"
