@@ -59,12 +59,8 @@ class MeasuredSpectrum:
     absolute_frequency: bool = True
 
     def __post_init__(self) -> None:
-        freq = np.asarray(self.frequency_hz, dtype=float)
+        freq = model._checked_grid(self.frequency_hz, "frequency", 20)
         object.__setattr__(self, "frequency_hz", freq)
-        if freq.ndim != 1 or len(freq) < 20:
-            raise ParameterError(f"need at least 20 spectrum rows, got {freq.shape}")
-        if not np.all(np.isfinite(freq)) or np.any(np.diff(freq) <= 0.0):
-            raise ParameterError("frequency axis must be finite and strictly increasing")
         if (self.t is None) == (self.amplitude_db is None):
             raise ParameterError("provide exactly one of t (complex) or amplitude_db (polar)")
         for name in ("t", "amplitude_db", "phase_rad"):
@@ -592,12 +588,12 @@ def infer_critical_from_sweep(
     BracketingError
         If the minimum lies on the sweep edge.
     """
-    g = np.asarray(g_hz, dtype=float)
+    g = model._checked_grid(g_hz, "coupling", 5)
     power = np.asarray(t_z_power, dtype=float)
-    if g.shape != power.shape or g.ndim != 1 or len(g) < 5:
-        raise ParameterError("need matching 1-d arrays with at least 5 sweep points")
-    if np.any(g <= 0.0) or not np.all(np.isfinite(g)) or np.any(np.diff(g) <= 0.0):
-        raise ParameterError("coupling grid must be positive, finite, strictly ascending")
+    if power.shape != g.shape:
+        raise ParameterError(f"need one t_z power value per coupling, got shape {power.shape}")
+    if g[0] <= 0.0:
+        raise ParameterError(f"coupling grid must be positive, got {g[0]!r}")
     if np.any(power < 0.0) or not np.all(np.isfinite(power)):
         raise ParameterError("t_z power values must be finite and non-negative")
     i = int(np.argmin(power))

@@ -26,7 +26,7 @@ import os
 import random
 import re
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Any
 
 import numpy as np
@@ -441,6 +441,8 @@ def cmd_fit(cfg: RunConfig) -> int:
         raise ConfigError(f"fit data must be a path string, got {data_path!r}")
     report: dict[str, Any] = {"kind": kind, "data": data_path}
     if kind == "critical_sweep":
+        if "add_noise_snr_db" in options:
+            raise ConfigError("add_noise_snr_db does not apply to a critical_sweep fit")
         cols, table = _read_table(data_path)
         if "g_hz" not in cols:
             raise ConfigError(f"{data_path} has no g_hz column")
@@ -462,9 +464,10 @@ def cmd_fit(cfg: RunConfig) -> int:
         snr_db = options.get("add_noise_snr_db")
         if snr_db is not None:
             snr_db = _number(options, "add_noise_snr_db", None, float)
-            # the noise level 10^(-snr/20) must be a finite float
-            if not math.isfinite(snr_db) or -snr_db / 20.0 > sys.float_info.max_10_exp:
-                raise ConfigError(f"add_noise_snr_db must give a finite noise level, got {snr_db!r}")
+            # a noise level 10^(-snr/20) in [1e-154, 1e154] neither overflows
+            # nor vanishes where it is drawn and added
+            if not abs(snr_db) <= 3080.0:
+                raise ConfigError(f"add_noise_snr_db must lie in [-3080, 3080] dB, got {snr_db!r}")
         measured = read_measured_csv(data_path)
         if snr_db is not None:
             report["add_noise_snr_db"] = snr_db
@@ -473,14 +476,18 @@ def cmd_fit(cfg: RunConfig) -> int:
             # process that imports it about 5 MB
             gauss = random.Random(cfg.seed).gauss
             level = 10.0 ** (-snr_db / 20.0)
-            values = measured.complex_values()
-            re_part = np.array([gauss(0.0, 1.0) for _ in range(len(values))])
-            im_part = np.array([gauss(0.0, 1.0) for _ in range(len(values))])
+            n = len(measured.frequency_hz)
+            re_part = np.array([gauss(0.0, 1.0) for _ in range(n)])
+            im_part = np.array([gauss(0.0, 1.0) for _ in range(n)])
             noise = level / math.sqrt(2.0) * (re_part + 1j * im_part)
-            measured = calibrate.MeasuredSpectrum.from_complex(
-                measured.frequency_hz, values + noise,
-                absolute_frequency=measured.absolute_frequency,
-            )
+            # the noisy trace keeps the data's form; amplitude-only data gets |a + n|
+            values = (measured.complex_values() if measured.has_phase
+                      else measured.amplitude()) + noise
+            if measured.t is not None:
+                measured = replace(measured, t=values)
+            else:
+                measured = replace(measured, amplitude_db=spectra._amplitude_db(np.abs(values)),
+                                   phase_rad=np.angle(values) if measured.has_phase else None)
         if kind == "bare":
             fit = calibrate.fit_bare_cavity(measured)
         else:

@@ -96,45 +96,55 @@ class DeviceParams:
 
     def __post_init__(self) -> None:
         for name in ("cavity_freq_hz", "mech_freq_hz", "kappa_hz", "gamma_m_hz"):
-            value = getattr(self, name)
-            if not (
-                isinstance(value, (int, float))
-                and not isinstance(value, bool)
-                and math.isfinite(value)
-                and value > 0.0
-            ):
-                raise ParameterError(f"{name} must be a positive finite number, got {value!r}")
+            _positive(name, getattr(self, name))
         if not (0.0 < self.eta < 1.0):
             raise ParameterError(f"eta must lie strictly inside (0, 1), got {self.eta!r}")
 
 
-def _g_hz(coupling):
-    """Validate coupling rates in Hz: every element in [0, _MAX_RATE_HZ],
-    so that G^2 is a finite float. A scalar comes back as a float, an array
-    as a float array. The error names the first rate out of range."""
-    g = np.asarray(coupling, dtype=float)
+def _positive(name: str, value) -> None:
+    """ParameterError unless `value` is a Python int or float, not a bool,
+    finite and > 0: the rule of every positive field of `DeviceParams`,
+    `pulses.PulseConfig` and `pulses.PulseWaveform`."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and math.isfinite(value) and value > 0.0):
+        raise ParameterError(f"{name} must be a positive finite number, got {value!r}")
+
+
+def _in_range(values, lowest: float, what: str):
+    """Validate rates in Hz: every element in [`lowest`, _MAX_RATE_HZ], so its
+    square in the kernel is a finite float. A scalar comes back as a float, an
+    array as a float array; the error names `what` and the first value out."""
+    x = np.asarray(values, dtype=float)
     # compared, not squared: a square that overflows warns (NaN fails both)
-    fine = (g >= 0.0) & (g <= _MAX_RATE_HZ)
+    fine = (x >= lowest) & (x <= _MAX_RATE_HZ)
     if not np.all(fine):
         raise ParameterError(
-            f"coupling rate must lie in [0, {_MAX_RATE_HZ:.6g}] Hz, got {float(g[~fine][0])!r}"
+            f"{what} must lie in [{lowest:.6g}, {_MAX_RATE_HZ:.6g}] Hz, got {float(x[~fine][0])!r}"
         )
-    return float(g) if g.ndim == 0 else g
+    return float(x) if x.ndim == 0 else x
+
+
+def _g_hz(coupling):
+    """Coupling rates, each in [0, _MAX_RATE_HZ], by `_in_range`."""
+    return _in_range(coupling, 0.0, "coupling rate")
 
 
 def _detuning_hz(detuning, what: str = "detuning"):
-    """Validate detunings in Hz, or the reach of a band of them: every
-    |element| at most _MAX_RATE_HZ, so that Delta^2 in the kernel is a
-    finite float. A scalar comes back as a float, an array as a float
-    array. The error names `what` and the first value out of range."""
-    x = np.asarray(detuning, dtype=float)
-    # compared, not squared, as in _g_hz
-    fine = np.abs(x) <= _MAX_RATE_HZ
-    if not np.all(fine):
-        raise ParameterError(
-            f"{what} must lie within +/- {_MAX_RATE_HZ:.6g} Hz, got {float(x[~fine][0])!r}"
-        )
-    return float(x) if x.ndim == 0 else x
+    """Detunings, or a band's reach, each within +/- _MAX_RATE_HZ, by `_in_range`."""
+    return _in_range(detuning, -_MAX_RATE_HZ, what)
+
+
+def _checked_grid(x_hz, what: str, min_points: int) -> NDArray[np.floating]:
+    """`x_hz` as a float array, after checking it is a 1-d, finite, strictly
+    ascending grid of at least `min_points` points."""
+    x = np.asarray(x_hz, dtype=float)
+    if x.ndim != 1 or len(x) < min_points:
+        raise ParameterError(f"need a 1-d {what} grid with at least {min_points} points")
+    if not np.all(np.isfinite(x)):
+        raise ParameterError(f"{what} grid must be finite")
+    if np.any(np.diff(x) <= 0.0):
+        raise ParameterError(f"{what} grid must be strictly ascending")
+    return x
 
 
 def _scalar_g_hz(coupling) -> float:

@@ -144,12 +144,8 @@ class PulseConfig:
     carrier_detuning_hz: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.sigma_t_s) and self.sigma_t_s > 0.0):
-            raise ParameterError(f"sigma_t_s must be positive, got {self.sigma_t_s!r}")
-        if not (math.isfinite(self.center_s) and self.center_s > 0.0):
-            raise ParameterError(f"center_s must be positive, got {self.center_s!r}")
-        if not (math.isfinite(self.dt_s) and self.dt_s > 0.0):
-            raise ParameterError(f"dt_s must be positive, got {self.dt_s!r}")
+        for name in ("sigma_t_s", "center_s", "dt_s"):
+            model._positive(name, getattr(self, name))
         _check_band(self.carrier_detuning_hz, self.dt_s)
         if not math.isfinite(self.record_s):
             raise ParameterError(f"record_s must be finite, got {self.record_s!r}")
@@ -195,8 +191,7 @@ class PulseWaveform:
     def __post_init__(self) -> None:
         if not math.isfinite(self.t0_s):
             raise ParameterError(f"t0_s must be finite, got {self.t0_s!r}")
-        if not (math.isfinite(self.dt_s) and self.dt_s > 0.0):
-            raise ParameterError(f"dt_s must be positive, got {self.dt_s!r}")
+        model._positive("dt_s", self.dt_s)
         _check_band(self.carrier_detuning_hz, self.dt_s)
         samples = np.asarray(self.samples, dtype=complex)
         object.__setattr__(self, "samples", samples)

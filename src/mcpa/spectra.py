@@ -91,19 +91,6 @@ class Spectrum:
         return len(self.x_hz)
 
 
-def _checked_grid(x_hz, what: str, min_points: int) -> NDArray[np.floating]:
-    """`x_hz` as a float array, after checking it is a 1-d, finite, strictly
-    ascending grid of at least `min_points` points."""
-    x = np.asarray(x_hz, dtype=float)
-    if x.ndim != 1 or len(x) < min_points:
-        raise ParameterError(f"need a 1-d {what} grid with at least {min_points} points")
-    if not np.all(np.isfinite(x)):
-        raise ParameterError(f"{what} grid must be finite")
-    if np.any(np.diff(x) <= 0.0):
-        raise ParameterError(f"{what} grid must be strictly ascending")
-    return x
-
-
 def _amplitude_db(t_abs: NDArray[np.floating]) -> NDArray[np.floating]:
     out = np.full_like(t_abs, -np.inf)
     nz = t_abs > 0.0
@@ -131,7 +118,7 @@ def sweep_detuning(params: DeviceParams, coupling: float,
         delay_s is :func:`model.group_delay_curve` on the grid.
     """
     g = model._scalar_g_hz(coupling)
-    x = model._detuning_hz(_checked_grid(detuning_hz, "detuning", 3))
+    x = model._detuning_hz(model._checked_grid(detuning_hz, "detuning", 3))
     t, delay = model._response(params.kappa_hz, params.eta, params.gamma_m_hz, g, x, delay=True)
     return Spectrum(
         x_hz=x,
@@ -153,7 +140,7 @@ def sweep_coupling_resonance(params: DeviceParams, g_hz: NDArray[np.floating]) -
     above it. Grid points whose transmission is degenerate with zero
     carry NaN phase and delay.
     """
-    g = model._g_hz(_checked_grid(g_hz, "coupling", 2))
+    g = model._g_hz(model._checked_grid(g_hz, "coupling", 2))
     t, delay = model._response(params.kappa_hz, params.eta, params.gamma_m_hz, g, 0.0, delay=True)
     tz = t.real
     return Spectrum(
@@ -175,7 +162,7 @@ def numeric_group_delay(x_hz: NDArray[np.floating], phase_rad: NDArray[np.floati
     second-order one-sided stencils. Singular points and their immediate
     neighbours get NaN delay.
     """
-    x = _checked_grid(x_hz, "detuning", 3)
+    x = model._checked_grid(x_hz, "detuning", 3)
     dphi = np.gradient(np.unwrap(phase_rad), x, edge_order=2)
     delay = -dphi / TWO_PI
     for i in np.flatnonzero(singular):

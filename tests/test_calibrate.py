@@ -64,6 +64,10 @@ def test_measured_spectrum_validation():
     bad[3] = np.nan
     with pytest.raises(ParameterError):
         MeasuredSpectrum(frequency_hz=freq, t=bad)
+    # the grid rule of the sweeps: a repeated point, a NaN, a 2-d axis
+    for axis in (np.r_[freq[:3], freq[2:29]], np.r_[freq[:29], np.nan], freq.reshape(1, 30)):
+        with pytest.raises(ParameterError, match="frequency grid"):
+            MeasuredSpectrum(frequency_hz=axis, t=np.ones(30, complex))
 
 
 def test_measured_spectrum_accepts_strided_complex():
@@ -469,3 +473,11 @@ def test_infer_critical_input_validation():
         calibrate.infer_critical_from_sweep(g, np.array([1.0, 2.0, -1.0, 2.0, 3.0]))
     with pytest.raises(ParameterError):
         calibrate.infer_critical_from_sweep(g[::-1], np.ones(5))
+    # a repeated point, a NaN, a 2-d grid, a coupling at 0, a power per coupling
+    for grid, power in ((np.r_[1.0, 2.0, 2.0, 3.0, 4.0], np.ones(5)),
+                        (np.r_[1.0, 2.0, np.nan, 4.0, 5.0], np.ones(5)),
+                        (g.reshape(1, 5), np.ones((1, 5))),
+                        (g - 1.0, np.ones(5)),
+                        (g, np.ones(6))):
+        with pytest.raises(ParameterError):
+            calibrate.infer_critical_from_sweep(grid, power)

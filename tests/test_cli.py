@@ -10,6 +10,7 @@ import glob
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -491,6 +492,52 @@ def test_fit_noise_reproducible_with_seed(tmp_path):
     assert rms == pytest.approx(10.0 ** (-30.0 / 20.0) / math.sqrt(2.0), rel=0.15)
 
 
+@pytest.mark.parametrize("columns", [("re", "im"), ("amp_db", "phase_rad"), ("amp_db",)],
+                         ids=["complex", "polar", "amplitude"])
+def test_fit_noise_keeps_the_trace_form(tmp_path, columns):
+    # the noise n is added in the data's form: t + n, amp e^(i phase) + n
+    # back in dB and radians, and |a + n| alone for amplitude-only data;
+    # the report is a fit of that trace
+    device = reference_device()
+    delta = np.linspace(-1.2e6, 1.2e6, 201)
+    t = model.transmission_curve(device, 0.0, delta)
+    channels = {"re": t.real, "im": t.imag, "amp_db": 20.0 * np.log10(np.abs(t)),
+                "phase_rad": np.angle(t)}
+    table = np.column_stack([delta, *(channels[name] for name in columns)])
+    data = tmp_path / "data.csv"
+    data.write_text("\n".join([",".join(["detuning_hz", *columns]),
+                               *(",".join(map(repr, row)) for row in table.tolist())]) + "\n")
+    fit = write_config(tmp_path / "fit.json", reference_doc(
+        fit={"kind": "bare", "data": str(data), "add_noise_snr_db": 30}))
+    assert cli.main(["--config", fit, "--out", str(tmp_path / "out"), "--seed", "5"]) == 0
+    report = json.loads((tmp_path / "out" / "fit_report.json").read_text())
+
+    measured = cli.read_measured_csv(str(data))
+    gauss = random.Random(5).gauss
+    re_part = np.array([gauss(0.0, 1.0) for _ in delta])
+    im_part = np.array([gauss(0.0, 1.0) for _ in delta])
+    noise = 10.0 ** (-30.0 / 20.0) / math.sqrt(2.0) * (re_part + 1j * im_part)
+    freq = measured.frequency_hz
+    if columns == ("re", "im"):
+        noisy = calibrate.MeasuredSpectrum.from_complex(freq, measured.t + noise, False)
+    else:
+        phase = measured.phase_rad if "phase_rad" in columns else 0.0
+        v = 10.0 ** (measured.amplitude_db / 20.0) * np.exp(1j * phase) + noise
+        noisy = calibrate.MeasuredSpectrum.from_polar(
+            freq, 20.0 * np.log10(np.abs(v)), np.angle(v) if "phase_rad" in columns else None,
+            absolute_frequency=False)
+    expected = calibrate.fit_bare_cavity(noisy)
+    assert report["params"] == expected.params
+    assert report["residual_rms"] == expected.residual_rms
+    if columns == ("amp_db", "phase_rad"):
+        # a complex trace is fitted with complex residuals, to other numbers
+        as_complex = calibrate.MeasuredSpectrum.from_complex(freq, noisy.complex_values(), False)
+        assert calibrate.fit_bare_cavity(as_complex).params != expected.params
+    assert ("alternate_params" in report) == (columns == ("amp_db",))
+    if columns == ("amp_db",):
+        assert report["alternate_params"] == expected.alternate.params
+
+
 def test_fit_amplitude_only_csv(tmp_path):
     # hand-built amplitude-only data: the report must carry the mirror
     # candidate for eta
@@ -588,7 +635,7 @@ def test_detuning_beyond_float_range_is_config_error(tmp_path, capsys, command):
     out_dir = tmp_path / "out"
     assert cli.main(["--config", path, "--out", str(out_dir)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: ") and "must lie within +/- 1.34078e+154 Hz" in err
+    assert err.startswith("config error: ") and "must lie in [-1.34078e+154, 1.34078e+154] Hz" in err
     assert not list(out_dir.glob("*.csv"))
 
 
@@ -819,13 +866,21 @@ def test_non_numeric_count_is_config_error(tmp_path, capsys, command, value):
         {"kind": "bare", "data": "x.csv", "add_noise_snr_db": "1e309"},
         {"kind": "bare", "data": "x.csv", "add_noise_snr_db": True},
         {"kind": "bare", "data": "x.csv", "add_noise_snr_db": 10**400},
+        # a noise level near the float maximum: the drawn noise overflowed
+        {"kind": "bare", "data": "x.csv", "add_noise_snr_db": -6160},
+        # a sweep of |t_z| takes no noise: the option was neither used nor checked
+        {"kind": "critical_sweep", "data": "x.csv", "add_noise_snr_db": "abc"},
+        {"kind": "critical_sweep", "data": "x.csv", "add_noise_snr_db": 20},
     ],
-    ids=["data-list", "snr-overflow", "snr-infinite", "snr-bool", "snr-int-past-float"],
+    ids=["data-list", "snr-overflow", "snr-infinite", "snr-bool", "snr-int-past-float",
+         "snr-noise-overflow", "sweep-snr-string", "sweep-snr-number"],
 )
 def test_fit_option_of_wrong_type_is_config_error(tmp_path, capsys, fit):
     path = write_config(tmp_path / "c.json", reference_doc(fit=fit))
     assert cli.main(["--config", path, "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err.startswith("config error")
+    err = capsys.readouterr().err
+    assert err.startswith("config error")
+    assert "add_noise_snr_db" in err or "add_noise_snr_db" not in fit
 
 
 def _reference_table(kind, header):

@@ -79,6 +79,28 @@ def test_device_params_validation(device, field, value):
         DeviceParams(**kwargs)
 
 
+POSITIVE_FIELDS = [
+    *(("DeviceParams", name) for name in ("cavity_freq_hz", "mech_freq_hz", "kappa_hz", "gamma_m_hz")),
+    *(("PulseConfig", name) for name in ("sigma_t_s", "center_s", "dt_s")),
+    ("PulseWaveform", "dt_s"),
+]
+VALID = {
+    "DeviceParams": model.reference_device,
+    "PulseConfig": lambda: pulses.PulseConfig(sigma_t_s=1.0, center_s=10.0, record_s=30.0, dt_s=0.1),
+    "PulseWaveform": lambda: PulseWaveform(t0_s=0.0, dt_s=0.1, samples=np.ones(32)),
+}
+
+
+@pytest.mark.parametrize("bad", [True, 0, -1, math.nan, math.inf, np.float32(1.0)], ids=repr)
+@pytest.mark.parametrize("container,field", POSITIVE_FIELDS)
+def test_positive_fields_share_one_rule(container, field, bad):
+    # a Python int or float, not a bool, finite and > 0, in every container
+    valid = VALID[container]()
+    replace(valid, **{field: np.float64(getattr(valid, field))})  # a float subclass
+    with pytest.raises(ParameterError, match=f"^{field} must be a positive finite number, got "):
+        replace(valid, **{field: bad})
+
+
 def test_device_params_frozen(device):
     with pytest.raises(AttributeError):
         device.kappa_hz = 1.0

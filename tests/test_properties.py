@@ -297,24 +297,44 @@ def no_constant(name):
     raise AssertionError(f"{name} in the fit report")
 
 
+AMPLITUDE = ["detuning_hz", "amp_db"]
+SWEEP = ["g_hz", "t_z"]
+# the fit option add_noise_snr_db: absent (None), any number, or a string
+noise_options = st.none() | st.floats() | st.integers(-10**4, 10**4) | words | unit_strings
+
+
 @settings(PROPERTY, max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(case=data_files())
+@given(case=data_files(), snr=noise_options, seed=st.none() | st.integers(0, 2**32))
 # each warned (and so raised) in numpy before the data was refused
-@example(case=("bare", "detuning_hz,re,im\n0.0,0.9648108108108107,inf\n"))
-@example(case=("bare", csv_text(BARE, EDGE_AXIS)))
-def test_cli_data_fuzz_ends_in_exit_code(tmp_path, case):
+@example(case=("bare", "detuning_hz,re,im\n0.0,0.9648108108108107,inf\n"), snr=None, seed=None)
+@example(case=("bare", csv_text(BARE, EDGE_AXIS)), snr=None, seed=None)
+# a sweep took the option unchecked and unused; an amplitude-only trace
+# with noise ended in "amplitude-only spectrum carries no complex values"
+@example(case=("critical_sweep", csv_text(SWEEP, np.column_stack(
+    clean_columns("critical_sweep", SWEEP, 20)))), snr="abc", seed=None)
+@example(case=("bare", csv_text(AMPLITUDE, np.column_stack(
+    clean_columns("bare", AMPLITUDE, 60)))), snr=40, seed=3)
+def test_cli_data_fuzz_ends_in_exit_code(tmp_path, capsys, case, snr, seed):
     kind, text = case
     data = tmp_path / "data.csv"
     data.write_text(text)
+    fit = {"kind": kind, "data": str(data)}
+    if snr is not None:
+        fit["add_noise_snr_db"] = snr
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"version": "1", "device": {"preset": "reference"},
-                                  "fit": {"kind": kind, "data": str(data)}}))
+    config.write_text(json.dumps({"version": "1", "device": {"preset": "reference"}, "fit": fit}))
     out = tmp_path / "out"
     report = out / "fit_report.json"
     if report.exists():
         report.unlink()
-    code = cli.main(["--config", str(config), "--out", str(out)])
+    flags = [] if seed is None else ["--seed", str(seed)]
+    code = cli.main(["--config", str(config), "--out", str(out), *flags])
+    err = capsys.readouterr().err
     assert code in (0, 2, 3)
+    if kind == "critical_sweep" and snr is not None:
+        assert code == 2 and "add_noise_snr_db" in err
+    # the noise is added in the trace's own form, never through complex values
+    assert "carries no complex values" not in err
     if code == 0:
         # json writes a non-finite float as NaN or Infinity, outside JSON
         json.loads(report.read_text(), parse_constant=no_constant)

@@ -31,8 +31,9 @@ def test_one_band_check():
 
 
 def test_containers_carry_no_second_source():
-    # a transmission zero reads as a NaN delay_s, and every device field is
-    # one the model computes with
+    # a transmission zero reads as a NaN delay_s; every device field but
+    # mech_freq_hz is one the model computes with (mech_freq_hz is only
+    # validated and echoed into CSV headers)
     spectrum = tuple(f.name for f in dataclasses.fields(mcpa.Spectrum))
     assert spectrum == ("x_hz", "t", "amplitude_db", "phase_rad", "delay_s")
     device = tuple(f.name for f in dataclasses.fields(mcpa.DeviceParams))
